@@ -1,5 +1,8 @@
-// Package poolescape defines an analyzer keeping sync.Pool borrows inside
-// their borrow scope. A value obtained from pool.Get() is on loan: the
+// Package poolescape defines an analyzer keeping pool borrows inside their
+// borrow scope. A pool is a sync.Pool or one of the module's own free lists
+// (a named type ending in "Pool" with Get and Put methods, such as
+// internal/maxent's workspacePool, which must survive garbage collections a
+// sync.Pool would not). A value obtained from pool.Get() is on loan: the
 // solver workspaces and scratch buffers pooled by internal/maxent and
 // internal/optimize are reused the moment they are Put back, so a borrow
 // that outlives the function aliases memory another goroutine will scribble
@@ -22,6 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analyzers/framework"
 )
@@ -29,7 +33,7 @@ import (
 // Analyzer is the poolescape analysis.
 var Analyzer = &framework.Analyzer{
 	Name: "poolescape",
-	Doc:  "check that sync.Pool borrows do not escape their borrow scope or get used after Put",
+	Doc:  "check that pool borrows (sync.Pool or a module free list) do not escape their borrow scope or get used after Put",
 	Run:  run,
 }
 
@@ -44,7 +48,7 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// isPoolGet reports whether e is a call to sync.Pool.Get, looking through
+// isPoolGet reports whether e is a call to a pool's Get, looking through
 // type assertions and parens.
 func isPoolGet(e ast.Expr, info *types.Info) bool {
 	switch e := e.(type) {
@@ -74,7 +78,14 @@ func isPoolType(t types.Type) bool {
 		return false
 	}
 	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool"
+	if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool" {
+		return true
+	}
+	if !strings.HasSuffix(obj.Name(), "Pool") {
+		return false
+	}
+	ms := types.NewMethodSet(types.NewPointer(n))
+	return ms.Lookup(obj.Pkg(), "Get") != nil && ms.Lookup(obj.Pkg(), "Put") != nil
 }
 
 func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {

@@ -83,7 +83,53 @@ func allowed(s *solver) {
 	s.scratch = ws
 }
 
+// freePool is a free list the collector cannot empty, like maxent's
+// workspacePool: a named ...Pool type with Get and Put is held to the same
+// rules as a sync.Pool.
+type freePool struct{ free chan *Workspace }
+
+func (p *freePool) Get() *Workspace {
+	select {
+	case ws := <-p.free:
+		return ws
+	default:
+		return new(Workspace)
+	}
+}
+
+func (p *freePool) Put(ws *Workspace) {
+	select {
+	case p.free <- ws:
+	default:
+	}
+}
+
+var listPool = &freePool{free: make(chan *Workspace, 2)}
+
+// goodList is the blessed pattern on a free list.
+func goodList() int {
+	ws := listPool.Get()
+	defer listPool.Put(ws)
+	return len(ws.grid)
+}
+
+// listEscape returns a free-list borrow.
+func listEscape() *Workspace {
+	ws := listPool.Get()
+	return ws // want `pooled ws returned from listEscape`
+}
+
+// listUseAfterPut touches a workspace the list may already have re-issued.
+func listUseAfterPut() int {
+	ws := listPool.Get()
+	listPool.Put(ws)
+	return len(ws.out) // want `pooled ws used after Put`
+}
+
 var _ = good
+var _ = goodList
+var _ = listEscape
+var _ = listUseAfterPut
 var _ = returnBorrow
 var _ = fieldEscape
 var _ = globalEscape

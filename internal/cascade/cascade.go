@@ -43,6 +43,24 @@ type Config struct {
 	UseRTT    bool
 	// Solver configures the maximum-entropy fallback.
 	Solver maxent.Options
+	// Solve, when set, supplies the MaxEnt stage's density in place of a
+	// private maxent.SolveSketch(sk, Solver). It is the seam through which an
+	// owner of the sketch that memoizes its solve — a query-engine rollup, a
+	// moments.Sketch — shares that one solve with the cascade: shared reports
+	// that the solution already existed rather than being solved by this
+	// call. It must answer for the sketch passed to Threshold, with Solver's
+	// options; it is not a tuning knob.
+	Solve func() (sol *maxent.Solution, shared bool, err error)
+}
+
+// solve runs the MaxEnt stage's solve through the Solve seam when there is
+// one.
+func (cfg *Config) solve(sk *core.Sketch) (*maxent.Solution, bool, error) {
+	if cfg.Solve != nil {
+		return cfg.Solve()
+	}
+	sol, err := maxent.SolveSketch(sk, cfg.Solver)
+	return sol, false, err
 }
 
 // Full returns the complete cascade configuration.
@@ -56,13 +74,16 @@ type Stats struct {
 	Queries  int
 	Resolved [NumStages]int
 	Time     [NumStages]time.Duration
-	// Solves counts successful maximum-entropy solves reached by the
+	// Solves counts successful maximum-entropy solves performed for the
 	// MaxEnt stage; WarmSolves counts how many of them were warm-started
 	// from Options.Theta0; NewtonIters accumulates their Newton iteration
 	// counts — the measurable currency of the warm-start optimization.
-	Solves      int
-	WarmSolves  int
-	NewtonIters int
+	// SharedSolves counts MaxEnt-stage queries answered from a solution
+	// Config.Solve already held, which cost no solve at all.
+	Solves       int
+	WarmSolves   int
+	NewtonIters  int
+	SharedSolves int
 }
 
 // Reached returns how many queries reached the given stage (i.e. were not
@@ -153,7 +174,7 @@ func ThresholdSolve(sk *core.Sketch, t, phi float64, cfg Config, stats *Stats) (
 	}
 
 	start := now(stats)
-	sol, err := maxent.SolveSketch(sk, cfg.Solver)
+	sol, shared, err := cfg.solve(sk)
 	if err != nil {
 		// Fallback: decide by the midpoint of the tightest guaranteed
 		// bound. When the earlier stages were disabled (baseline
@@ -167,10 +188,14 @@ func ThresholdSolve(sk *core.Sketch, t, phi float64, cfg Config, stats *Stats) (
 		return (best.Lo+best.Hi)/2 < phi, nil, err
 	}
 	if stats != nil {
-		stats.Solves++
-		stats.NewtonIters += sol.Iterations
-		if sol.Warm {
-			stats.WarmSolves++
+		if shared {
+			stats.SharedSolves++
+		} else {
+			stats.Solves++
+			stats.NewtonIters += sol.Iterations
+			if sol.Warm {
+				stats.WarmSolves++
+			}
 		}
 	}
 	q := sol.Quantile(phi)

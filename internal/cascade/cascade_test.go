@@ -154,3 +154,47 @@ func TestCascadeResolvesMostQueriesEarly(t *testing.T) {
 		t.Errorf("early stages resolved only %.0f%%, want >= 70%%", frac*100)
 	}
 }
+
+// TestSolveSeamSharesOrFillsTheOwnersSolve: with Config.Solve set the MaxEnt
+// stage never solves privately — it takes the owner's density, counts it as
+// shared or fresh as the owner reports, skips the seam entirely when a
+// bounds stage settles the query, and falls back to the bounds midpoint on
+// the owner's (memoized) failure.
+func TestSolveSeamSharesOrFillsTheOwnersSolve(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	sk, sorted := makeSketch(rng, 20000, func() float64 { return rng.ExpFloat64() * 100 })
+	var memo *maxent.Solution
+	calls := 0
+	cfg := Full()
+	cfg.Solve = func() (*maxent.Solution, bool, error) {
+		calls++
+		shared := memo != nil
+		if !shared {
+			var err error
+			if memo, err = maxent.SolveSketch(sk, cfg.Solver); err != nil {
+				return nil, false, err
+			}
+		}
+		return memo, shared, nil
+	}
+	var st Stats
+	if _, err := Threshold(sk, sorted[len(sorted)-1]*2, 0.9, cfg, &st); err != nil || calls != 0 {
+		t.Fatalf("a range-filter decision consulted the solve seam (%d calls, err %v)", calls, err)
+	}
+	q90 := sorted[len(sorted)*9/10]
+	for i := 1; i <= 2; i++ {
+		above, sol, err := ThresholdSolve(sk, q90*1.01, 0.9, cfg, &st)
+		if err != nil || sol != memo || above != (memo.Quantile(0.9) > q90*1.01) {
+			t.Fatalf("round %d: above=%v sol=%p err=%v, want the owner's density %p", i, above, sol, err, memo)
+		}
+		if calls != i || st.Solves != 1 || st.SharedSolves != i-1 || st.NewtonIters != memo.Iterations {
+			t.Fatalf("round %d: %d seam calls, stats %+v; want 1 fresh solve then shared ones", i, calls, st)
+		}
+	}
+
+	cfg.Solve = func() (*maxent.Solution, bool, error) { return nil, true, maxent.ErrNotConverged }
+	st = Stats{}
+	if _, err := Threshold(sk, q90*1.01, 0.9, cfg, &st); err == nil || st.Resolved[StageMaxEnt] != 1 || st.Solves+st.SharedSolves != 0 {
+		t.Errorf("owner's failed solve: err %v, stats %+v; want a MaxEnt-stage bounds fallback carrying the error", err, st)
+	}
+}

@@ -7,6 +7,10 @@
 // one — the cascade is exactly consistent with computing the maximum-entropy
 // estimate up front, just cheaper (§5.2, Figs. 12–13).
 //
+// A caller that memoizes its sketch's solve hands it to the final stage
+// through Config.Solve, so reaching MaxEnt costs at most the one solve the
+// sketch's other estimates need anyway.
+//
 // Stats tracks which stage resolved each query, so callers (the experiment
 // harness, the /threshold endpoint in internal/server) can report the
 // fraction of queries that never had to pay for a solve.

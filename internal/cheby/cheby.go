@@ -65,32 +65,55 @@ func Eval(c []float64, x float64) float64 {
 // Nodes returns the N+1 Chebyshev–Lobatto points x_p = cos(πp/N) for
 // p = 0..N, ordered from +1 down to -1.
 func Nodes(n int) []float64 {
-	pts := make([]float64, n+1)
-	for p := 0; p <= n; p++ {
-		pts[p] = math.Cos(math.Pi * float64(p) / float64(n))
+	if n == 0 {
+		return []float64{0}
 	}
-	// Snap the symmetric endpoints exactly.
-	pts[0] = 1
-	pts[n] = -1
-	if n%2 == 0 {
-		pts[n/2] = 0
-	}
-	return pts
+	return cosTable(n)[: n+1 : n+1]
 }
 
-var nodesCache sync.Map // int -> []float64
+// cosTable computes tab[m] = cos(mπ/n) for m = 0..2n-1. Only the first
+// quadrant is evaluated; the rest is reflected from it, so the table is
+// exactly symmetric, its endpoints and midpoint are exact, and the table of
+// order n is bit-for-bit the even-index subsequence of the table of order 2n.
+func cosTable(n int) []float64 {
+	tab := make([]float64, 2*n)
+	for m := 0; 2*m <= n; m++ {
+		c := math.Cos(math.Pi * float64(m) / float64(n))
+		if 2*m == n {
+			c = 0
+		}
+		tab[m], tab[n-m], tab[n+m] = c, -c, -c
+		if m > 0 {
+			tab[2*n-m] = c
+		}
+	}
+	return tab
+}
 
-// CachedNodes returns the same points as Nodes from a process-wide cache.
-// The returned slice is shared: callers must treat it as read-only. Hot
-// solver loops use this so rebuilding a grid costs no node recomputation
-// or allocation.
-func CachedNodes(n int) []float64 {
-	if cached, ok := nodesCache.Load(n); ok {
+var cosTableCache sync.Map // int -> []float64
+
+// CosTable returns cos(mπ/n) for m = 0..2n-1 from a process-wide cache: one
+// period of the grid angle, so every Chebyshev polynomial on the order-n
+// Lobatto grid is a stride lookup, T_i(x_p) = cos(iπp/n) = tab[(i·p) mod 2n],
+// with no trigonometric call. The returned slice is shared: callers must
+// treat it as read-only.
+func CosTable(n int) []float64 {
+	if cached, ok := cosTableCache.Load(n); ok {
 		return cached.([]float64)
 	}
-	pts := Nodes(n)
-	nodesCache.Store(n, pts)
-	return pts
+	tab := cosTable(n)
+	cosTableCache.Store(n, tab)
+	return tab
+}
+
+// CachedNodes returns the same points as Nodes as a read-only view of
+// CosTable(n). Hot solver loops use this so rebuilding a grid costs no node
+// recomputation or allocation.
+func CachedNodes(n int) []float64 {
+	if n == 0 {
+		return Nodes(0)
+	}
+	return CosTable(n)[: n+1 : n+1]
 }
 
 // Interpolate converts samples y[p] = f(x_p) on the Lobatto grid (as from

@@ -284,3 +284,35 @@ func TestIntegralConsistencyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCosTable: the one-period table matches cos(mπ/n) to the last bits, is
+// exactly symmetric with exact 0/±1 entries, nests (order n is the even
+// entries of order 2n, bit for bit), and its first half is the node set.
+func TestCosTable(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 64, 1024} {
+		tab := CosTable(n)
+		if len(tab) != 2*n {
+			t.Fatalf("n=%d: table length %d, want %d", n, len(tab), 2*n)
+		}
+		for m, c := range tab {
+			if want := math.Cos(math.Pi * float64(m) / float64(n)); math.Abs(c-want) > 1e-15 {
+				t.Errorf("n=%d: tab[%d] = %v, want %v", n, m, c, want)
+			}
+			if m > 0 && tab[2*n-m] != c {
+				t.Errorf("n=%d: tab[%d] = %v but tab[%d] = %v", n, m, c, 2*n-m, tab[2*n-m])
+			}
+			if fine := CosTable(2 * n); fine[2*m] != c {
+				t.Errorf("n=%d: tab[%d] = %v, order %d has %v at %d", n, m, c, 2*n, fine[2*m], 2*m)
+			}
+		}
+		if tab[0] != 1 || tab[n] != -1 || (n%2 == 0 && (tab[n/2] != 0 || tab[3*n/2] != 0)) {
+			t.Errorf("n=%d: endpoints or midpoints not exact", n)
+		}
+		nodes, cached := Nodes(n), CachedNodes(n)
+		for p := range nodes {
+			if nodes[p] != tab[p] || cached[p] != tab[p] {
+				t.Errorf("n=%d: node %d: Nodes %v, CachedNodes %v, table %v", n, p, nodes[p], cached[p], tab[p])
+			}
+		}
+	}
+}

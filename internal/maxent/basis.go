@@ -8,8 +8,13 @@
 // Newton method. The basis functions m̃_i are Chebyshev polynomials on the
 // value scale and on the log scale (§4.3.1), which keeps the Hessian
 // condition number small; integration uses Clenshaw–Curtis quadrature on a
-// Chebyshev–Lobatto grid, so each Newton iteration costs O(k·N) exponentials
-// and O(k²·N) multiply-adds.
+// Chebyshev–Lobatto grid of N+1 points. Grids are trig-free: rows of the
+// integration variable's own family are stride lookups into one cached cosine
+// table per grid order, rows of the other family come from the three-term
+// recurrence. Each Newton iteration costs N exponentials and O(k·N)
+// multiply-adds — the Hessian's same-family blocks are assembled from 2k
+// weighted moments via T_i·T_j = ½(T_{i+j} + T_{|i−j|}); only the mixed
+// std×log block is formed directly.
 package maxent
 
 import (
@@ -18,7 +23,6 @@ import (
 
 	"repro/internal/cheby"
 	"repro/internal/core"
-	"repro/internal/linalg"
 )
 
 // Domain identifies the integration variable of the solver.
@@ -88,84 +92,100 @@ func (b *Basis) targetsInto(d []float64) {
 // grid holds the evaluation grid shared by the objective, the selection
 // heuristic, and post-solve quantile extraction.
 type grid struct {
-	n     int         // grid order (n+1 Lobatto points)
-	nodes []float64   // u_p = cos(πp/n), from +1 down to -1
-	w     []float64   // Clenshaw–Curtis weights
-	b     [][]float64 // basis values: b[i][p] = m̃_i(u_p), i = 0..dim-1
+	n int       // grid order (n+1 Lobatto points u_p = cos(πp/n), from +1 down to -1)
+	w []float64 // Clenshaw–Curtis weights
+	// fam[d][m][p] = T_m of domain d's variable at node p, for m = 1..mult·K_d
+	// (index 0 is unused: T_0 is the shared ones row b[0]). Orders above K_d
+	// are not basis functions; the potential needs them for the product
+	// identity behind its Hessian.
+	fam [2][][]float64
+	b   [][]float64 // basis values: b[i][p] = m̃_i(u_p), i = 0..dim-1
 }
 
 // buildGrid evaluates all basis functions on an (n+1)-point Lobatto grid
 // with freshly allocated storage (tests and one-off callers).
 func buildGrid(b *Basis, n int) *grid {
-	return buildGridWS(NewWorkspace(), b, n)
+	return buildGridWS(NewWorkspace(), b, n, 1)
 }
 
-// buildGridWS is buildGrid drawing node and row storage from the workspace
-// arena. Rows for the primary-domain family are exact cosines; rows for the
-// other family go through the cross-domain map (exp or log).
-func buildGridWS(ws *Workspace, b *Basis, n int) *grid {
-	g := &grid{n: n, nodes: cheby.CachedNodes(n), w: cheby.ClenshawCurtisWeights(n)}
-	dim := b.Dim()
-	g.b = ws.rows(dim)
-	for i := range g.b {
-		g.b[i] = ws.floats(n + 1)
+// buildGridWS evaluates each family's Chebyshev polynomials up to order
+// mult·K on the order-n Lobatto grid (n a power of two), drawing row storage
+// from the workspace arena. No row costs a trigonometric call: the primary
+// family's T_m(u_p) = cos(mπp/n) is a stride-m walk around the one-period
+// cosine table of order n, and the other family's rows follow from its mapped
+// nodes v_p by T_{m+1} = 2v·T_m − T_{m−1}.
+func buildGridWS(ws *Workspace, b *Basis, n, mult int) *grid {
+	g := &grid{n: n, w: cheby.ClenshawCurtisWeights(n), b: ws.rows(b.Dim())}
+	ones := ws.floats(n + 1)
+	for p := range ones {
+		ones[p] = 1
 	}
-	for p := 0; p <= n; p++ {
-		g.b[0][p] = 1
-	}
-	// Basis rows for the primary family are exact cosines of the grid
-	// angle; the other family's rows go through the cross-domain map.
-	switch b.Primary {
-	case DomainStd:
-		for i := 1; i <= b.K1; i++ {
-			row := g.b[i]
-			for p := 0; p <= n; p++ {
-				row[p] = math.Cos(float64(i) * math.Pi * float64(p) / float64(g.n))
-			}
+	g.b[0] = ones
+	tab, mask := cheby.CosTable(n), 2*n-1
+	for d, kd := range [2]int{b.K1, b.K2} {
+		if kd == 0 {
+			continue
 		}
-		if b.K2 > 0 {
-			// v_p = logScale(log(unscale(u_p))), clamped to [-1,1].
-			v := ws.floats(n + 1)
-			for p, u := range g.nodes {
-				x := b.Std.Unscale(u)
-				if x <= 0 {
-					// Only reachable by rounding at the lower endpoint of
-					// all-positive data; clamp to the log-domain floor.
-					v[p] = -1
-					continue
-				}
-				v[p] = clamp(b.Log.Scale(math.Log(x)), -1, 1)
-			}
-			for j := 1; j <= b.K2; j++ {
-				row := g.b[b.K1+j]
-				for p := 0; p <= n; p++ {
-					row[p] = math.Cos(float64(j) * math.Acos(v[p]))
+		rows := ws.rows(mult*kd + 1)
+		if Domain(d) == b.Primary {
+			for m := 1; m < len(rows); m++ {
+				rows[m] = ws.floats(n + 1)
+				for p := range rows[m] {
+					rows[m][p] = tab[(m*p)&mask]
 				}
 			}
-		}
-	case DomainLog:
-		for j := 1; j <= b.K2; j++ {
-			row := g.b[b.K1+j]
-			for p := 0; p <= n; p++ {
-				row[p] = math.Cos(float64(j) * math.Pi * float64(p) / float64(g.n))
-			}
-		}
-		if b.K1 > 0 {
-			// w_p = stdScale(exp(logUnscale(u_p))), clamped to [-1,1].
-			wv := ws.floats(n + 1)
-			for p, u := range g.nodes {
-				x := math.Exp(b.Log.Unscale(u))
-				wv[p] = clamp(b.Std.Scale(x), -1, 1)
-			}
-			for i := 1; i <= b.K1; i++ {
-				row := g.b[i]
-				for p := 0; p <= n; p++ {
-					row[p] = math.Cos(float64(i) * math.Acos(wv[p]))
+		} else {
+			v, prev := ws.crossNodes(b, n), ones
+			rows[1] = v
+			for m := 2; m < len(rows); m++ {
+				rows[m] = ws.floats(n + 1)
+				for p, t := range rows[m-1] {
+					rows[m][p] = 2*v[p]*t - prev[p]
 				}
+				prev = rows[m-1]
 			}
 		}
+		g.fam[d] = rows
+		copy(g.b[1+d*b.K1:], rows[1:1+kd]) // basis order: ones, std terms, log terms
 	}
 	return g
+}
+
+// crossNodes returns the non-primary family's variable at the order-n
+// Lobatto nodes, clamped to [-1,1]: v_p = logScale(log(stdUnscale(u_p)))
+// when integrating over the value domain, stdScale(exp(logUnscale(u_p))) when
+// integrating over the log domain. This is the only per-node transcendental
+// work in a grid build, so the finest map computed for a basis' scalings is
+// kept for the rest of the solve and coarser grids read it at a stride — the
+// order-n nodes are exactly the even nodes of order 2n.
+func (ws *Workspace) crossNodes(b *Basis, n int) []float64 {
+	v := ws.floats(n + 1)
+	key := crossKey{b.Primary, b.Std, b.Log}
+	if fine := len(ws.cross) - 1; ws.crossKey == key && fine >= n && fine%n == 0 {
+		for p := range v {
+			v[p] = ws.cross[p*(fine/n)]
+		}
+		return v
+	}
+	for p, u := range cheby.CachedNodes(n) {
+		if b.Primary == DomainLog {
+			v[p] = clamp(b.Std.Scale(math.Exp(b.Log.Unscale(u))), -1, 1)
+		} else if x := b.Std.Unscale(u); x > 0 {
+			v[p] = clamp(b.Log.Scale(math.Log(x)), -1, 1)
+		} else {
+			// Only reachable by rounding at the lower endpoint of
+			// all-positive data; clamp to the log-domain floor.
+			v[p] = -1
+		}
+	}
+	ws.cross, ws.crossKey = v, key
+	return v
+}
+
+// crossKey identifies what a cached cross-domain node map was computed for.
+type crossKey struct {
+	primary  Domain
+	std, log *core.Standardized
 }
 
 func clamp(x, lo, hi float64) float64 {
@@ -178,14 +198,9 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// uniformExpectations returns E_uniform[m̃_i] for each basis row under the
-// uniform density ½ on [-1,1] — the reference point of the paper's
-// "favour moments closest to uniform" selection heuristic.
-func (g *grid) uniformExpectations() []float64 {
-	return g.uniformExpectationsInto(make([]float64, len(g.b)))
-}
-
-// uniformExpectationsInto is uniformExpectations into a caller buffer.
+// uniformExpectationsInto writes E_uniform[m̃_i] for each basis row under the
+// uniform density ½ on [-1,1] — the reference point of the paper's "favour
+// moments closest to uniform" selection heuristic.
 func (g *grid) uniformExpectationsInto(out []float64) []float64 {
 	for i, row := range g.b {
 		s := 0.0
@@ -197,30 +212,16 @@ func (g *grid) uniformExpectationsInto(out []float64) []float64 {
 	return out
 }
 
-// gram computes the Gram matrix G_ij = Σ_p w_p·m̃_i·m̃_j over the subset of
-// rows given by idx. This is the Hessian at the uniform density up to a
-// constant factor, used for condition-number screening (§4.3.1).
-func (g *grid) gram(idx []int) *linalg.Dense {
-	out := linalg.NewDense(len(idx), len(idx))
-	g.gramInto(idx, out)
-	return out
-}
-
-// gramInto fills the caller-provided len(idx)×len(idx) matrix.
-func (g *grid) gramInto(idx []int, out *linalg.Dense) {
-	m := len(idx)
-	for a := 0; a < m; a++ {
-		ra := g.b[idx[a]]
-		for bcol := a; bcol < m; bcol++ {
-			rb := g.b[idx[bcol]]
-			s := 0.0
-			for p, wp := range g.w {
-				s += wp * ra[p] * rb[p]
-			}
-			out.Set(a, bcol, s)
-			out.Set(bcol, a, s)
-		}
+// gramEntry returns G_ij = Σ_p w_p·m̃_i·m̃_j, one entry of the Gram matrix of
+// the basis rows — the Hessian at the uniform density up to a constant
+// factor, used for condition-number screening (§4.3.1).
+func (g *grid) gramEntry(i, j int) float64 {
+	ri, rj := g.b[i], g.b[j]
+	s := 0.0
+	for p, wp := range g.w {
+		s += wp * ri[p] * rj[p]
 	}
+	return s
 }
 
 func (b *Basis) validate() error {

@@ -3,9 +3,11 @@ package maxent
 import (
 	"math"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 )
 
 // benchSketch builds the lognormal sketch the solver benchmarks run on:
@@ -18,6 +20,51 @@ func benchSketch() *core.Sketch {
 		sk.Add(math.Exp(rng.NormFloat64()))
 	}
 	return sk
+}
+
+// liveSketches builds one small and one large rollup of each dataset the
+// momentsbench live workloads serve (Power, Hepmass, Exponential) — a
+// std-only basis, a log-primary mixed basis and a short mixed basis.
+func liveSketches() []namedSketch {
+	var out []namedSketch
+	for i, spec := range []dataset.Spec{dataset.Power(), dataset.Hepmass(), dataset.Exponential()} {
+		for _, n := range []int{100, 5000} {
+			sk := core.New(core.DefaultK)
+			sk.AddMany(spec.Generate(n, uint64(31*i+n)))
+			out = append(out, namedSketch{spec.Name + "/" + strconv.Itoa(n), sk})
+		}
+	}
+	return out
+}
+
+// BenchmarkSelectBasis measures basis selection alone — candidate grid,
+// greedy Gram growth and the condition-number eigen-solves — over the live
+// datasets.
+func BenchmarkSelectBasis(b *testing.B) {
+	for _, c := range liveSketches() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SelectBasis(c.sk, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSolveSketchLive is BenchmarkSolveSketch over the live datasets.
+func BenchmarkSolveSketchLive(b *testing.B) {
+	for _, c := range liveSketches() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveSketch(c.sk, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSolveSketch measures one full cold quantile solve — basis

@@ -1,0 +1,162 @@
+package maxent
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+)
+
+// updateGolden rewrites testdata/golden.json from this build. The checked-in
+// file was generated on the commit before the trig-free grid / incremental
+// Gram / fused Hessian rewrite, so it pins that solver's decisions and
+// answers; regenerate only when a change is meant to move them.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from this build")
+
+const goldenPath = "testdata/golden.json"
+
+var goldenPhis = []float64{0.01, 0.1, 0.5, 0.9, 0.99}
+
+// goldenMaxGrid is Options.MaxGrid's default: a recorded solve that used it
+// was never validated on a finer grid.
+const goldenMaxGrid = 1024
+
+// goldenCase is one corpus sketch's recorded basis decision and solve.
+type goldenCase struct {
+	Name       string    `json:"name"`
+	Primary    string    `json:"primary"`
+	K1         int       `json:"k1"`
+	K2         int       `json:"k2"`
+	Converged  bool      `json:"converged"`
+	Iterations int       `json:"iterations,omitempty"`
+	GridUsed   int       `json:"grid_used,omitempty"`
+	Quantiles  []float64 `json:"quantiles,omitempty"`
+}
+
+type namedSketch struct {
+	name string
+	sk   *core.Sketch
+}
+
+// goldenCorpus is every Table-1 dataset at three cardinalities plus two
+// merged rollups per dataset (many small cells, a few large ones) — the
+// shapes the query engine solves.
+func goldenCorpus() []namedSketch {
+	var out []namedSketch
+	build := func(spec dataset.Spec, n int, seed uint64) *core.Sketch {
+		sk := core.New(core.DefaultK)
+		sk.AddMany(spec.Generate(n, seed))
+		return sk
+	}
+	for si, spec := range dataset.Table1() {
+		base := uint64(1000 * (si + 1))
+		for _, n := range []int{100, 2000, 100000} {
+			out = append(out, namedSketch{fmt.Sprintf("%s/%d", spec.Name, n), build(spec, n, base+uint64(n))})
+		}
+		for _, m := range []struct{ cells, n int }{{16, 100}, {5, 2000}} {
+			roll := core.New(core.DefaultK)
+			for c := 0; c < m.cells; c++ {
+				if err := roll.Merge(build(spec, m.n, base+uint64(7*c+m.n+1))); err != nil {
+					panic(err)
+				}
+			}
+			out = append(out, namedSketch{fmt.Sprintf("%s/merged%dx%d", spec.Name, m.cells, m.n), roll})
+		}
+	}
+	return out
+}
+
+func goldenOf(c namedSketch) (goldenCase, error) {
+	b, err := SelectBasis(c.sk, Options{})
+	if err != nil {
+		return goldenCase{}, err
+	}
+	gc := goldenCase{Name: c.name, Primary: b.Primary.String(), K1: b.K1, K2: b.K2}
+	if sol, err := SolveSketch(c.sk, Options{}); err == nil {
+		gc.Converged = true
+		gc.Iterations = sol.Iterations
+		gc.GridUsed = sol.GridUsed
+		gc.Quantiles = sol.Quantiles(goldenPhis)
+	}
+	return gc, nil
+}
+
+// TestGoldenBasisAndQuantiles pins, against the recorded pre-rewrite solver
+// and over the whole corpus: SelectBasis's (Primary, K1, K2), convergence and
+// the final grid order exactly; Newton iterations within two (a solve whose
+// residual sits at GradTol takes its last line-search steps on value
+// differences below one ulp, so the count is rounding noise there); and the
+// solved quantiles within 1e-9 of the data scale. Solves that ran into
+// MaxGrid are exempt from the last two: they stop unvalidated on an
+// ill-conditioned Newton path (hundreds of iterations on Milan and Retail)
+// that moves by percents when one grid node changes in its last bit.
+func TestGoldenBasisAndQuantiles(t *testing.T) {
+	corpus := goldenCorpus()
+	if *updateGolden {
+		var cases []goldenCase
+		for _, c := range corpus {
+			gc, err := goldenOf(c)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			cases = append(cases, gc)
+		}
+		buf, err := json.MarshalIndent(cases, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	buf, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenCase
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(corpus) {
+		t.Fatalf("golden file has %d cases, corpus has %d", len(want), len(corpus))
+	}
+	for i, c := range corpus {
+		got, err := goldenOf(c)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		w := want[i]
+		if got.Name != w.Name {
+			t.Fatalf("case %d is %q, golden file has %q", i, got.Name, w.Name)
+		}
+		if got.Primary != w.Primary || got.K1 != w.K1 || got.K2 != w.K2 {
+			t.Errorf("%s: basis (%s,%d,%d), want (%s,%d,%d)", c.name, got.Primary, got.K1, got.K2, w.Primary, w.K1, w.K2)
+		}
+		if got.Converged != w.Converged || got.GridUsed != w.GridUsed {
+			t.Errorf("%s: converged=%v grid=%d, want %v %d", c.name, got.Converged, got.GridUsed, w.Converged, w.GridUsed)
+			continue
+		}
+		if !w.Converged || w.GridUsed >= goldenMaxGrid {
+			continue
+		}
+		if d := got.Iterations - w.Iterations; d < -2 || d > 2 {
+			t.Errorf("%s: %d Newton iterations, want %d±2", c.name, got.Iterations, w.Iterations)
+		}
+		scale := math.Max(math.Abs(c.sk.Min), math.Abs(c.sk.Max))
+		for j, q := range got.Quantiles {
+			if d := math.Abs(q - w.Quantiles[j]); d > 1e-9*scale {
+				t.Errorf("%s: q(%v) = %v, want %v (off by %.3g of scale %v)", c.name, goldenPhis[j], q, w.Quantiles[j], d/scale, scale)
+			}
+		}
+	}
+}

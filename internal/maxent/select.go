@@ -22,7 +22,7 @@ const selectionGrid = 64
 //     Chebyshev moment is closest to its uniform-distribution expectation,
 //     subject to the Gram/Hessian condition number staying below κmax.
 func SelectBasis(sk *core.Sketch, opts Options) (Basis, error) {
-	ws := wsPool.Get().(*Workspace)
+	ws := wsPool.Get()
 	defer wsPool.Put(ws)
 	return ws.SelectBasis(sk, opts)
 }
@@ -54,62 +54,65 @@ func selectBasisWS(ws *Workspace, sk *core.Sketch, opts Options) (Basis, error) 
 
 	// Build the full candidate basis once; selection works on row subsets.
 	full := Basis{Primary: primary, K1: kStd, K2: kLog, Std: std, Log: logStd}
-	g := buildGridWS(ws, &full, selectionGrid)
+	g := buildGridWS(ws, &full, selectionGrid, 1)
 	dim := full.Dim()
 	uni := g.uniformExpectationsInto(ws.floats(dim))
 	targets := ws.floats(dim)
 	full.targetsInto(targets)
 
-	// scores[i]: distance of moment i from its uniform expectation.
+	// score: distance of moment `row` from its uniform expectation.
 	score := func(row int) float64 { return math.Abs(targets[row] - uni[row]) }
 
+	// The Gram matrix of the accepted rows grows by one row and column per
+	// accepted moment; a trial borders it with the candidate's column.
 	rows := make([]int, 1, dim) // rows[0] = 0: always include the normalization row
-	trial := make([]int, 0, dim)
-	k1, k2 := 0, 0
-	for {
-		type cand struct {
-			row   int
-			isLog bool
-			sc    float64
+	gram := linalg.Dense{Rows: 1, Cols: 1, Data: ws.floats(1)}
+	gram.Data[0] = g.gramEntry(0, 0)
+	accept := func(row int) bool {
+		m := len(rows)
+		trial := linalg.Dense{Rows: m + 1, Cols: m + 1, Data: ws.floats((m + 1) * (m + 1))}
+		for a, ra := range rows {
+			copy(trial.Data[a*(m+1):], gram.Data[a*m:(a+1)*m])
+			v := g.gramEntry(ra, row)
+			trial.Set(a, m, v)
+			trial.Set(m, a, v)
 		}
-		var cands [2]cand
-		nc := 0
-		if k1 < kStd {
-			cands[nc] = cand{row: 1 + k1, isLog: false, sc: score(1 + k1)}
-			nc++
+		trial.Set(m, m, g.gramEntry(row, row))
+		work := linalg.Dense{Rows: m + 1, Cols: m + 1, Data: ws.floats((m + 1) * (m + 1))}
+		if linalg.Cond2SymWork(&trial, &work) > opts.MaxCond {
+			return false
 		}
-		if k2 < kLog {
-			cands[nc] = cand{row: 1 + kStd + k2, isLog: true, sc: score(1 + kStd + k2)}
-			nc++
+		rows, gram = append(rows, row), trial
+		return true
+	}
+
+	// k[d] terms of family d are in, of at most kmax[d]. Each step tries the
+	// family whose next moment is closer to uniform first. A rejected family
+	// is closed for good (kmax drops to k): κ cannot fall when a row is added
+	// — Cauchy interlacing — so its next moment would be rejected again
+	// against every larger accepted set.
+	k, kmax, base := [2]int{}, [2]int{kStd, kLog}, [2]int{0, kStd}
+	next := func(d Domain) int { return base[d] + k[d] + 1 } // family d's candidate row
+	for advanced := true; advanced; {
+		order := [2]Domain{DomainStd, DomainLog}
+		if k[DomainLog] < kmax[DomainLog] &&
+			(k[DomainStd] >= kmax[DomainStd] || score(next(DomainLog)) < score(next(DomainStd))) {
+			order = [2]Domain{DomainLog, DomainStd}
 		}
-		if nc == 0 {
-			break
-		}
-		if nc == 2 && cands[1].sc < cands[0].sc {
-			cands[0], cands[1] = cands[1], cands[0]
-		}
-		advanced := false
-		for _, c := range cands[:nc] {
-			trial = append(append(trial[:0], rows...), c.row)
-			m := len(trial)
-			gram := linalg.Dense{Rows: m, Cols: m, Data: ws.floats(m * m)}
-			work := linalg.Dense{Rows: m, Cols: m, Data: ws.floats(m * m)}
-			g.gramInto(trial, &gram)
-			if cond := linalg.Cond2SymWork(&gram, &work); cond <= opts.MaxCond {
-				rows = append(rows[:0], trial...)
-				if c.isLog {
-					k2++
-				} else {
-					k1++
-				}
+		advanced = false
+		for _, d := range order {
+			if k[d] >= kmax[d] {
+				continue
+			}
+			if accept(next(d)) {
+				k[d]++
 				advanced = true
 				break
 			}
-		}
-		if !advanced {
-			break
+			kmax[d] = k[d]
 		}
 	}
+	k1, k2 := k[DomainStd], k[DomainLog]
 	if k1+k2 == 0 {
 		// κmax rejected everything; fall back to the single most uniform
 		// moment so the solver has at least one constraint.
@@ -135,7 +138,7 @@ func selectBasisWS(ws *Workspace, sk *core.Sketch, opts Options) (Basis, error) 
 // Selection and solve share one pooled Workspace, so steady-state calls
 // allocate little beyond the returned Solution.
 func SolveSketch(sk *core.Sketch, opts Options) (*Solution, error) {
-	ws := wsPool.Get().(*Workspace)
+	ws := wsPool.Get()
 	defer wsPool.Put(ws)
 	return ws.SolveSketch(sk, opts)
 }

@@ -1,9 +1,11 @@
 package maxent
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cheby"
 	"repro/internal/linalg"
@@ -107,49 +109,92 @@ type Solution struct {
 type potential struct {
 	g *grid
 	d []float64 // target moments
+	k [2]int    // basis terms per family: K1, K2
 
-	// density cache keyed on the exact θ contents
+	// Everything below is cached on the exact θ contents: the density, its
+	// quadrature-weighted copy and total mass, and each family's weighted
+	// Chebyshev moments mu[d][m] = Σ_p w_p·f(u_p)·T_m, valid for orders
+	// m ≤ have·k[d] (have = 1 serves the gradient, 2 the Hessian).
 	lastTheta []float64
 	hasLast   bool
-	dens      []float64
-	wd        []float64 // weighted-density scratch for the Hessian
+	dens, wd  []float64
+	mass      float64
+	mu        [2][]float64
+	have      int
+	tmp       []float64 // wd ⊙ one std row, for the mixed Hessian block
 }
 
-// newPotential builds the discretized objective; ws supplies the density
-// and Hessian scratch buffers (nil allocates them directly).
-func newPotential(g *grid, d []float64, ws *Workspace) *potential {
-	p := &potential{g: g, d: d}
-	if ws != nil {
-		p.dens = ws.floats(g.n + 1)
-		p.wd = ws.floats(g.n + 1)
-		p.lastTheta = ws.floats(len(d))
-	} else {
-		p.dens = make([]float64, g.n+1)
-		p.wd = make([]float64, g.n+1)
-		p.lastTheta = make([]float64, len(d))
-	}
+// newPotential builds the discretized objective for basis b on a grid built
+// with mult = 2 (mult = 1 suffices when only Value and Gradient are used);
+// ws supplies the scratch buffers.
+func newPotential(g *grid, b *Basis, d []float64, ws *Workspace) *potential {
+	p := &potential{g: g, d: d, k: [2]int{b.K1, b.K2}}
+	p.dens, p.wd, p.tmp = ws.floats(g.n+1), ws.floats(g.n+1), ws.floats(g.n+1)
+	p.lastTheta = ws.floats(len(d))
+	p.mu[DomainStd], p.mu[DomainLog] = ws.floats(2*b.K1+1), ws.floats(2*b.K2+1)
 	return p
 }
 
 func (p *potential) Dim() int { return len(p.d) }
 
-// density fills p.dens with exp(Σ θ_i m̃_i(u_p)); values that overflow
-// become +Inf, which the line search rejects naturally.
+// density fills p.dens with exp(Σ θ_i m̃_i(u_p)), accumulating the exponent
+// one basis row at a time; values that overflow become +Inf, which the line
+// search rejects naturally.
 func (p *potential) density(theta []float64) []float64 {
 	if p.hasLast && equalVec(p.lastTheta, theta) {
 		return p.dens
 	}
-	n := p.g.n
-	for pt := 0; pt <= n; pt++ {
-		s := 0.0
-		for i, th := range theta {
-			s += th * p.g.b[i][pt]
-		}
-		p.dens[pt] = math.Exp(s)
+	dens := p.dens
+	for pt := range dens {
+		dens[pt] = theta[0]
 	}
+	for i := 1; i < len(theta); i++ {
+		th, row := theta[i], p.g.b[i][:len(dens)]
+		for pt := range dens {
+			dens[pt] += th * row[pt]
+		}
+	}
+	p.mass = 0
+	for pt, w := range p.g.w {
+		dens[pt] = math.Exp(dens[pt])
+		p.wd[pt] = w * dens[pt]
+		p.mass += p.wd[pt]
+	}
+	p.have = 0
 	copy(p.lastTheta, theta)
 	p.hasLast = true
-	return p.dens
+	return dens
+}
+
+// moments extends the cached weighted moments of both families to orders
+// mult·K — O(K·N) multiply-adds however many Hessian entries they feed.
+func (p *potential) moments(theta []float64, mult int) {
+	p.density(theta)
+	for d, kd := range p.k {
+		p.mu[d][0] = p.mass
+		for m := p.have*kd + 1; m <= mult*kd; m++ {
+			p.mu[d][m] = dot(p.wd, p.g.fam[d][m])
+		}
+	}
+	p.have = max(p.have, mult)
+}
+
+// dot returns Σ a_p·b_p over four interleaved partial sums, so the adds
+// pipeline instead of serializing on one accumulator.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	p := 0
+	for ; p+4 <= len(a); p += 4 {
+		s0 += a[p] * b[p]
+		s1 += a[p+1] * b[p+1]
+		s2 += a[p+2] * b[p+2]
+		s3 += a[p+3] * b[p+3]
+	}
+	for ; p < len(a); p++ {
+		s0 += a[p] * b[p]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 func equalVec(a, b []float64) bool {
@@ -165,11 +210,8 @@ func equalVec(a, b []float64) bool {
 }
 
 func (p *potential) Value(theta []float64) float64 {
-	dens := p.density(theta)
-	s := 0.0
-	for pt, w := range p.g.w {
-		s += w * dens[pt]
-	}
+	p.density(theta)
+	s := p.mass
 	for i, th := range theta {
 		s -= th * p.d[i]
 	}
@@ -177,34 +219,49 @@ func (p *potential) Value(theta []float64) float64 {
 }
 
 func (p *potential) Gradient(theta, grad []float64) {
-	dens := p.density(theta)
-	for i := range grad {
-		row := p.g.b[i]
-		s := 0.0
-		for pt, w := range p.g.w {
-			s += w * row[pt] * dens[pt]
+	p.moments(theta, 1)
+	grad[0] = p.mass - p.d[0]
+	i := 1
+	for d, kd := range p.k {
+		for m := 1; m <= kd; m++ {
+			grad[i] = p.mu[d][m] - p.d[i]
+			i++
 		}
-		grad[i] = s - p.d[i]
 	}
 }
 
+// Hessian assembles H_ij = Σ_p w_p·f·m̃_i·m̃_j. Within a family (T_0 counts
+// for both) T_i·T_j = ½(T_{i+j} + T_{|i−j|}), so those blocks come straight
+// from the 2K weighted moments; only the mixed std×log block needs one pass
+// over the grid per entry.
 func (p *potential) Hessian(theta []float64, h *linalg.Dense) {
-	dens := p.density(theta)
-	dim := len(theta)
-	wd := p.wd
-	for pt, w := range p.g.w {
-		wd[pt] = w * dens[pt]
-	}
-	for i := 0; i < dim; i++ {
-		ri := p.g.b[i]
-		for j := i; j < dim; j++ {
-			rj := p.g.b[j]
-			s := 0.0
-			for pt, w := range wd {
-				s += w * ri[pt] * rj[pt]
+	p.moments(theta, 2)
+	k1 := p.k[DomainStd]
+	for d, kd := range p.k {
+		mu := p.mu[d]
+		at := func(m int) int { // basis row of family d's T_m
+			if m == 0 {
+				return 0
 			}
-			h.Set(i, j, s)
-			h.Set(j, i, s)
+			return d*k1 + m
+		}
+		for i := 0; i <= kd; i++ {
+			for j := i; j <= kd; j++ {
+				v := (mu[i+j] + mu[j-i]) / 2
+				h.Set(at(i), at(j), v)
+				h.Set(at(j), at(i), v)
+			}
+		}
+	}
+	for i := 1; i <= k1; i++ {
+		row := p.g.fam[DomainStd][i]
+		for pt, w := range p.wd {
+			p.tmp[pt] = w * row[pt]
+		}
+		for j := 1; j <= p.k[DomainLog]; j++ {
+			v := dot(p.tmp, p.g.fam[DomainLog][j])
+			h.Set(i, k1+j, v)
+			h.Set(k1+j, i, v)
 		}
 	}
 }
@@ -213,7 +270,7 @@ func (p *potential) Hessian(theta []float64, h *linalg.Dense) {
 // memory comes from a pooled Workspace, so steady-state solves allocate
 // little beyond the returned Solution.
 func Solve(b Basis, opts Options) (*Solution, error) {
-	ws := wsPool.Get().(*Workspace)
+	ws := wsPool.Get()
 	defer wsPool.Put(ws)
 	return ws.Solve(b, opts)
 }
@@ -302,8 +359,15 @@ func solveOnce(ws *Workspace, b Basis, opts Options, proto *Solution, warm []flo
 	totalIter, totalEvals := 0, 0
 	n := opts.GridSize
 	for {
-		g := buildGridWS(ws, &b, n)
-		pot := newPotential(g, d, ws)
+		// The finer validation grid is built first — it needs only the
+		// gradient's orders — so the order-n grid reads its cross-domain
+		// nodes as the even-stride view instead of mapping them again.
+		var fine *grid
+		if n < opts.MaxGrid {
+			fine = buildGridWS(ws, &b, 2*n, 1)
+		}
+		g := buildGridWS(ws, &b, n, 2)
+		pot := newPotential(g, &b, d, ws)
 		res, err := optimize.Newton(pot, theta, optimize.NewtonOptions{
 			GradTol: opts.GradTol,
 			MaxIter: opts.MaxIter,
@@ -319,13 +383,12 @@ func solveOnce(ws *Workspace, b Basis, opts Options, proto *Solution, warm []flo
 		}
 		copy(theta, res.X)
 
-		if n >= opts.MaxGrid {
+		if fine == nil {
 			return finishSolution(ws, b, g, pot, theta, totalIter, totalEvals, proto), totalIter, totalEvals, nil
 		}
-		// Validate on a finer grid: if the converged θ's residual holds up,
+		// Validate on the finer grid: if the converged θ's residual holds up,
 		// the quadrature was already accurate enough.
-		fine := buildGridWS(ws, &b, 2*n)
-		finePot := newPotential(fine, d, ws)
+		finePot := newPotential(fine, &b, d, ws)
 		grad := ws.floats(b.Dim())
 		finePot.Gradient(theta, grad)
 		if linalg.NormInf(grad) <= 100*opts.GradTol {
@@ -364,7 +427,8 @@ func finishSolution(ws *Workspace, b Basis, g *grid, pot *potential, theta []flo
 	// scratch is reused; the returned coefficient vectors are fresh and
 	// safe for the Solution to retain.
 	sol.coeffs = cheby.InterpolateScratch(dens, ws.fftScratch(2*g.n))
-	sol.cdf = cheby.Antiderivative(sol.coeffs)
+	sol.cdf = trimTail(cheby.Antiderivative(sol.coeffs))
+	sol.coeffs = trimTail(sol.coeffs)
 	sol.norm = cheby.Eval(sol.cdf, 1)
 	if sol.norm <= 0 || math.IsNaN(sol.norm) {
 		sol.norm = 1
@@ -372,38 +436,72 @@ func finishSolution(ws *Workspace, b Basis, g *grid, pot *potential, theta []flo
 	return sol
 }
 
+// trimTail drops the trailing coefficients of a Chebyshev series that lie
+// below half an ulp of its largest one: transform round-off, on which Eval
+// would otherwise spend a third or more of every quantile search.
+func trimTail(c []float64) []float64 {
+	mx := 0.0
+	for _, v := range c {
+		if a := math.Abs(v); a > mx {
+			mx = a
+		}
+	}
+	n := len(c)
+	for n > 1 && math.Abs(c[n-1]) <= 0x1p-53*mx {
+		n--
+	}
+	return c[:n]
+}
+
 // Quantile returns the phi-quantile of the solved density, mapped back to
 // the raw data domain and clamped to [xmin, xmax].
 func (s *Solution) Quantile(phi float64) float64 {
+	x, _ := s.quantileFrom(phi, -1)
+	return x
+}
+
+// quantileFrom is Quantile with the root search bracketed to u ∈ [lo, 1]
+// for a caller that knows the answer does not lie below lo; it also returns
+// the root's u, the next ascending search's lo.
+func (s *Solution) quantileFrom(phi, lo float64) (x, u float64) {
 	if s.degenerate {
-		return s.pointMass
+		return s.pointMass, lo
 	}
-	if phi <= 0 {
-		return s.xmin
+	if !(phi > 0) { // also NaN, which must not poison the caller's bracket
+		return s.xmin, lo
 	}
 	if phi >= 1 {
-		return s.xmax
+		return s.xmax, lo
 	}
 	target := phi * s.norm
 	f := func(u float64) float64 { return cheby.Eval(s.cdf, u) - target }
-	u, err := rootfind.Brent(f, -1, 1, 1e-12, 200)
+	u, err := rootfind.Brent(f, lo, 1, 1e-12, 200)
 	if err != nil {
 		// The CDF is monotone by construction (density ≥ 0); a bracket
 		// failure can only come from rounding at the endpoints.
-		if f(-1) > 0 {
-			u = -1
+		if f(lo) > 0 {
+			u = lo
 		} else {
 			u = 1
 		}
 	}
-	return clamp(s.fromU(u), s.xmin, s.xmax)
+	return clamp(s.fromU(u), s.xmin, s.xmax), u
 }
 
-// Quantiles evaluates multiple quantiles, reusing the solved density.
+// Quantiles evaluates multiple quantiles, reusing the solved density. The
+// CDF is monotone, so the fractions are visited in ascending order and each
+// root search starts from the previous root rather than the whole of
+// [-1, 1]; results are returned in request order.
 func (s *Solution) Quantiles(phis []float64) []float64 {
+	order := make([]int, len(phis))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(phis[a], phis[b]) })
 	out := make([]float64, len(phis))
-	for i, p := range phis {
-		out[i] = s.Quantile(p)
+	lo := -1.0
+	for _, i := range order {
+		out[i], lo = s.quantileFrom(phis[i], lo)
 	}
 	return out
 }

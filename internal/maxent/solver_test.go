@@ -373,7 +373,7 @@ func TestSolutionMomentsMatchTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := buildGrid(&sol.Basis, sol.GridUsed)
-	pot := newPotential(g, sol.Basis.Targets(), nil)
+	pot := newPotential(g, &sol.Basis, sol.Basis.Targets(), NewWorkspace())
 	grad := make([]float64, sol.Basis.Dim())
 	pot.Gradient(sol.Theta, grad)
 	if r := linalg.NormInf(grad); r > 1e-8 {
@@ -392,4 +392,15 @@ func TestBasisValidate(t *testing.T) {
 	if err := (&Basis{K1: 2, Std: st}).validate(); err == nil {
 		t.Error("insufficient moments must fail validation")
 	}
+}
+
+// gram computes the Gram matrix over the subset of basis rows given by idx.
+func (g *grid) gram(idx []int) *linalg.Dense {
+	out := linalg.NewDense(len(idx), len(idx))
+	for a, ia := range idx {
+		for b, ib := range idx {
+			out.Set(a, b, g.gramEntry(ia, ib))
+		}
+	}
+	return out
 }

@@ -1,7 +1,7 @@
 package maxent
 
 import (
-	"sync"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/optimize"
@@ -17,9 +17,9 @@ import (
 // freshly allocated.
 //
 // A Workspace is not safe for concurrent use. The package-level Solve,
-// SolveSketch and SelectBasis draw workspaces from an internal sync.Pool,
-// so ordinary callers get the reuse for free; hold an explicit Workspace
-// only to pin one to a dedicated solver loop.
+// SolveSketch and SelectBasis borrow workspaces from an internal free list
+// (wsPool), so ordinary callers get the reuse for free; hold an explicit
+// Workspace only to pin one to a dedicated solver loop.
 type Workspace struct {
 	f     []float64 // float arena
 	fo    int       // arena offset
@@ -30,6 +30,12 @@ type Workspace struct {
 	rhneed int
 
 	z []complex128 // FFT scratch for the final interpolation
+
+	// cross is the finest cross-domain node map built since the last reset
+	// (arena memory) and crossKey the basis scalings it belongs to; see
+	// crossNodes.
+	cross    []float64
+	crossKey crossKey
 
 	newton optimize.NewtonWorkspace
 }
@@ -49,6 +55,7 @@ func (w *Workspace) reset() {
 	}
 	w.fo, w.fneed = 0, 0
 	w.rho, w.rhneed = 0, 0
+	w.cross, w.crossKey = nil, crossKey{}
 }
 
 // floats hands out a zeroed float slice from the arena, falling back to a
@@ -88,7 +95,34 @@ func (w *Workspace) fftScratch(n int) []complex128 {
 	return w.z[:n]
 }
 
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
+// workspacePool lends warm workspaces to the package-level entry points. It
+// is a bounded free list the garbage collector cannot empty, not a sync.Pool:
+// a daemon with a few MB of live heap collects tens of times a second, a
+// sync.Pool drops what sat idle for two collections, and each refill re-grows
+// a few-hundred-KB arena from nothing — so what a solve costs and allocates
+// would depend on when the collector last ran. It retains at most GOMAXPROCS
+// workspaces, one per solve that can be running at any instant: a borrower
+// finding it empty builds a fresh one, and a workspace returned to a full
+// list is left to the collector.
+type workspacePool struct{ free chan *Workspace }
+
+func (p *workspacePool) Get() *Workspace {
+	select {
+	case ws := <-p.free:
+		return ws
+	default:
+		return NewWorkspace()
+	}
+}
+
+func (p *workspacePool) Put(ws *Workspace) {
+	select {
+	case p.free <- ws:
+	default:
+	}
+}
+
+var wsPool = &workspacePool{free: make(chan *Workspace, runtime.GOMAXPROCS(0))}
 
 // Solve finds the maximum-entropy density for the given basis using this
 // workspace's buffers.

@@ -110,8 +110,11 @@ func (c *solveCache) get(key string) ([]*group, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	el, ok := sh.m[key]
+	var groups []*group
 	if ok {
 		sh.ll.MoveToFront(el)
+		// Read under the lock: a concurrent put refreshes rec.groups in place.
+		groups = el.Value.(*cacheRecord).groups
 	}
 	sh.mu.Unlock()
 	if !ok {
@@ -119,7 +122,7 @@ func (c *solveCache) get(key string) ([]*group, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheRecord).groups, true
+	return groups, true
 }
 
 // put inserts (or refreshes) the group set under key, evicting least

@@ -39,9 +39,11 @@
 //   - Unique selections fan out over a bounded worker pool (Config.Workers,
 //     default GOMAXPROCS).
 //   - Each rollup's maximum-entropy density is solved lazily and memoized,
-//     so quantiles, cdf and histogram aggregations of one selection share a
-//     single solve; sliding-window positions additionally warm-start each
-//     solve from the previous position's θ.
+//     so the quantiles, cdf and histogram aggregations of one selection and
+//     any threshold of it that falls through to the cascade's MaxEnt stage
+//     share a single solve, in whichever order they come; a sliding-window
+//     position additionally warm-starts its solve from the previous
+//     position's θ when that position has been solved.
 //   - With Config.SolveCache, resolved selections — merged sketches plus
 //     their solved densities — are kept in a sharded bounded LRU across
 //     Execute calls, keyed on the store's mutation version so any ingest

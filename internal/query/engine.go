@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/cascade"
@@ -45,8 +47,14 @@ type Engine struct {
 	cache     *solveCache // nil when disabled
 	solverSig string      // backend + solver-options fingerprint in cache keys
 
-	statsMu      sync.Mutex
-	cascadeStats cascade.Stats
+	cascadeStats cascadeCounters
+}
+
+// cascadeCounters is cascade.Stats as lock-free running totals: every
+// threshold aggregation folds its single-query Stats in with atomic adds.
+type cascadeCounters struct {
+	queries, solves, warmSolves, newtonIters, sharedSolves atomic.Int64
+	resolved, nanos                                        [cascade.NumStages]atomic.Int64
 }
 
 // NewEngine wires an Engine around store.
@@ -84,21 +92,37 @@ func (e *Engine) Backend() sketch.Backend { return e.backend }
 // Enabled=false when the cache is disabled).
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 
-// CascadeStats returns the accumulated threshold-cascade counters.
+// CascadeStats returns the accumulated threshold-cascade counters. Solves,
+// WarmSolves and NewtonIters cover the solves thresholds performed;
+// SharedSolves counts thresholds that reached the MaxEnt stage and reused
+// the rollup's already memoized solution instead.
 func (e *Engine) CascadeStats() cascade.Stats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.cascadeStats
+	c := &e.cascadeStats
+	st := cascade.Stats{
+		Queries:      int(c.queries.Load()),
+		Solves:       int(c.solves.Load()),
+		WarmSolves:   int(c.warmSolves.Load()),
+		NewtonIters:  int(c.newtonIters.Load()),
+		SharedSolves: int(c.sharedSolves.Load()),
+	}
+	for i := range st.Resolved {
+		st.Resolved[i] = int(c.resolved[i].Load())
+		st.Time[i] = time.Duration(c.nanos[i].Load())
+	}
+	return st
 }
 
 func (e *Engine) foldCascadeStats(st *cascade.Stats) {
-	e.statsMu.Lock()
-	e.cascadeStats.Queries += st.Queries
+	c := &e.cascadeStats
+	c.queries.Add(int64(st.Queries))
+	c.solves.Add(int64(st.Solves))
+	c.warmSolves.Add(int64(st.WarmSolves))
+	c.newtonIters.Add(int64(st.NewtonIters))
+	c.sharedSolves.Add(int64(st.SharedSolves))
 	for i := range st.Resolved {
-		e.cascadeStats.Resolved[i] += st.Resolved[i]
-		e.cascadeStats.Time[i] += st.Time[i]
+		c.resolved[i].Add(int64(st.Resolved[i]))
+		c.nanos[i].Add(int64(st.Time[i]))
 	}
-	e.statsMu.Unlock()
 }
 
 // task is one planned unit of execution: a unique selection plus every
@@ -112,12 +136,14 @@ type task struct {
 
 // group is one materialized rollup. On the moments backend, sk holds the
 // raw moments view and the group carries a lazily solved, memoized
-// maximum-entropy density; groups produced by sliding-window selections are
-// chained through prev so each position's solve warm-starts from the
-// previous window's θ. On other backends sk is nil and aggregations
-// evaluate directly against the serving summary in sum. The solve is
-// guarded by a sync.Once because resolved group sets can outlive their
-// task: the solve cache shares them across concurrent Engine.Execute calls.
+// maximum-entropy density, shared by every aggregation that needs it — the
+// threshold cascade's MaxEnt stage included. Groups produced by
+// sliding-window selections are chained through prev so a position's solve
+// warm-starts from the previous window's θ when that window has been solved.
+// On other backends sk is nil and aggregations evaluate directly against the
+// serving summary in sum. The solve is guarded by a sync.Once because
+// resolved group sets can outlive their task: the solve cache shares them
+// across concurrent Engine.Execute calls.
 type group struct {
 	label  string
 	window *WindowRange // wall-clock span, window selections only
@@ -127,6 +153,7 @@ type group struct {
 	prev   *group         // previous sliding-window position, nil otherwise
 
 	once   sync.Once
+	solved atomic.Bool // sol/solErr are set: lets the next position peek without blocking
 	sol    *maxent.Solution
 	solErr error
 }
@@ -151,22 +178,31 @@ func (g *group) count() float64 {
 	return g.sum.Count()
 }
 
-// solution returns the memoized maximum-entropy solution for the group,
-// solving on first use. Every aggregation that needs the density (quantiles,
-// cdf, histogram) shares this one solve. Window chains solve recursively so
-// position n seeds Newton from position n-1's θ; the chain is linear and
-// each link has its own Once, so the recursion is deadlock-free and each
-// position still solves exactly once.
-func (g *group) solution(opts maxent.Options) (*maxent.Solution, error) {
+// solve returns the group's memoized maximum-entropy solution, solving on
+// first use; shared reports that it already existed. Quantiles, cdf,
+// histogram and the cascade's MaxEnt stage all come through here, so a
+// rollup is solved at most once however its aggregations are ordered. A
+// window position seeds Newton from the previous position's θ only if that
+// position is already solved: positions are evaluated oldest-first, so a
+// quantile series still chains every solve, while a threshold that falls
+// through to MaxEnt never forces solves its neighbours' bounds had avoided.
+func (g *group) solve(opts maxent.Options) (sol *maxent.Solution, shared bool, err error) {
+	shared = true
 	g.once.Do(func() {
-		if g.prev != nil {
-			if psol, perr := g.prev.solution(opts); perr == nil && psol != nil && len(psol.Theta) > 0 {
-				opts.Theta0 = psol.Theta
-			}
+		shared = false
+		if p := g.prev; p != nil && p.solved.Load() && p.solErr == nil && len(p.sol.Theta) > 0 {
+			opts.Theta0 = p.sol.Theta
 		}
 		g.sol, g.solErr = maxent.SolveSketch(g.sk, opts)
+		g.solved.Store(true)
 	})
-	return g.sol, g.solErr
+	return g.sol, shared, g.solErr
+}
+
+// solution is solve for callers that only need the density.
+func (g *group) solution(opts maxent.Options) (*maxent.Solution, error) {
+	sol, _, err := g.solve(opts)
+	return sol, err
 }
 
 // Execute validates, plans and runs a batched request. Subqueries fan out
@@ -455,16 +491,16 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 		phis := a.phis()
 		sol, err := g.solution(e.solver)
 		points := make([]QuantilePoint, len(phis))
-		for i, phi := range phis {
-			var v float64
-			if err == nil {
-				v = sol.Quantile(phi)
-			} else {
-				// Same degradation policy as shard.QuantileOf: invert the
-				// guaranteed rank bounds when the solver cannot converge.
-				v = bounds.InvertRTT(g.sk, phi)
+		if err == nil {
+			for i, v := range sol.Quantiles(phis) {
+				points[i] = QuantilePoint{Q: phis[i], Value: v}
 			}
-			points[i] = QuantilePoint{Q: phi, Value: v}
+		} else {
+			// Same degradation policy as shard.QuantileOf: invert the
+			// guaranteed rank bounds when the solver cannot converge.
+			for i, phi := range phis {
+				points[i] = QuantilePoint{Q: phi, Value: bounds.InvertRTT(g.sk, phi)}
+			}
 		}
 		res.Quantiles = points
 		res.Degraded = err != nil
@@ -484,6 +520,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 	case OpThreshold:
 		cfg := cascade.Full()
 		cfg.Solver = e.solver
+		cfg.Solve = func() (*maxent.Solution, bool, error) { return g.solve(e.solver) }
 		var st cascade.Stats
 		above, err := cascade.Threshold(g.sk, *a.T, a.thresholdPhi(), cfg, &st)
 		e.foldCascadeStats(&st)

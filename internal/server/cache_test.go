@@ -165,3 +165,32 @@ func TestSolveCacheDisabled(t *testing.T) {
 		t.Fatal("solve cache reported enabled after WithSolveCache(0)")
 	}
 }
+
+// TestCascadeStatsCountSharedSolves drives solve sharing through HTTP: a
+// quantiles+threshold subquery whose threshold only max-ent can decide costs
+// the cascade no solve of its own — cold it reuses the density the quantiles
+// beside it solved, and again from the solve cache — and /v1/stats says so.
+func TestCascadeStatsCountSharedSolves(t *testing.T) {
+	ts, _ := newTestServer(t)
+	seedRegions(t, ts)
+	m := wantStatus(t, postJSON(t, ts.URL+"/v1/query",
+		`{"queries":[{"select":{"key":"us.web"},"aggregations":[{"op":"quantiles","phis":[0.9]}]}]}`), http.StatusOK)
+	groups := m["results"].([]any)[0].(map[string]any)["groups"].([]any)
+	q90 := groups[0].(map[string]any)["aggregations"].([]any)[0].(map[string]any)["quantiles"].([]any)[0].(map[string]any)["value"].(float64)
+
+	// A different selection (the prefix rollup) so the first request's cache
+	// entry is not what gets reused.
+	body := fmt.Sprintf(`{"queries":[{"select":{"prefix":"us.w"},"aggregations":[`+
+		`{"op":"quantiles","phis":[0.9]},{"op":"threshold","t":%v,"phi":0.9}]}]}`, q90*1.01)
+	for round := 1; round <= 2; round++ {
+		m = wantStatus(t, postJSON(t, ts.URL+"/v1/query", body), http.StatusOK)
+		aggs := m["results"].([]any)[0].(map[string]any)["groups"].([]any)[0].(map[string]any)["aggregations"].([]any)
+		if stage := aggs[1].(map[string]any)["threshold"].(map[string]any)["stage"]; stage != "MaxEnt" {
+			t.Fatalf("round %d: threshold resolved at %v, want MaxEnt", round, stage)
+		}
+		cs := wantStatus(t, mustGet(t, ts.URL+"/v1/stats"), http.StatusOK)["cascade"].(map[string]any)
+		if cs["solves"].(float64) != 0 || cs["shared_solves"].(float64) != float64(round) || cs["newton_iters"].(float64) != 0 {
+			t.Errorf("round %d: cascade stats %v, want 0 solves, %d shared", round, cs, round)
+		}
+	}
+}

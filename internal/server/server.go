@@ -580,8 +580,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"backend_caps":   b.Caps,
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"cascade": map[string]any{
-			"queries":  cs.Queries,
-			"resolved": resolved,
+			"queries":       cs.Queries,
+			"resolved":      resolved,
+			"solves":        cs.Solves,
+			"shared_solves": cs.SharedSolves,
+			"newton_iters":  cs.NewtonIters,
 		},
 		"solve_cache":   s.engine.CacheStats(),
 		"ingest_buffer": ingestBuffer,

@@ -298,6 +298,11 @@ func TestThresholdEndpoint(t *testing.T) {
 	if cascade["queries"].(float64) < 2 {
 		t.Errorf("cascade queries = %v, want ≥ 2", cascade["queries"])
 	}
+	for _, field := range []string{"solves", "shared_solves", "newton_iters"} {
+		if _, ok := cascade[field].(float64); !ok {
+			t.Errorf("cascade stats lack %q: %v", field, cascade)
+		}
+	}
 
 	for _, u := range []string{
 		"/threshold?key=us.web",             // missing t

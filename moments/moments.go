@@ -258,11 +258,7 @@ func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(phis))
-	for i, phi := range phis {
-		out[i] = sol.Quantile(phi)
-	}
-	return out, nil
+	return sol.Quantiles(phis), nil
 }
 
 // Median is shorthand for Quantile(0.5).
@@ -300,10 +296,17 @@ func (s *Sketch) QuantileErrorBound(phi float64) (float64, error) {
 // Threshold reports whether the φ-quantile exceeds t, using the cascade of
 // §5.2: range filter → Markov bounds → RTT bounds → maximum entropy. It is
 // consistent with Quantile but typically far cheaper, because most
-// threshold queries resolve in the bound stages.
+// threshold queries resolve in the bound stages. When the maximum-entropy
+// stage is reached it uses — and fills — the same cached density as
+// Quantile, so the two solve once between them in either order.
 func (s *Sketch) Threshold(t, phi float64) (bool, error) {
 	cfg := cascade.Full()
 	cfg.Solver = s.opts
+	cfg.Solve = func() (*maxent.Solution, bool, error) {
+		shared := s.sol != nil
+		sol, err := s.solve()
+		return sol, shared, err
+	}
 	return cascade.Threshold(s.raw, t, phi, cfg, nil)
 }
 

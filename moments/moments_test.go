@@ -198,6 +198,52 @@ func TestThresholdConsistentWithQuantile(t *testing.T) {
 	}
 }
 
+// TestThresholdAndQuantileShareOneSolve: a threshold that reaches the
+// maximum-entropy stage uses the density Quantile cached, and one that gets
+// there first leaves its density for Quantile — either order, one solve.
+func TestThresholdAndQuantileShareOneSolve(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	fresh := func() *Sketch {
+		s := New()
+		for i := 0; i < 20000; i++ {
+			s.Add(rng.ExpFloat64() * 50)
+		}
+		return s
+	}
+	ref := fresh()
+	q, err := ref.Quantile(0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tval := q * 1.01 // inside the RTT bounds: only max-ent can decide
+
+	// Quantile first: Threshold must reuse the cached density as is.
+	solved := ref.sol
+	if above, err := ref.Threshold(tval, 0.95); err != nil || above {
+		t.Fatalf("Threshold = %v, %v; want false", above, err)
+	}
+	if ref.sol != solved {
+		t.Error("Threshold replaced the density Quantile had cached")
+	}
+
+	// Threshold first: it must leave its density behind for Quantile.
+	s := ref.Clone()
+	s.sol = nil
+	if _, err := s.Threshold(q/1000, 0.95); err != nil || s.sol != nil {
+		t.Fatalf("a threshold the bounds settle solved anyway (err %v)", err)
+	}
+	if _, err := s.Threshold(tval, 0.95); err != nil {
+		t.Fatal(err)
+	}
+	solved = s.sol
+	if solved == nil {
+		t.Fatal("a max-ent-stage Threshold did not cache its density")
+	}
+	if got, err := s.Quantile(0.95); err != nil || got != q || s.sol != solved {
+		t.Errorf("Quantile after Threshold = %v, %v (re-solved: %v); want %v from the cached density", got, err, s.sol != solved, q)
+	}
+}
+
 func TestRankBoundsContainTruth(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	s := New()
