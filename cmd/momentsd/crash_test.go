@@ -392,7 +392,7 @@ func appendGarbageTails(t *testing.T, walDir string, rng *rand.Rand) {
 }
 
 // TestCrashRecovery is the battery: ≥20 randomized SIGKILL points across
-// four server shapes. Each round kills a real momentsd with requests in
+// three server shapes. Each round kills a real momentsd with requests in
 // flight and proves the restart recovered exactly the acknowledged state.
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
@@ -400,10 +400,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	seed := time.Now().UnixNano()
 	t.Run("plain", func(t *testing.T) {
-		crashLineage(t, 8, seed+1, nil, false)
-	})
-	t.Run("buffered-ingest", func(t *testing.T) {
-		crashLineage(t, 4, seed+2, []string{"-ingest-buffer"}, false)
+		crashLineage(t, 12, seed+1, nil, false)
 	})
 	t.Run("checkpointing", func(t *testing.T) {
 		// Mid-run checkpoints truncate sealed segments while tiny segments
@@ -547,14 +544,39 @@ func TestWALFlagValidation(t *testing.T) {
 			"write-ahead log"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(momentsdBin, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...).CombinedOutput()
-			if err == nil {
-				t.Fatalf("momentsd started despite %v:\n%s", tc.args, out)
-			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Fatalf("momentsd %v: output missing %q:\n%s", tc.args, tc.want, out)
-			}
+		t.Run(tc.name, func(t *testing.T) { wantRefusal(t, tc.args, tc.want) })
+	}
+}
+
+// wantRefusal execs the real binary with args and requires it to exit
+// non-zero with want in its output.
+func wantRefusal(t *testing.T, args []string, want string) {
+	t.Helper()
+	out, err := exec.Command(momentsdBin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
+	if err == nil {
+		t.Fatalf("momentsd started despite %v:\n%s", args, out)
+	}
+	if !strings.Contains(string(out), want) {
+		t.Fatalf("momentsd %v: output missing %q:\n%s", args, want, out)
+	}
+}
+
+// TestRemovedFlagsRejected: the mode flags deleted with their code paths
+// must stop the daemon at flag parsing, not be silently accepted by a
+// deployment script that still passes them.
+func TestRemovedFlagsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks real processes; skipped under -short")
+	}
+	for _, args := range [][]string{
+		{"-ingest-buffer"},
+		{"-ingest-flush-size", "64"},
+		{"-ingest-flush-interval", "1s"},
+		{"-ingest-stale"},
+		{"-locked-reads"},
+	} {
+		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
+			wantRefusal(t, args, "flag provided but not defined")
 		})
 	}
 }

@@ -8,8 +8,7 @@
 //
 //	momentsd [-addr :7607] [-backend moments] [-k 10] [-shards N] [-sep .]
 //	         [-workers N] [-solve-cache N] [-pane-width DUR] [-panes N]
-//	         [-ingest-buffer] [-ingest-flush-size N] [-ingest-flush-interval DUR]
-//	         [-ingest-stale] [-snapshot FILE] [-snapshot-interval DUR]
+//	         [-snapshot FILE] [-snapshot-interval DUR]
 //	         [-wal-dir DIR] [-wal-sync-interval DUR] [-wal-segment-size N]
 //	         [-wal-on-error fail|drop] [-pprof-addr ADDR]
 //	momentsd -coordinator -nodes host1:7607,host2:7607[,...]
@@ -39,26 +38,12 @@
 // the typed backend_unsupported error. Snapshots are tagged with the
 // backend and refuse to restore across backends.
 //
-// -ingest-buffer turns on thread-local buffered ingest for multi-core
-// saturation: each /ingest request accumulates into per-goroutine local
-// summaries (an O(k) vector add per observation for the moments backend)
-// outside the store's stripe locks, merged in on flush. By default every
-// request is flushed before it is acknowledged, so an ack still implies
-// visibility. With -ingest-flush-interval > 0, observations may instead
-// stay buffered across requests for up to -ingest-flush-size observations
-// or the interval, whichever comes first; query paths drain pending
-// buffers before reading (read-your-writes), unless -ingest-stale opts
-// into bounded-staleness reads. Snapshots always drain first — staleness
-// bounds visibility, never durability. Flush and pending counters appear
-// under "ingest_buffer" on /stats and /v1/stats. Backends without exact
-// merges fall back to batched striped writes.
-//
 // -solve-cache bounds the engine's cross-request solve cache (resolved
 // selections with their solved max-ent densities, invalidated by mutation
 // version; capacity in cached rollups, default 1024, 0 disables) —
-// hit/miss/eviction counters appear on /stats and /v1/stats. -pprof-addr serves net/http/pprof on a
-// separate listener for live profiling (off by default; see
-// ARCHITECTURE.md "Profiling a live daemon").
+// hit/miss/eviction counters appear on /v1/stats. -pprof-addr serves
+// net/http/pprof on a separate listener for live profiling (off by default;
+// see ARCHITECTURE.md "Profiling a live daemon").
 //
 // With -pane-width, the store gains a time dimension: every key keeps a
 // ring of -panes fixed-width time panes alongside its all-time sketch,
@@ -95,8 +80,8 @@
 // appears under "wal" on /v1/stats. Requires -snapshot. See
 // ARCHITECTURE.md "Durability & crash recovery".
 //
-// The primary query surface is the batched typed endpoint POST /v1/query
-// (see internal/query): one request carries any number of subqueries —
+// The query surface is the batched typed endpoint POST /v1/query (see
+// internal/query): one request carries any number of subqueries —
 // exact keys, prefix rollups, group-bys — each with its own aggregation
 // list, executed by a parallel planner/executor (-workers bounds its
 // concurrency):
@@ -107,14 +92,7 @@
 //	   "aggregations":[{"op":"quantiles","phis":[0.5,0.99]},{"op":"stats"}]},
 //	  {"id":"slo","select":{"prefix":"us."},
 //	   "aggregations":[{"op":"threshold","t":100,"phi":0.99}]}]}'
-//	curl 'localhost:7607/stats'
-//
-// The single-shot GET endpoints (/quantile, /merge, /threshold) are
-// deprecated adapters over the same engine, kept for compatibility:
-//
-//	curl 'localhost:7607/quantile?key=us.web&q=0.5,0.99'
-//	curl 'localhost:7607/merge?prefix=us.&q=0.99&groupby=1'
-//	curl 'localhost:7607/threshold?prefix=us.&t=100&phi=0.99'
+//	curl 'localhost:7607/v1/stats'
 package main
 
 import (
@@ -155,11 +133,6 @@ func main() {
 		solveCache   = flag.Int("solve-cache", query.DefaultSolveCacheSize, "cross-request solve cache capacity in cached rollups (group-by selections charge one per group; 0 disables)")
 		paneWidth    = flag.Duration("pane-width", 0, "time pane width; > 0 enables windowed queries (/v1/query window selections, /v1/windows)")
 		panes        = flag.Int("panes", 240, "time panes retained per key when -pane-width is set")
-		ingestBuffer = flag.Bool("ingest-buffer", false, "thread-local buffered ingest: accumulate observations outside the stripe locks, merging per-key summaries in on flush")
-		ingestSize   = flag.Int("ingest-flush-size", shard.DefaultFlushSize, "buffered observations per ingest handle that trigger an automatic flush (with -ingest-buffer)")
-		ingestEvery  = flag.Duration("ingest-flush-interval", 0, "flush ingest buffers this often, letting observations buffer across requests; 0 = flush before acknowledging each request (with -ingest-buffer)")
-		ingestStale  = flag.Bool("ingest-stale", false, "bounded-staleness reads: queries skip draining pending ingest buffers (requires -ingest-buffer and -ingest-flush-interval > 0; snapshots still drain)")
-		lockedReads  = flag.Bool("locked-reads", false, "serve reads under the stripe locks instead of from published wait-free snapshots (escape hatch; also the baseline for read-contention measurements)")
 		snapshotPath = flag.String("snapshot", "", "snapshot file: restored at startup, saved on shutdown")
 		snapInterval = flag.Duration("snapshot-interval", 0, "additionally save the snapshot this often (0 = only on shutdown)")
 		walDir       = flag.String("wal-dir", "", "write-ahead log directory: every acknowledged observation is fsynced here before the ack and replayed after a crash (requires -snapshot)")
@@ -197,8 +170,8 @@ func main() {
 		if *nodesSpec == "" {
 			log.Fatalf("momentsd: -coordinator requires -nodes")
 		}
-		if *snapshotPath != "" || *ingestBuffer || *paneWidth != 0 || *walDir != "" || *lockedReads {
-			log.Fatalf("momentsd: -snapshot, -ingest-buffer, -pane-width, -wal-dir and -locked-reads configure a local store; a coordinator has none")
+		if *snapshotPath != "" || *paneWidth != 0 || *walDir != "" {
+			log.Fatalf("momentsd: -snapshot, -pane-width and -wal-dir configure a local store; a coordinator has none")
 		}
 		if *hedgeQuantile <= 0 || *hedgeQuantile >= 1 {
 			log.Fatalf("momentsd: -hedge-quantile %g outside (0,1)", *hedgeQuantile)
@@ -225,9 +198,6 @@ func main() {
 	if !backend.IsZero() {
 		opts = append(opts, shard.WithBackend(backend))
 	}
-	if *lockedReads {
-		opts = append(opts, shard.WithLockedReads())
-	}
 	if *paneWidth < 0 {
 		log.Fatalf("momentsd: -pane-width must be positive")
 	}
@@ -236,23 +206,6 @@ func main() {
 			log.Fatalf("momentsd: -panes %d outside [2,%d]", *panes, shard.MaxRetention)
 		}
 		opts = append(opts, shard.WithWindow(*paneWidth, *panes))
-	}
-	if !*ingestBuffer {
-		if *ingestEvery != 0 || *ingestStale {
-			log.Fatalf("momentsd: -ingest-flush-interval and -ingest-stale require -ingest-buffer")
-		}
-	} else {
-		if *ingestSize < 1 {
-			log.Fatalf("momentsd: -ingest-flush-size must be at least 1")
-		}
-		if *ingestEvery < 0 {
-			log.Fatalf("momentsd: -ingest-flush-interval must not be negative")
-		}
-		if *ingestStale && *ingestEvery == 0 {
-			// With request-scoped flushing every ack already implies
-			// visibility, so stale reads would silently do nothing.
-			log.Fatalf("momentsd: -ingest-stale requires -ingest-flush-interval > 0")
-		}
 	}
 	walPolicy := wal.PolicyFail
 	if *walDir == "" {
@@ -338,13 +291,6 @@ func main() {
 		server.WithQueryWorkers(*workers),
 		server.WithSolveCache(*solveCache),
 	}
-	if *ingestBuffer {
-		serverOpts = append(serverOpts, server.WithIngestBuffer(shard.FlusherConfig{
-			FlushSize:     *ingestSize,
-			FlushInterval: *ingestEvery,
-			Stale:         *ingestStale,
-		}))
-	}
 
 	// snapMu serializes snapshot saves so an in-flight periodic save cannot
 	// finish after — and thereby clobber — the final shutdown snapshot.
@@ -367,9 +313,8 @@ func main() {
 		serverOpts = append(serverOpts, server.WithWAL(walLog, save))
 	}
 
-	handler := server.New(store, serverOpts...)
 	srv := &http.Server{
-		Handler:           handler,
+		Handler:           server.New(store, serverOpts...),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -427,11 +372,6 @@ func main() {
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("momentsd: shutdown: %v", err)
-	}
-	// Drain any cross-request ingest buffers before the final snapshot so
-	// acknowledged-but-buffered observations are never lost on shutdown.
-	if err := handler.Close(); err != nil {
-		log.Printf("momentsd: draining ingest buffers: %v", err)
 	}
 	if *snapshotPath != "" {
 		if err := save(); err != nil {

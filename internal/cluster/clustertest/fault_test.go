@@ -252,7 +252,12 @@ func TestCorruptPartialsDegradeToPartialResult(t *testing.T) {
 
 	for name, payload := range hostilePartialsPayloads(c.Coord.Backend().Fingerprint()) {
 		t.Run(name, func(t *testing.T) {
-			c.Nodes[victim].FaultCorrupt(payload, 1)
+			// Every answer until cleared, not just the next: once earlier
+			// subtests have taught the coordinator a sub-millisecond hedge
+			// delay, a slow first attempt gets a hedge, and a one-shot fault
+			// would let that duplicate come back clean and win.
+			c.Nodes[victim].FaultCorrupt(payload, 0)
+			defer c.Nodes[victim].FaultNormal()
 			resp, qerr := c.Coord.Execute(t.Context(), prefixQuery())
 			if qerr != nil {
 				t.Fatalf("execute: %v", qerr)

@@ -69,8 +69,8 @@ func BenchmarkSolveSketchLive(b *testing.B) {
 
 // BenchmarkSolveSketch measures one full cold quantile solve — basis
 // selection plus the Newton solve — the hot path behind every uncached
-// quantile estimate. The bytes/op figure is the workspace-pooling target
-// tracked in BENCH_baseline.json.
+// quantile estimate. The bytes/op figure is what workspace pooling keeps
+// down.
 func BenchmarkSolveSketch(b *testing.B) {
 	sk := benchSketch()
 	b.ReportAllocs()
@@ -89,7 +89,7 @@ func BenchmarkSolveSketch(b *testing.B) {
 // BenchmarkSolveWarm measures the same solve seeded with the θ of a prior
 // solve of the same sketch — the best case for warm starting (adjacent
 // sliding-window positions approach it). The iters/op metric is the
-// warm-vs-cold comparison recorded in BENCH_baseline.json.
+// warm-vs-cold comparison.
 func BenchmarkSolveWarm(b *testing.B) {
 	sk := benchSketch()
 	cold, err := SolveSketch(sk, Options{})

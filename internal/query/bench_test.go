@@ -96,8 +96,7 @@ func BenchmarkBatch128GroupBySequential(b *testing.B) {
 // Execute: every selection is a cache hit, so the run prices the pure
 // cached-serving path (no merges, no solves) that a dashboard refreshing an
 // unchanged store pays. Compare against BenchmarkBatch128GroupByParallel
-// (the cold, cache-less run) for the cached-vs-uncached ratio recorded in
-// BENCH_baseline.json.
+// (the cold, cache-less run) for the cached-vs-uncached ratio.
 func BenchmarkBatch128GroupByCachedWarm(b *testing.B) {
 	store := benchStore(b)
 	e := NewEngine(store, Config{SolveCache: DefaultSolveCacheSize})

@@ -496,8 +496,8 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 				points[i] = QuantilePoint{Q: phis[i], Value: v}
 			}
 		} else {
-			// Same degradation policy as shard.QuantileOf: invert the
-			// guaranteed rank bounds when the solver cannot converge.
+			// The degradation policy: invert the guaranteed rank bounds
+			// when the solver cannot converge.
 			for i, phi := range phis {
 				points[i] = QuantilePoint{Q: phi, Value: bounds.InvertRTT(g.sk, phi)}
 			}

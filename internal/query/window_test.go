@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/maxent"
 	"repro/internal/shard"
@@ -76,7 +77,7 @@ func oracleQuantile(t *testing.T, panes []*core.Sketch, a, b int, phi float64) f
 			t.Fatal(err)
 		}
 	}
-	q, err := shard.QuantileOf(sk, phi, maxent.Options{})
+	q, err := cascade.Quantile(sk, phi, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestWindowSlidingMatchesOracle(t *testing.T) {
 					tc.width, tc.step, gi, st.Mean, oracle.Mean(), d)
 			}
 			// The solved estimate on top of it.
-			wantQ, err := shard.QuantileOf(oracle, 0.99, maxent.Options{})
+			wantQ, err := cascade.Quantile(oracle, 0.99, maxent.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +304,7 @@ func TestWindowSlidingThresholdMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		q, err := shard.QuantileOf(sk, 0.95, maxent.Options{})
+		q, err := cascade.Quantile(sk, 0.95, maxent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

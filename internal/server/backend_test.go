@@ -165,30 +165,28 @@ func sampleRankOf(sorted []float64, x float64) float64 {
 	return float64(sort.SearchFloat64s(sorted, x)) / float64(len(sorted))
 }
 
-// TestBackendStatsEcho: /v1/stats (and legacy /stats) must name the serving
-// backend and its capability flags.
+// TestBackendStatsEcho: /v1/stats must name the serving backend and its
+// capability flags.
 func TestBackendStatsEcho(t *testing.T) {
 	_, srv := newBackendServer(t, sketch.TDigestBackend(200))
-	for _, path := range []string{"/stats", "/v1/stats"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out struct {
-			Backend string      `json:"backend"`
-			Caps    sketch.Caps `json:"backend_caps"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Backend != "tdigest(c=200)" {
-			t.Errorf("%s backend = %q, want tdigest(c=200)", path, out.Backend)
-		}
-		if out.Caps.Sub || out.Caps.Cascade || !out.Caps.Snapshot {
-			t.Errorf("%s backend_caps = %+v", path, out.Caps)
-		}
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Backend string      `json:"backend"`
+		Caps    sketch.Caps `json:"backend_caps"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Backend != "tdigest(c=200)" {
+		t.Errorf("backend = %q, want tdigest(c=200)", out.Backend)
+	}
+	if out.Caps.Sub || out.Caps.Cascade || !out.Caps.Snapshot {
+		t.Errorf("backend_caps = %+v", out.Caps)
 	}
 }
 
@@ -247,58 +245,6 @@ func TestBackendWindowsEndpointGuard(t *testing.T) {
 	}
 	if envelope.Error == nil || envelope.Error.Code != query.CodeBackendUnsupported {
 		t.Errorf("error = %+v, want code %s", envelope.Error, query.CodeBackendUnsupported)
-	}
-}
-
-// TestBackendLegacyGETAdapters pins the documented behavior of the
-// deprecated GET endpoints on non-moments backends: /quantile and /merge
-// translate to stats+quantiles batches (their response shapes carry
-// closed-form statistics), so they answer 400 backend_unsupported; the
-// /threshold adapter sends only a threshold aggregation and keeps working
-// via direct evaluation.
-func TestBackendLegacyGETAdapters(t *testing.T) {
-	_, srv := newBackendServer(t, sketch.TDigestBackend(100))
-	var obs []shard.Observation
-	for i := 1; i <= 200; i++ {
-		obs = append(obs, shard.Observation{Key: "us.web", Value: float64(i)})
-	}
-	ingestNDJSON(t, srv.URL, obs)
-
-	for _, path := range []string{"/quantile?key=us.web&q=0.5", "/merge?prefix=us.&q=0.5"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var envelope struct {
-			Error *query.Error `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&envelope)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest || envelope.Error == nil ||
-			envelope.Error.Code != query.CodeBackendUnsupported {
-			t.Errorf("GET %s on tdigest: status %s, error %+v; want 400 %s",
-				path, resp.Status, envelope.Error, query.CodeBackendUnsupported)
-		}
-	}
-
-	resp, err := http.Get(srv.URL + "/threshold?key=us.web&t=150&phi=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var th struct {
-		Above bool   `json:"above"`
-		Stage string `json:"stage"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&th)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /threshold on tdigest: %s, %v", resp.Status, err)
-	}
-	if th.Above || th.Stage != "Direct" {
-		t.Errorf("threshold = %+v, want above=false stage=Direct (p50 of 1..200 ≪ 150)", th)
 	}
 }
 

@@ -33,8 +33,7 @@ func benchHandler(b *testing.B) *Server {
 
 // BenchmarkIngestNDJSON measures ingest throughput through the full HTTP
 // handler path (decode, validate, batch, flush) for 1000-observation
-// NDJSON bodies. The observations/s metric is the BENCH_baseline ingest
-// number.
+// NDJSON bodies.
 func BenchmarkIngestNDJSON(b *testing.B) {
 	srv := New(shard.New(shard.WithShards(16)))
 	rng := rand.New(rand.NewPCG(5, 6))
@@ -77,8 +76,7 @@ func benchV1Body(n int) string {
 }
 
 // BenchmarkV1QueryBatch100 measures end-to-end latency of one POST
-// /v1/query carrying 100 group-by subqueries — the BENCH_baseline
-// batched-query number.
+// /v1/query carrying 100 group-by subqueries.
 func BenchmarkV1QueryBatch100(b *testing.B) {
 	srv := benchHandler(b)
 	body := benchV1Body(100)
@@ -91,26 +89,6 @@ func BenchmarkV1QueryBatch100(b *testing.B) {
 		srv.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", w.Code, w.Body)
-		}
-	}
-	b.ReportMetric(100*float64(b.N)/b.Elapsed().Seconds(), "subqueries/s")
-}
-
-// BenchmarkLegacySequential100 is the same 100 subqueries issued the
-// pre-/v1/query way: one GET /merge round trip per subquery.
-func BenchmarkLegacySequential100(b *testing.B) {
-	srv := benchHandler(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 100; j++ {
-			url := fmt.Sprintf("/merge?prefix=g%d.&groupby=1&q=0.5,0.99", j%64)
-			req := httptest.NewRequest("GET", url, nil)
-			w := httptest.NewRecorder()
-			srv.ServeHTTP(w, req)
-			if w.Code != http.StatusOK {
-				b.Fatalf("status %d: %s", w.Code, w.Body)
-			}
 		}
 	}
 	b.ReportMetric(100*float64(b.N)/b.Elapsed().Seconds(), "subqueries/s")

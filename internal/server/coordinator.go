@@ -43,7 +43,6 @@ func NewCoordinator(coord *cluster.Coordinator, opts ...CoordinatorOption) *Coor
 	}
 	s.mux.HandleFunc("POST /ingest", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/query", s.handleQueryV1)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s
@@ -117,7 +116,7 @@ func (s *CoordinatorServer) handleIngest(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusOK, map[string]any{"ingested": ingested})
 }
 
-// handleStats serves the coordinator's counters on /stats and /v1/stats:
+// handleStats serves the coordinator's counters on /v1/stats:
 // mode and backend mirror a shard node's fields, and the coordinator
 // section carries the scatter-gather counters (fan-outs, hedges, partial
 // results, per-node request/failure totals).

@@ -2,7 +2,7 @@
 // HTTP — the serving path that turns the paper's merge-cheap summaries into
 // an interactive aggregation service. The store's serving backend (moments
 // by default; Merge12, t-digest or sampling via shard.WithBackend) is
-// echoed on /stats and /v1/stats and on every /v1/query result group;
+// echoed on /v1/stats and on every /v1/query result group;
 // aggregations a backend cannot answer return the typed
 // backend_unsupported error, and /v1/windows — built on the moment-bound
 // cascade — requires the moments backend.
@@ -22,31 +22,18 @@
 //	GET  /keys       key listing by prefix
 //	GET  /snapshot   binary snapshot stream of the whole store
 //	POST /restore    replace store contents from a snapshot stream
-//	GET  /stats      store totals plus cascade stage-resolution counters
+//	GET  /v1/stats   store totals, cascade stage-resolution counters, solve
+//	                 cache, read-path and write-ahead-log sections
 //	GET  /healthz    liveness probe
 //
-// Deprecated single-shot endpoints, kept as thin adapters that translate
-// into one-subquery /v1/query batches (an equivalence test suite pins each
-// to its translation byte-for-byte):
-//
-//	GET  /quantile   per-key quantile estimates (maximum entropy, §4)
-//	GET  /merge      cube-style rollup across keys by prefix, with optional
-//	                 group-by on a key segment (§7.1, via internal/cube)
-//	GET  /threshold  "is the φ-quantile above t?" through the cascade (§5.2)
-//
 // Ingest hot path: request bodies are decoded into pooled shard.Batch
-// buffers, so steady-state ingest takes each stripe lock once per request
-// and allocates only what encoding/json itself needs. With
-// WithIngestBuffer (momentsd -ingest-buffer) the validated batch is
-// absorbed into a pooled thread-local shard.Local handle instead —
-// per-key accumulation outside the stripe locks, flushed before the ack
-// by default or across requests on a flush interval, in which case the
-// response carries "buffered": true and the ingest_buffer counters on
-// /v1/stats track pending/flushed observations. Queries clone the
-// fixed-size sketch under the stripe lock and run estimation outside it,
-// so slow maximum-entropy solves never block writers; see internal/query
-// for the planner/executor (selection dedup, bounded worker pool, memoized
-// solves, context deadlines).
+// buffers and committed before the ack, so steady-state ingest takes each
+// stripe lock once per request and allocates only what encoding/json itself
+// needs. Queries read clones of the fixed-size sketches — published
+// snapshots on the moments backend, taken under the stripe lock otherwise —
+// and run estimation outside any lock, so slow maximum-entropy solves never
+// block writers; see internal/query for the planner/executor (selection
+// dedup, bounded worker pool, memoized solves, context deadlines).
 //
 // Every error response — request-level, subquery-level and
 // aggregation-level — carries the structured {code, message} envelope of

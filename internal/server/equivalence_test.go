@@ -7,37 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/query"
 )
-
-// The equivalence suite asserts that every legacy GET endpoint returns
-// byte-identical results to its /v1/query translation: the GET response
-// body must equal the result of posting the adapter's subquery to
-// /v1/query and reshaping the typed response through the same shaping
-// helper the adapter uses. Both paths run the engine independently, so
-// equality holds only if (a) the adapters faithfully delegate to the
-// engine and (b) engine results are bit-deterministic.
-
-func getBody(t *testing.T, url string) []byte {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET %s: status %d, body %s", url, resp.StatusCode, b)
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
 
 func postV1(t *testing.T, ts *httptest.Server, req query.Request) *query.Response {
 	t.Helper()
@@ -61,105 +34,21 @@ func postV1(t *testing.T, ts *httptest.Server, req query.Request) *query.Respons
 	return &out
 }
 
-// encodeLikeServer marshals v exactly as writeJSON does (no HTML escaping,
-// trailing newline), so byte comparison against a served body is exact.
-func encodeLikeServer(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func assertEquivalent(t *testing.T, name string, got []byte, shaped map[string]any, qerr *query.Error) {
-	t.Helper()
-	if qerr != nil {
-		t.Fatalf("%s: shaping v1 response: %v", name, qerr)
-	}
-	want := encodeLikeServer(t, shaped)
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: legacy GET and /v1/query translation differ\nlegacy: %s\nv1:     %s", name, got, want)
-	}
-}
-
-func TestEquivalenceQuantile(t *testing.T) {
-	ts, _ := newTestServer(t)
-	seedRegions(t, ts)
-
-	legacy := getBody(t, ts.URL+"/quantile?key=us.web&q=0.5,0.9,0.99")
-	v1 := postV1(t, ts, query.Request{Queries: []query.Subquery{
-		quantileSubquery("us.web", []float64{0.5, 0.9, 0.99}),
-	}})
-	shaped, qerr := shapeQuantile("us.web", &v1.Results[0])
-	assertEquivalent(t, "quantile", legacy, shaped, qerr)
-}
-
-func TestEquivalenceMergeRollup(t *testing.T) {
-	ts, _ := newTestServer(t)
-	seedRegions(t, ts)
-
-	legacy := getBody(t, ts.URL+"/merge?prefix=us.&q=0.5,0.99")
-	v1 := postV1(t, ts, query.Request{Queries: []query.Subquery{
-		mergeSubquery("us.", []float64{0.5, 0.99}),
-	}})
-	shaped, qerr := shapeMerge("us.", &v1.Results[0])
-	assertEquivalent(t, "merge", legacy, shaped, qerr)
-}
-
-func TestEquivalenceMergeGroupBy(t *testing.T) {
-	ts, _ := newTestServer(t)
-	seedRegions(t, ts)
-
-	legacy := getBody(t, ts.URL+"/merge?groupby=0&q=0.5")
-	v1 := postV1(t, ts, query.Request{Queries: []query.Subquery{
-		groupBySubquery("", 0, []float64{0.5}),
-	}})
-	shaped, qerr := shapeGroupBy("", 0, &v1.Results[0])
-	assertEquivalent(t, "merge groupby", legacy, shaped, qerr)
-}
-
-func TestEquivalenceThreshold(t *testing.T) {
-	ts, _ := newTestServer(t)
-	seedRegions(t, ts)
-
-	cases := []struct {
-		name        string
-		url         string
-		key, prefix string
-		hasPrefix   bool
-		t, phi      float64
-	}{
-		{"key", "/threshold?key=us.web&t=1e9&phi=0.99", "us.web", "", false, 1e9, 0.99},
-		{"prefix", "/threshold?prefix=eu.&t=1&phi=0.5", "", "eu.", true, 1, 0.5},
-	}
-	for _, tc := range cases {
-		legacy := getBody(t, ts.URL+tc.url)
-		v1 := postV1(t, ts, query.Request{Queries: []query.Subquery{
-			thresholdSubquery(tc.key, tc.prefix, tc.hasPrefix, tc.t, tc.phi),
-		}})
-		shaped, qerr := shapeThreshold(tc.key, tc.prefix, tc.hasPrefix, &v1.Results[0])
-		assertEquivalent(t, "threshold "+tc.name, legacy, shaped, qerr)
-	}
-}
-
-// TestEquivalenceRepeatable double-checks the premise of the suite: the
-// same query answered twice must be byte-identical (deterministic merge
-// order and solver).
+// TestEquivalenceRepeatable pins the premise every equivalence suite rests
+// on: the same query answered twice must be byte-identical (deterministic
+// merge order and solver).
 func TestEquivalenceRepeatable(t *testing.T) {
 	ts, _ := newTestServer(t)
 	seedRegions(t, ts)
-	for _, url := range []string{
-		"/quantile?key=eu.api&q=0.9",
-		"/merge?prefix=&q=0.5",
-		"/merge?groupby=1&q=0.99",
+	for _, body := range []string{
+		`{"queries":[{"select":{"key":"eu.api"},"aggregations":[{"op":"stats"},{"op":"quantiles","phis":[0.9]}]}]}`,
+		`{"queries":[{"select":{"prefix":""},"aggregations":[{"op":"stats"},{"op":"quantiles","phis":[0.5]}]}]}`,
+		`{"queries":[{"select":{"prefix":"","group_by":1},"aggregations":[{"op":"quantiles","phis":[0.99]}]}]}`,
 	} {
-		a := getBody(t, ts.URL+url)
-		b := getBody(t, ts.URL+url)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: two identical queries differ:\n%s\n%s", url, a, b)
+		a := readBody(t, postJSON(t, ts.URL+"/v1/query", body))
+		b := readBody(t, postJSON(t, ts.URL+"/v1/query", body))
+		if a != b {
+			t.Errorf("%s: two identical queries differ:\n%s\n%s", body, a, b)
 		}
 	}
 }
@@ -171,53 +60,38 @@ func TestErrorEnvelope(t *testing.T) {
 	seedRegions(t, ts)
 
 	cases := []struct {
-		method, url, body string
-		status            int
-		code              string
+		url, body string
+		status    int
+		code      string
 	}{
-		{"GET", "/quantile", "", http.StatusBadRequest, query.CodeInvalid},
-		{"GET", "/quantile?key=missing", "", http.StatusNotFound, query.CodeNotFound},
-		{"GET", "/quantile?key=x&q=1.5", "", http.StatusBadRequest, query.CodeInvalid},
-		{"GET", "/merge?prefix=asia.", "", http.StatusNotFound, query.CodeNotFound},
-		{"GET", "/merge?groupby=9", "", http.StatusBadRequest, query.CodeInvalid},
-		{"GET", "/threshold?key=us.web", "", http.StatusBadRequest, query.CodeInvalid},
-		{"GET", "/threshold?key=missing&t=1", "", http.StatusNotFound, query.CodeNotFound},
-		{"POST", "/ingest", `[{"key":"","value":1}]`, http.StatusBadRequest, query.CodeInvalid},
-		{"POST", "/restore", "garbage", http.StatusBadRequest, query.CodeInvalid},
-		{"POST", "/v1/query", `{`, http.StatusBadRequest, query.CodeInvalid},
-		{"POST", "/v1/query", `{"queries":[]}`, http.StatusBadRequest, query.CodeInvalid},
-		{"POST", "/v1/query", `{"unknown_field":1}`, http.StatusBadRequest, query.CodeInvalid},
+		{"/ingest", `[{"key":"","value":1}]`, http.StatusBadRequest, query.CodeInvalid},
+		{"/restore", "garbage", http.StatusBadRequest, query.CodeInvalid},
+		{"/v1/query", `{`, http.StatusBadRequest, query.CodeInvalid},
+		{"/v1/query", `{"queries":[]}`, http.StatusBadRequest, query.CodeInvalid},
+		{"/v1/query", `{"unknown_field":1}`, http.StatusBadRequest, query.CodeInvalid},
 	}
 	for _, tc := range cases {
-		var resp *http.Response
-		var err error
-		if tc.method == "GET" {
-			resp, err = http.Get(ts.URL + tc.url)
-		} else {
-			resp, err = http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.body))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		name := "POST " + tc.url + " " + tc.body
+		resp := postJSON(t, ts.URL+tc.url, tc.body)
 		if resp.StatusCode != tc.status {
-			t.Errorf("%s %s: status %d, want %d", tc.method, tc.url, resp.StatusCode, tc.status)
+			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, tc.status)
 		}
 		var envelope struct {
 			Error *query.Error `json:"error"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-			t.Fatalf("%s %s: decoding envelope: %v", tc.method, tc.url, err)
+			t.Fatalf("%s: decoding envelope: %v", name, err)
 		}
 		resp.Body.Close()
 		if envelope.Error == nil {
-			t.Errorf("%s %s: no error envelope", tc.method, tc.url)
+			t.Errorf("%s: no error envelope", name)
 			continue
 		}
 		if envelope.Error.Code != tc.code {
-			t.Errorf("%s %s: code %q, want %q", tc.method, tc.url, envelope.Error.Code, tc.code)
+			t.Errorf("%s: code %q, want %q", name, envelope.Error.Code, tc.code)
 		}
 		if envelope.Error.Message == "" {
-			t.Errorf("%s %s: empty message", tc.method, tc.url)
+			t.Errorf("%s: empty message", name)
 		}
 	}
 }

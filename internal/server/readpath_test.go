@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"testing"
+
+	"repro/internal/query"
 )
 
 // TestStatsReadPathSection: /v1/stats must carry the read_path section —
@@ -14,7 +16,7 @@ func TestStatsReadPathSection(t *testing.T) {
 	store.Add("rp.b", 2)
 
 	// Serve a couple of reads through the HTTP surface so the counters move.
-	wantStatus(t, mustGet(t, ts.URL+"/quantile?key=rp.a&phi=0.5"), http.StatusOK)
+	queryOne(t, ts, query.Selection{Key: "rp.a"}, quantiles(0.5))
 	wantStatus(t, mustGet(t, ts.URL+"/keys"), http.StatusOK)
 
 	m := wantStatus(t, mustGet(t, ts.URL+"/v1/stats"), http.StatusOK)

@@ -9,8 +9,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -31,10 +29,9 @@ const DefaultMaxBodyBytes = 32 << 20
 // pin.
 const restoreBodyFactor = 32
 
-// Server is the HTTP front end of a shard.Store. All query endpoints are
-// thin adapters over one internal/query Engine: POST /v1/query exposes it
-// directly; the legacy GET endpoints translate to single-subquery batches.
-// It implements http.Handler; construct with New.
+// Server is the HTTP front end of a shard.Store. Queries run on one
+// internal/query Engine, exposed by POST /v1/query. It implements
+// http.Handler; construct with New.
 type Server struct {
 	store      *shard.Store
 	engine     *query.Engine
@@ -47,17 +44,6 @@ type Server struct {
 	start      time.Time
 
 	batches sync.Pool
-
-	// Buffered ingest (see WithIngestBuffer): flusher is nil when disabled.
-	// handles is a fixed-size pool of thread-local ingest handles; requests
-	// beyond its capacity fall back to transient handles that are closed at
-	// request end, so the flusher's registry stays bounded. flushEachRequest
-	// marks request-scoped mode: the handle drains before the request is
-	// acknowledged, so an ack implies visibility.
-	bufferCfg        *shard.FlusherConfig
-	flusher          *shard.Flusher
-	handles          chan *shard.Local
-	flushEachRequest bool
 
 	// Write-ahead log (see WithWAL): walLog is nil when durability is
 	// off. afterRestore runs after a successful /restore so the caller
@@ -95,8 +81,7 @@ func WithQueryWorkers(n int) ServerOption {
 
 // WithSolveCache bounds the engine's cross-request solve cache to n
 // resolved selections (default query.DefaultSolveCacheSize; n <= 0
-// disables it). Hit/miss/eviction counters are surfaced on /stats and
-// /v1/stats.
+// disables it). Hit/miss/eviction counters are surfaced on /v1/stats.
 func WithSolveCache(n int) ServerOption {
 	return func(s *Server) {
 		if n < 0 {
@@ -104,19 +89,6 @@ func WithSolveCache(n int) ServerOption {
 		}
 		s.solveCache = n
 	}
-}
-
-// WithIngestBuffer enables thread-local buffered ingest: /ingest requests
-// accumulate into per-handle local summaries outside the store's stripe
-// locks and merge in on flush (see shard.NewFlusher). With a zero
-// FlushInterval the handle is flushed before each request is acknowledged
-// (an ack implies visibility); with a positive interval observations may
-// stay buffered across requests — the response carries "buffered": true —
-// and cfg.Stale additionally lets queries skip the drain barrier for
-// bounded-staleness reads. New panics if the store already has a flusher
-// attached.
-func WithIngestBuffer(cfg shard.FlusherConfig) ServerOption {
-	return func(s *Server) { s.bufferCfg = &cfg }
 }
 
 // WithWAL surfaces an attached write-ahead log on the server: ingest
@@ -154,31 +126,12 @@ func New(store *shard.Store, opts ...ServerOption) *Server {
 		SolveCache: s.solveCache,
 	})
 	s.batches.New = func() any { return store.NewBatch() }
-	if s.bufferCfg != nil {
-		f, err := shard.NewFlusher(store, *s.bufferCfg)
-		if err != nil {
-			panic(fmt.Sprintf("server: attaching ingest buffer: %v", err))
-		}
-		s.flusher = f
-		s.flushEachRequest = s.bufferCfg.FlushInterval == 0
-		n := 4 * runtime.GOMAXPROCS(0)
-		s.handles = make(chan *shard.Local, n)
-		for i := 0; i < n; i++ {
-			s.handles <- f.Handle()
-		}
-	}
 
 	s.mux.HandleFunc("POST /ingest", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/query", s.handleQueryV1)
 	s.mux.HandleFunc("POST /v1/partials", s.handlePartialsV1)
 	s.mux.HandleFunc("POST /v1/windows", s.handleWindowsV1)
-	// Deprecated single-shot query endpoints, kept as adapters over the
-	// same engine; prefer POST /v1/query.
-	s.mux.HandleFunc("GET /quantile", s.handleQuantile)
-	s.mux.HandleFunc("GET /merge", s.handleMerge)
-	s.mux.HandleFunc("GET /threshold", s.handleThreshold)
 	s.mux.HandleFunc("GET /keys", s.handleKeys)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /snapshot", s.handleSnapshot)
@@ -189,41 +142,6 @@ func New(store *shard.Store, opts ...ServerOption) *Server {
 // Engine exposes the server's query engine, e.g. for embedding callers
 // that want to bypass HTTP.
 func (s *Server) Engine() *query.Engine { return s.engine }
-
-// Flusher exposes the attached buffered-ingest coordinator (nil when the
-// server was built without WithIngestBuffer).
-func (s *Server) Flusher() *shard.Flusher { return s.flusher }
-
-// Close drains and detaches the buffered-ingest flusher, if any. Call it
-// after the HTTP server has shut down so no buffered observation outlives
-// the process unflushed.
-func (s *Server) Close() error {
-	if s.flusher == nil {
-		return nil
-	}
-	return s.flusher.Close()
-}
-
-// getHandle returns a pooled ingest handle, or a transient one (with
-// transient=true) when the pool is exhausted under burst concurrency.
-func (s *Server) getHandle() (h *shard.Local, transient bool) {
-	select {
-	case h := <-s.handles:
-		return h, false
-	default:
-		return s.flusher.Handle(), true
-	}
-}
-
-// putHandle returns a pooled handle; transient handles are flushed and
-// unregistered instead so the flusher's registry stays bounded.
-func (s *Server) putHandle(h *shard.Local, transient bool) {
-	if transient {
-		h.Close()
-		return
-	}
-	s.handles <- h
-}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -333,42 +251,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, query.CodeInvalid, "%v", err)
 		return
 	}
-	if s.flusher == nil {
-		// Commit is Flush plus write-ahead logging when the store has a
-		// journal: the batch is durable before it is applied or
-		// acknowledged.
-		n, err := batch.Commit()
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, query.CodeUnavailable,
-				"observation log unavailable: %v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"ingested": n})
-		return
-	}
-	// Buffered path: the fully validated batch moves into a thread-local
-	// handle (per-key O(k) accumulation outside the stripe locks). The
-	// batch is the atomicity seam — a decode error above Discards it
-	// without ever touching a handle that may hold previously acknowledged
-	// cross-request data. CommitBatch additionally write-ahead logs the
-	// batch before absorbing it when the store has a journal.
-	h, transient := s.getHandle()
-	n, err := h.CommitBatch(batch)
+	// Commit is Flush plus write-ahead logging when the store has a journal:
+	// the batch is durable before it is applied or acknowledged.
+	n, err := batch.Commit()
 	if err != nil {
-		s.putHandle(h, transient)
 		writeError(w, http.StatusServiceUnavailable, query.CodeUnavailable,
 			"observation log unavailable: %v", err)
 		return
 	}
-	if s.flushEachRequest {
-		h.Flush()
-	}
-	s.putHandle(h, transient)
-	resp := map[string]any{"ingested": n}
-	if !s.flushEachRequest {
-		resp["buffered"] = true
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{"ingested": n})
 }
 
 // decodeJSONBody accepts {"observations":[...]} or a bare [...] array.
@@ -540,7 +431,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(keys), "keys": keys})
 }
 
-// handleStats serves both GET /stats and its alias GET /v1/stats.
+// handleStats serves GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	cs := s.engine.CascadeStats()
 	resolved := map[string]int{}
@@ -548,22 +439,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resolved[stage.String()] = cs.Resolved[stage]
 	}
 	b := s.store.Backend()
-	ingestBuffer := map[string]any{"enabled": false}
-	if s.flusher != nil {
-		fs := s.flusher.Stats()
-		ingestBuffer = map[string]any{
-			"enabled":                true,
-			"handles":                fs.Handles,
-			"pending":                fs.Pending,
-			"flushes":                fs.Flushes,
-			"flushed_obs":            fs.FlushedObs,
-			"drains":                 fs.Drains,
-			"stale":                  fs.Stale,
-			"flush_size":             fs.FlushSize,
-			"flush_interval_seconds": fs.FlushInterval.Seconds(),
-			"flush_each_request":     s.flushEachRequest,
-		}
-	}
 	walSection := any(map[string]any{"enabled": false})
 	if s.walLog != nil {
 		walSection = struct {
@@ -586,10 +461,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"shared_solves": cs.SharedSolves,
 			"newton_iters":  cs.NewtonIters,
 		},
-		"solve_cache":   s.engine.CacheStats(),
-		"ingest_buffer": ingestBuffer,
-		"read_path":     s.store.ReadStats(),
-		"wal":           walSection,
+		"solve_cache": s.engine.CacheStats(),
+		"read_path":   s.store.ReadStats(),
+		"wal":         walSection,
 	})
 }
 
@@ -630,42 +504,4 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		"keys":         s.store.Len(),
 		"observations": s.store.TotalCount(),
 	})
-}
-
-// parsePhis parses repeated and/or comma-separated q parameters into
-// quantile fractions, defaulting to query.DefaultPhis.
-func parsePhis(params []string) ([]float64, error) {
-	var out []float64
-	for _, p := range params {
-		for _, tok := range strings.Split(p, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(tok, 64)
-			if err != nil || math.IsNaN(v) || v < 0 || v > 1 {
-				return nil, fmt.Errorf("invalid quantile fraction %q", tok)
-			}
-			out = append(out, v)
-		}
-	}
-	if len(out) == 0 {
-		return append([]float64(nil), query.DefaultPhis...), nil
-	}
-	if len(out) > 64 {
-		return nil, fmt.Errorf("too many quantile fractions (%d > 64)", len(out))
-	}
-	return out, nil
-}
-
-func parseFloat(q map[string][]string, name string, def float64) (float64, error) {
-	vals := q[name]
-	if len(vals) == 0 || vals[0] == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(vals[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid %s parameter %q", name, vals[0])
-	}
-	return v, nil
 }

@@ -14,7 +14,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/query"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 func newTestServer(t *testing.T, opts ...ServerOption) (*httptest.Server, *shard.Store) {
@@ -54,6 +57,37 @@ func wantStatus(t *testing.T, resp *http.Response, code int) map[string]any {
 	return decodeBody(t, resp)
 }
 
+// queryOne posts a single-subquery batch to /v1/query and returns its
+// result.
+func queryOne(t *testing.T, ts *httptest.Server, sel query.Selection, aggs ...query.Aggregation) query.Result {
+	t.Helper()
+	return postV1(t, ts, query.Request{Queries: []query.Subquery{
+		{Select: sel, Aggregations: aggs},
+	}}).Results[0]
+}
+
+func quantiles(phis ...float64) query.Aggregation {
+	return query.Aggregation{Op: query.OpQuantiles, Phis: phis}
+}
+
+func threshold(t, phi float64) query.Aggregation {
+	return query.Aggregation{Op: query.OpThreshold, T: &t, Phi: &phi}
+}
+
+func prefixSel(prefix string) query.Selection { return query.Selection{Prefix: &prefix} }
+
+func groupBySel(prefix string, level int) query.Selection {
+	return query.Selection{Prefix: &prefix, GroupBy: &level}
+}
+
+// wantQueryError asserts that a result failed with the given error code.
+func wantQueryError(t *testing.T, res query.Result, code string) {
+	t.Helper()
+	if res.Error == nil || res.Error.Code != code {
+		t.Fatalf("error = %v, want code %s", res.Error, code)
+	}
+}
+
 func TestIngestAndQuantile(t *testing.T) {
 	ts, _ := newTestServer(t)
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -75,14 +109,13 @@ func TestIngestAndQuantile(t *testing.T) {
 		t.Fatalf("ingested = %v, want %d", m["ingested"], n)
 	}
 
-	m = wantStatus(t, mustGet(t, ts.URL+"/quantile?key=lat&q=0.5,0.99"), http.StatusOK)
-	if m["count"].(float64) != float64(n) {
-		t.Errorf("count = %v, want %d", m["count"], n)
+	g := queryOne(t, ts, query.Selection{Key: "lat"}, quantiles(0.5, 0.99)).Groups[0]
+	if g.Count != float64(n) {
+		t.Errorf("count = %v, want %d", g.Count, n)
 	}
 	sort.Float64s(data)
-	for _, qp := range m["quantiles"].([]any) {
-		p := qp.(map[string]any)
-		phi, est := p["q"].(float64), p["value"].(float64)
+	for _, qp := range g.Aggregations[0].Quantiles {
+		phi, est := qp.Q, qp.Value
 		rank := float64(sort.SearchFloat64s(data, est)) / float64(n)
 		if math.Abs(rank-phi) > 0.05 {
 			t.Errorf("phi=%v: estimate %v has sample rank %v", phi, est, rank)
@@ -163,12 +196,9 @@ func mustGet(t *testing.T, url string) *http.Response {
 
 func TestQuantileErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp := mustGet(t, ts.URL+"/quantile?key=missing")
-	wantStatus(t, resp, http.StatusNotFound)
-	resp = mustGet(t, ts.URL+"/quantile")
-	wantStatus(t, resp, http.StatusBadRequest)
-	resp = mustGet(t, ts.URL+"/quantile?key=x&q=1.5")
-	wantStatus(t, resp, http.StatusBadRequest)
+	wantQueryError(t, queryOne(t, ts, query.Selection{Key: "missing"}, quantiles()), query.CodeNotFound)
+	wantQueryError(t, queryOne(t, ts, query.Selection{}, quantiles()), query.CodeInvalid)
+	wantQueryError(t, queryOne(t, ts, query.Selection{Key: "x"}, quantiles(1.5)), query.CodeInvalid)
 }
 
 func seedRegions(t *testing.T, ts *httptest.Server) map[string][]float64 {
@@ -199,23 +229,22 @@ func TestMergeRollup(t *testing.T) {
 	ts, _ := newTestServer(t)
 	byKey := seedRegions(t, ts)
 
-	m := wantStatus(t, mustGet(t, ts.URL+"/merge?prefix=us.&q=0.5"), http.StatusOK)
-	if m["keys"].(float64) != 2 || m["merges"].(float64) != 2 {
-		t.Errorf("keys/merges = %v/%v, want 2/2", m["keys"], m["merges"])
+	g := queryOne(t, ts, prefixSel("us."), quantiles(0.5)).Groups[0]
+	if g.Keys != 2 {
+		t.Errorf("keys = %v, want 2", g.Keys)
 	}
 	union := append(append([]float64(nil), byKey["us.web"]...), byKey["us.api"]...)
 	sort.Float64s(union)
-	est := m["quantiles"].([]any)[0].(map[string]any)["value"].(float64)
+	est := g.Aggregations[0].Quantiles[0].Value
 	rank := float64(sort.SearchFloat64s(union, est)) / float64(len(union))
 	if math.Abs(rank-0.5) > 0.05 {
 		t.Errorf("rollup median %v has sample rank %v", est, rank)
 	}
-	if m["count"].(float64) != float64(len(union)) {
-		t.Errorf("rollup count = %v, want %d", m["count"], len(union))
+	if g.Count != float64(len(union)) {
+		t.Errorf("rollup count = %v, want %d", g.Count, len(union))
 	}
 
-	resp := mustGet(t, ts.URL+"/merge?prefix=asia.")
-	wantStatus(t, resp, http.StatusNotFound)
+	wantQueryError(t, queryOne(t, ts, prefixSel("asia."), quantiles()), query.CodeNotFound)
 }
 
 func TestMergeGroupBy(t *testing.T) {
@@ -224,19 +253,16 @@ func TestMergeGroupBy(t *testing.T) {
 
 	// Group everything by the first key segment: expect eu and us groups,
 	// with eu's median shifted up by ~3.
-	m := wantStatus(t, mustGet(t, ts.URL+"/merge?groupby=0&q=0.5"), http.StatusOK)
-	groups := m["groups"].([]any)
+	groups := queryOne(t, ts, groupBySel("", 0), quantiles(0.5)).Groups
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2: %v", len(groups), groups)
 	}
 	medians := map[string]float64{}
 	for _, g := range groups {
-		gm := g.(map[string]any)
-		name := gm["group"].(string)
-		if gm["keys"].(float64) != 2 {
-			t.Errorf("group %q rolled up %v keys, want 2", name, gm["keys"])
+		if g.Keys != 2 {
+			t.Errorf("group %q rolled up %v keys, want 2", g.Group, g.Keys)
 		}
-		medians[name] = gm["quantiles"].([]any)[0].(map[string]any)["value"].(float64)
+		medians[g.Group] = g.Aggregations[0].Quantiles[0].Value
 	}
 	if _, ok := medians["us"]; !ok {
 		t.Fatalf("missing us group: %v", medians)
@@ -246,25 +272,22 @@ func TestMergeGroupBy(t *testing.T) {
 	}
 
 	// Grouping by the second segment rolls web/api across regions.
-	m = wantStatus(t, mustGet(t, ts.URL+"/merge?groupby=1&q=0.9"), http.StatusOK)
-	groups = m["groups"].([]any)
+	groups = queryOne(t, ts, groupBySel("", 1), quantiles(0.9)).Groups
 	if len(groups) != 2 {
-		t.Fatalf("groupby=1: got %d groups, want 2", len(groups))
+		t.Fatalf("group_by=1: got %d groups, want 2", len(groups))
 	}
 	for _, g := range groups {
-		gm := g.(map[string]any)
-		name := gm["group"].(string)
+		name := g.Group
 		if name != "web" && name != "api" {
 			t.Errorf("unexpected group %q", name)
 		}
 		wantCount := float64(len(byKey["us."+name]) + len(byKey["eu."+name]))
-		if gm["count"].(float64) != wantCount {
-			t.Errorf("group %q count = %v, want %v", name, gm["count"], wantCount)
+		if g.Count != wantCount {
+			t.Errorf("group %q count = %v, want %v", name, g.Count, wantCount)
 		}
 	}
 
-	resp := mustGet(t, ts.URL+"/merge?groupby=9")
-	wantStatus(t, resp, http.StatusBadRequest)
+	wantQueryError(t, queryOne(t, ts, groupBySel("", 9), quantiles()), query.CodeInvalid)
 }
 
 func TestThresholdEndpoint(t *testing.T) {
@@ -272,28 +295,28 @@ func TestThresholdEndpoint(t *testing.T) {
 	seedRegions(t, ts)
 
 	// Well beyond the maximum: resolved by the range filter, not degraded.
-	m := wantStatus(t, mustGet(t, ts.URL+"/threshold?key=us.web&t=1e9&phi=0.99"), http.StatusOK)
-	if m["above"].(bool) {
+	agg := queryOne(t, ts, query.Selection{Key: "us.web"}, threshold(1e9, 0.99)).Groups[0].Aggregations[0]
+	if agg.Threshold.Above {
 		t.Error("p99 reported above 1e9")
 	}
-	if m["stage"].(string) != "Simple" {
-		t.Errorf("stage = %v, want Simple", m["stage"])
+	if agg.Threshold.Stage != "Simple" {
+		t.Errorf("stage = %v, want Simple", agg.Threshold.Stage)
 	}
-	if _, degraded := m["degraded"]; degraded {
+	if agg.Degraded {
 		t.Error("range-filter decision flagged degraded")
 	}
 
 	// Prefix-scoped threshold: eu latencies sit ~3 above zero.
-	m = wantStatus(t, mustGet(t, ts.URL+"/threshold?prefix=eu.&t=1&phi=0.5"), http.StatusOK)
-	if !m["above"].(bool) {
+	g := queryOne(t, ts, prefixSel("eu."), threshold(1, 0.5)).Groups[0]
+	if !g.Aggregations[0].Threshold.Above {
 		t.Error("eu median not above 1")
 	}
-	if m["merges"].(float64) != 2 {
-		t.Errorf("merges = %v, want 2", m["merges"])
+	if g.Keys != 2 {
+		t.Errorf("keys = %v, want 2", g.Keys)
 	}
 
-	// Cascade counters surfaced in /stats.
-	m = wantStatus(t, mustGet(t, ts.URL+"/stats"), http.StatusOK)
+	// Cascade counters surfaced in /v1/stats.
+	m := wantStatus(t, mustGet(t, ts.URL+"/v1/stats"), http.StatusOK)
 	cascade := m["cascade"].(map[string]any)
 	if cascade["queries"].(float64) < 2 {
 		t.Errorf("cascade queries = %v, want ≥ 2", cascade["queries"])
@@ -304,18 +327,21 @@ func TestThresholdEndpoint(t *testing.T) {
 		}
 	}
 
-	for _, u := range []string{
-		"/threshold?key=us.web",             // missing t
-		"/threshold?t=1",                    // no scope
-		"/threshold?key=a&prefix=b&t=1",     // both scopes
-		"/threshold?key=us.web&t=1&phi=1.5", // bad phi
-		"/threshold?key=us.web&t=1&phi=NaN", // NaN phi
+	both := prefixSel("b")
+	both.Key = "a"
+	for _, res := range []query.Result{
+		queryOne(t, ts, query.Selection{Key: "us.web"}, query.Aggregation{Op: query.OpThreshold}), // missing t
+		queryOne(t, ts, query.Selection{}, threshold(1, 0.5)),                                     // no scope
+		queryOne(t, ts, both, threshold(1, 0.5)),                                                  // both scopes
+		queryOne(t, ts, query.Selection{Key: "us.web"}, threshold(1, 1.5)),                        // bad phi
 	} {
-		resp := mustGet(t, ts.URL+u)
-		wantStatus(t, resp, http.StatusBadRequest)
+		wantQueryError(t, res, query.CodeInvalid)
 	}
-	resp := mustGet(t, ts.URL+"/threshold?key=missing&t=1")
-	wantStatus(t, resp, http.StatusNotFound)
+	// NaN is not JSON: the request fails to decode.
+	wantStatus(t, postJSON(t, ts.URL+"/v1/query",
+		`{"queries":[{"select":{"key":"us.web"},"aggregations":[{"op":"threshold","t":1,"phi":NaN}]}]}`),
+		http.StatusBadRequest)
+	wantQueryError(t, queryOne(t, ts, query.Selection{Key: "missing"}, threshold(1, 0.5)), query.CodeNotFound)
 }
 
 func TestKeysStatsHealth(t *testing.T) {
@@ -325,11 +351,38 @@ func TestKeysStatsHealth(t *testing.T) {
 	if m["count"].(float64) != 2 {
 		t.Errorf("keys count = %v, want 2", m["count"])
 	}
-	m = wantStatus(t, mustGet(t, ts.URL+"/stats"), http.StatusOK)
+	m = wantStatus(t, mustGet(t, ts.URL+"/v1/stats"), http.StatusOK)
 	if m["keys"].(float64) != 4 || m["observations"].(float64) != 8000 {
 		t.Errorf("stats keys/observations = %v/%v, want 4/8000", m["keys"], m["observations"])
 	}
 	wantStatus(t, mustGet(t, ts.URL+"/healthz"), http.StatusOK)
+}
+
+// TestRemovedRoutes: the GET adapters and the /stats alias are gone from
+// both server kinds, so a stale client gets 404 or 405 instead of an answer.
+func TestRemovedRoutes(t *testing.T) {
+	node, _ := newTestServer(t)
+	coord, err := cluster.New(cluster.Config{Nodes: []string{node.URL}, Backend: sketch.MomentsBackend(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(NewCoordinator(coord))
+	t.Cleanup(coordTS.Close)
+
+	for kind, base := range map[string]string{"node": node.URL, "coordinator": coordTS.URL} {
+		for _, path := range []string{
+			"/quantile?key=us.web&q=0.5",
+			"/merge?prefix=us.&q=0.5",
+			"/threshold?key=us.web&t=1",
+			"/stats",
+		} {
+			resp := mustGet(t, base+path)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("%s GET %s: status %d, want 404 or 405", kind, path, resp.StatusCode)
+			}
+		}
+	}
 }
 
 func TestSnapshotRestoreOverHTTP(t *testing.T) {
@@ -411,9 +464,8 @@ func TestConcurrentServerStress(t *testing.T) {
 			}
 		}(streams[c])
 	}
-	// Query load during ingest: failures other than 404 (key not yet
-	// ingested) are errors. The batched endpoint rides along — a /v1/query
-	// batch always returns 200 with per-subquery errors inside.
+	// Query load during ingest: a /v1/query batch always returns 200, with
+	// per-subquery not_found errors inside for keys not yet ingested.
 	v1batch := `{"queries":[` +
 		`{"select":{"key":"g0.k0"},"aggregations":[{"op":"quantiles","phis":[0.9]}]},` +
 		`{"select":{"prefix":"g1."},"aggregations":[{"op":"stats"}]},` +
@@ -426,11 +478,8 @@ func TestConcurrentServerStress(t *testing.T) {
 		go func(seed int) {
 			defer queriers.Done()
 			urls := []string{
-				ts.URL + "/quantile?key=g0.k0&q=0.9",
-				ts.URL + "/merge?prefix=g1.&q=0.5",
-				ts.URL + "/merge?groupby=0",
-				ts.URL + "/threshold?prefix=g2.&t=1&phi=0.9",
-				ts.URL + "/stats",
+				ts.URL + "/v1/stats",
+				ts.URL + "/keys?prefix=g1.",
 				ts.URL + "/v1/query",
 			}
 			i := seed
@@ -454,7 +503,7 @@ func TestConcurrentServerStress(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+				if resp.StatusCode != http.StatusOK {
 					errc <- fmt.Errorf("query %s: status %d", url, resp.StatusCode)
 					return
 				}
@@ -490,8 +539,7 @@ func TestConcurrentServerStress(t *testing.T) {
 	key := "g0.k0"
 	data := oracle[key]
 	sort.Float64s(data)
-	m := wantStatus(t, mustGet(t, ts.URL+"/quantile?key="+key+"&q=0.9"), http.StatusOK)
-	est := m["quantiles"].([]any)[0].(map[string]any)["value"].(float64)
+	est := queryOne(t, ts, query.Selection{Key: key}, quantiles(0.9)).Groups[0].Aggregations[0].Quantiles[0].Value
 	rank := float64(sort.SearchFloat64s(data, est)) / float64(len(data))
 	if math.Abs(rank-0.9) > 0.06 {
 		t.Errorf("served p90 %v has sample rank %v", est, rank)

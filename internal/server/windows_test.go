@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/maxent"
 	"repro/internal/query"
@@ -142,7 +143,7 @@ func checkWindowedGroups(t *testing.T, label string, groups []query.GroupResult,
 		if d := winRelErr(st.Variance, oracle.Variance()); d > winRollupTol {
 			t.Errorf("%s pos %d: variance = %v, oracle %v (rel diff %g)", label, gi, st.Variance, oracle.Variance(), d)
 		}
-		wantQ, err := shard.QuantileOf(oracle, 0.99, maxent.Options{})
+		wantQ, err := cascade.Quantile(oracle, 0.99, maxent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

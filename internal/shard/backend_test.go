@@ -57,10 +57,7 @@ func TestBackendStoreMatchesSample(t *testing.T) {
 					t.Errorf("Count(%s) = %v, want %d", key, got, len(data))
 				}
 				for _, phi := range []float64{0.1, 0.5, 0.9, 0.99} {
-					q, err := s.Quantile(key, phi)
-					if err != nil {
-						t.Fatalf("Quantile(%s, %v): %v", key, phi, err)
-					}
+					q := quantileOf(t, s, key, phi)
 					if r := rankOf(data, q); math.Abs(r-phi) > 0.06 {
 						t.Errorf("%s q(%v) = %v has sample rank %v", key, phi, q, r)
 					}
@@ -79,13 +76,6 @@ func TestBackendStoreMatchesSample(t *testing.T) {
 				if r := rankOf(all, q); math.Abs(r-phi) > 0.06 {
 					t.Errorf("rollup q(%v) = %v has sample rank %v", phi, q, r)
 				}
-			}
-			// Threshold degrades to direct quantile comparison.
-			if above, err := s.Threshold("svc.k0", math.Inf(1), 0.9, nil); err != nil || above {
-				t.Errorf("Threshold(+Inf) = %v, %v", above, err)
-			}
-			if above, err := s.Threshold("svc.k0", 0, 0.9, nil); err != nil || !above {
-				t.Errorf("Threshold(0) = %v, %v", above, err)
 			}
 			// The moments view is unavailable by construction.
 			if _, ok := s.Sketch("svc.k0"); ok {
@@ -109,10 +99,7 @@ func TestTDigestStoreMatchesReferenceExactly(t *testing.T) {
 		ref.Add(v)
 	}
 	for _, phi := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1} {
-		got, err := s.Quantile("k", phi)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := quantileOf(t, s, "k", phi)
 		if want := ref.Quantile(phi); got != want {
 			t.Errorf("q(%v) = %v, reference %v", phi, got, want)
 		}
@@ -344,9 +331,8 @@ func TestBackendConcurrentIngestMatchesOracle(t *testing.T) {
 				} else if !sum.IsEmpty() {
 					_ = sum.Quantile(0.5)
 				}
-				if _, err := s.Quantile("grp0.key0", 0.9); err != nil && err != ErrNoKey {
-					t.Error(err)
-					return
+				if sum, ok := s.Summary("grp0.key0"); ok {
+					_ = sum.Quantile(0.9)
 				}
 				var sink bytes.Buffer
 				if err := s.Snapshot(&sink); err != nil {
@@ -387,10 +373,7 @@ func TestBackendConcurrentIngestMatchesOracle(t *testing.T) {
 		}
 		sort.Float64s(data)
 		for _, phi := range []float64{0.5, 0.95} {
-			got, err := s.Quantile(key, phi)
-			if err != nil {
-				t.Fatalf("Quantile(%s, %v): %v", key, phi, err)
-			}
+			got := quantileOf(t, s, key, phi)
 			if r := rankOf(data, got); math.Abs(r-phi) > 0.08 {
 				t.Errorf("key %s phi=%v: estimate %v has sample rank %v", key, phi, got, r)
 			}

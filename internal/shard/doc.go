@@ -14,12 +14,15 @@
 // sketch itself is a fixed set of power sums, per-key state never grows —
 // a store with a million keys is a million ~200-byte summaries.
 //
-// Reads never block estimation work on a stripe lock: Summary, Quantile
-// and Threshold clone the summary under the lock and estimate on the clone
-// outside it — through the maximum-entropy solver and threshold cascade on
-// the moments backend, or the backend's own quantile estimator otherwise
-// (thresholds degrade to a direct quantile comparison). Sketch returns the
-// raw moments view and reports false on non-moments backends.
+// The store stores; estimation belongs to internal/query. Reads hand out
+// independent clones (Summary, Match) or merged rollups (MergePrefix), so
+// no solve ever runs under a stripe lock. On backends with
+// sketch.Caps.FastClone (moments) the timeless reads never take a stripe
+// lock at all: every commit publishes an immutable clone of each touched
+// entry, and reads traverse atomic loads (see published.go). Other backends
+// clone under the lock. The choice follows the backend's capability flag
+// alone; there is no option. Sketch returns the raw moments view and
+// reports false on non-moments backends.
 //
 // For write rates where even one stripe-lock acquisition per batch
 // contends, NewFlusher attaches thread-local buffered ingest: each

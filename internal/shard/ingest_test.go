@@ -210,10 +210,7 @@ func TestBufferedIngestNonExactBackend(t *testing.T) {
 	if got := s.Count("m12.key"); got != n {
 		t.Fatalf("Count = %v, want %d", got, n)
 	}
-	q, err := s.Quantile("m12.key", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := quantileOf(t, s, "m12.key", 0.5)
 	if q < n/4 || q > 3*n/4 {
 		t.Errorf("median %v wildly off for 0..%d", q, n-1)
 	}

@@ -45,8 +45,9 @@ import (
 //     a wait-free rollup reproduces the locked rollup's merge order and
 //     floating-point rounding exactly (pinned by the equivalence suites).
 //
-// Backends without FastClone — and stores built WithLockedReads — keep the
-// locked read paths unchanged.
+// Backends without FastClone keep the locked read paths: nothing is
+// published for them, and the same bodies serve windowed pane reads on every
+// store.
 
 // published is one entry's immutable read snapshot: the all-time summary as
 // of mutation version, cloned at commit. Readers may Clone it, merge FROM
@@ -77,7 +78,7 @@ func (ix *stripeIndex) prefixRange(prefix string) (int, int) {
 }
 
 // publishedIndex is the published-snapshot accessor for a stripe's key
-// index: one atomic load, nil when the store serves locked reads (or the
+// index: one atomic load, nil when the backend lacks FastClone (or the
 // stripe has never been written). The momentslint readbarrier analyzer
 // recognizes it (with lookupPublished) as the entry point of the
 // publication-based read discipline.
@@ -109,7 +110,7 @@ func (s *Store) lookupPublished(key string) (p *published, found bool) {
 // call it once per observation and pay one clone per entry. The stripe lock
 // must be held.
 func (s *Store) publishEntryLocked(e *entry) {
-	if !s.waitFree {
+	if !s.waitFree() {
 		return
 	}
 	if p := e.pub.Load(); p != nil && p.version == e.version {
@@ -125,7 +126,7 @@ func (s *Store) publishEntryLocked(e *entry) {
 // it immediately before releasing the stripe lock. The stripe lock must be
 // held.
 func (s *Store) publishIndexLocked(st *stripe) {
-	if !s.waitFree || !st.indexStale {
+	if !s.waitFree() || !st.indexStale {
 		return
 	}
 	ix := &stripeIndex{
@@ -246,14 +247,13 @@ func (f *atomicFloat64) Load() float64 {
 // served on /v1/stats as the read_path section.
 type ReadStats struct {
 	// WaitFree reports whether the store publishes snapshots for wait-free
-	// reads (backend has FastClone and the store was not built
-	// WithLockedReads).
+	// reads (the backend has FastClone).
 	WaitFree bool `json:"wait_free"`
 	// PublishedReads counts read operations answered entirely from
 	// published snapshots, without taking any stripe lock.
 	PublishedReads uint64 `json:"published_reads"`
 	// LockedReads counts read operations that took stripe locks: every read
-	// on a locked-reads store, plus the windowed pane reads (Panes,
+	// on a backend without FastClone, plus the windowed pane reads (Panes,
 	// Retained and friends), which advance rings in place and stay locked
 	// on every store.
 	LockedReads uint64 `json:"locked_reads"`
@@ -269,7 +269,7 @@ type ReadStats struct {
 // not data and a scrape must not force a buffer drain.
 func (s *Store) ReadStats() ReadStats {
 	return ReadStats{
-		WaitFree:       s.waitFree,
+		WaitFree:       s.waitFree(),
 		PublishedReads: s.pubReads.Load(),
 		LockedReads:    s.lockReads.Load(),
 		Publishes:      s.pubCount.Load(),

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sketch"
 )
 
@@ -23,6 +24,15 @@ func marshalOf(t *testing.T, s *Store, sum sketch.Serving) []byte {
 		t.Fatalf("marshal: %v", err)
 	}
 	return b
+}
+
+// lockedMoments is the twin suites' locked reference: the moments backend
+// with FastClone cleared, so the store publishes nothing and every read
+// takes the stripe locks — the path backends without FastClone serve from.
+func lockedMoments() Option {
+	b := sketch.MomentsBackend(core.DefaultK)
+	b.Caps.FastClone = false
+	return WithBackend(b)
 }
 
 // assertReadEquivalence asserts every timeless read API of a (wait-free)
@@ -131,7 +141,7 @@ func applyTwin(rng *rand.Rand, a, b *Store, ba, bb *Batch, keys []string) {
 }
 
 // TestWaitFreeEquivalence is the core determinism suite: a wait-free store
-// and a WithLockedReads twin fed an identical seeded op stream must answer
+// and a locked twin (lockedMoments) fed an identical seeded op stream must answer
 // every read API byte-identically at every checkpoint, through a snapshot/
 // restore round-trip, and after further mutation past the restore.
 func TestWaitFreeEquivalence(t *testing.T) {
@@ -144,12 +154,9 @@ func TestWaitFreeEquivalence(t *testing.T) {
 
 	keys := []string{"svc.a", "svc.b", "svc.api.get", "svc.api.put", "other.x", "other.y"}
 	a := New(WithShards(4))
-	b := New(WithShards(4), WithLockedReads())
+	b := New(WithShards(4), lockedMoments())
 	if !a.ReadStats().WaitFree {
 		t.Fatal("moments store should serve wait-free reads by default")
-	}
-	if b.ReadStats().WaitFree {
-		t.Fatal("WithLockedReads store must not publish")
 	}
 	ba, bb := a.NewBatch(), b.NewBatch()
 
@@ -161,6 +168,11 @@ func TestWaitFreeEquivalence(t *testing.T) {
 		bb.Flush()
 		assertReadEquivalence(t, fmt.Sprintf("round %d", round), a, b, true)
 	}
+	// The suite compares against a store that is really locked: the
+	// FastClone-cleared reference never published through all of the above.
+	if st := b.ReadStats(); st.WaitFree || st.Publishes != 0 {
+		t.Fatalf("locked reference store published: %+v", st)
+	}
 
 	// Snapshot the wait-free store, restore into both fresh twins: restored
 	// entries must be published (reads work) and byte-identical again.
@@ -169,7 +181,7 @@ func TestWaitFreeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	a2 := New(WithShards(4))
-	b2 := New(WithShards(4), WithLockedReads())
+	b2 := New(WithShards(4), lockedMoments())
 	if err := a2.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +228,7 @@ func TestWaitFreeEquivalenceWindowed(t *testing.T) {
 	var tick atomic.Int64
 	clock := func() time.Time { return base.Add(time.Duration(tick.Load()) * time.Second) }
 	a := New(WithShards(4), WithWindow(10*time.Second, 6), WithClock(clock))
-	b := New(WithShards(4), WithWindow(10*time.Second, 6), WithClock(clock), WithLockedReads())
+	b := New(WithShards(4), WithWindow(10*time.Second, 6), WithClock(clock), lockedMoments())
 
 	keys := []string{"svc.a", "svc.b", "other.x"}
 	ba, bb := a.NewBatch(), b.NewBatch()
@@ -246,7 +258,7 @@ func TestWaitFreeEquivalenceWindowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	a2 := New(WithShards(4), WithWindow(10*time.Second, 6), WithClock(clock))
-	b2 := New(WithShards(4), WithWindow(10*time.Second, 6), WithClock(clock), WithLockedReads())
+	b2 := New(WithShards(4), WithWindow(10*time.Second, 6), WithClock(clock), lockedMoments())
 	if err := a2.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +281,7 @@ func TestWaitFreeEquivalenceMidFlush(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 
 	a := New(WithShards(4))
-	b := New(WithShards(4), WithLockedReads())
+	b := New(WithShards(4), lockedMoments())
 	fa, err := NewFlusher(a, FlusherConfig{FlushSize: 1 << 20}) // manual flushes only
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +357,7 @@ func TestGaugesMatchAudit(t *testing.T) {
 		opts := []Option{WithShards(4)}
 		if locked {
 			name = "locked"
-			opts = append(opts, WithLockedReads())
+			opts = append(opts, lockedMoments())
 		}
 		t.Run(name, func(t *testing.T) {
 			s := New(opts...)
@@ -436,7 +448,7 @@ func TestPublishedInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 
 	s := New(WithShards(4))
-	a := New(WithShards(4), WithLockedReads())
+	a := New(WithShards(4), lockedMoments())
 	ba, bb := s.NewBatch(), a.NewBatch()
 	keys := []string{"inv.a", "inv.b", "inv.c", "inv.d"}
 	for op := 0; op < 2000; op++ {
@@ -501,7 +513,7 @@ func TestPublishedInvariant(t *testing.T) {
 func TestMergePrefixDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a := New(WithShards(8))
-	b := New(WithShards(8), WithLockedReads())
+	b := New(WithShards(8), lockedMoments())
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("svc.%02d", rng.Intn(40))
 		x := rng.NormFloat64()*100 + 50
@@ -556,7 +568,7 @@ func TestReadStatsCounters(t *testing.T) {
 		t.Fatalf("expected publish activity, got %+v", st)
 	}
 
-	l := New(WithShards(2), WithLockedReads())
+	l := New(WithShards(2), lockedMoments())
 	l.Add("c.a", 1)
 	_, _ = l.Summary("c.a")
 	_, _, _ = l.MergePrefix("c.")
@@ -568,7 +580,7 @@ func TestReadStatsCounters(t *testing.T) {
 		t.Fatalf("locked store must not publish: %+v", lst)
 	}
 
-	// Non-FastClone backends never publish, regardless of options.
+	// Non-FastClone backends never publish.
 	td := New(WithShards(2), WithBackend(sketch.TDigestBackend(50)))
 	if td.ReadStats().WaitFree {
 		t.Fatal("tdigest store must serve locked reads (no FastClone)")
@@ -689,82 +701,5 @@ func TestReadWhileFlushByteIdentical(t *testing.T) {
 	f.Flush()
 	if got := s.Count(key); got != n {
 		t.Fatalf("final Count = %v, want %d", got, n)
-	}
-}
-
-// BenchmarkReadUnderWrite is the contention benchmark behind this PR's
-// acceptance bar: background writer goroutines hammer adds while the
-// benchmark's parallel readers run prefix rollups and point reads. The
-// /locked variant (WithLockedReads) is the pre-PR baseline where readers
-// queue behind writers on the stripe mutexes; /published is the wait-free
-// path. Reported ops/s is reader throughput under write load.
-func BenchmarkReadUnderWrite(b *testing.B) {
-	for _, mode := range []string{"locked", "published"} {
-		b.Run(mode, func(b *testing.B) {
-			opts := []Option{WithShards(16)}
-			if mode == "locked" {
-				opts = append(opts, WithLockedReads())
-			}
-			s := New(opts...)
-			const keySpace = 256
-			keys := make([]string, keySpace)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("svc.%03d", i)
-				s.Add(keys[i], float64(i))
-			}
-
-			stop := make(chan struct{})
-			var writers sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				writers.Add(1)
-				go func(w int) {
-					defer writers.Done()
-					i := w
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						s.Add(keys[i%keySpace], float64(i))
-						i++
-					}
-				}(w)
-			}
-
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					switch {
-					case i%8 == 0:
-						// A 10-key rollup: wide enough to cross stripes,
-						// narrow enough that reader throughput measures
-						// read-path synchronization, not merge arithmetic
-						// (which is identical in both modes).
-						if _, _, err := s.MergePrefix("svc.00"); err != nil {
-							b.Error(err)
-							return
-						}
-					case i%2 == 0:
-						// Count: the monitoring-style point read — no clone,
-						// so it is pure synchronization cost in both modes.
-						if c := s.Count(keys[i%keySpace]); c <= 0 {
-							b.Error("key vanished")
-							return
-						}
-					default:
-						if _, ok := s.Summary(keys[i%keySpace]); !ok {
-							b.Error("key vanished")
-							return
-						}
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			close(stop)
-			writers.Wait()
-		})
 	}
 }

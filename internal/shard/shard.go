@@ -14,10 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bounds"
-	"repro/internal/cascade"
 	"repro/internal/core"
-	"repro/internal/maxent"
 	"repro/internal/sketch"
 )
 
@@ -51,7 +48,7 @@ type Observation struct {
 // pub is the entry's published read snapshot (see published.go): an
 // immutable, version-stamped clone of the all-time summary, republished on
 // every commit while the stripe lock is still held. It is nil on stores
-// that serve locked reads. The guardedby directive covers the mutable
+// whose backend lacks FastClone. The guardedby directive covers the mutable
 // fields; pub is its own synchronization and is read lock-free.
 //
 //lint:guardedby stripe.mu
@@ -75,7 +72,7 @@ type entry struct {
 // immutable (keys, entries) snapshot rebuilt copy-on-write — while the
 // stripe lock is held, marked by indexStale — whenever the key set changes,
 // and read lock-free by the wait-free scan paths. It stays nil on stores
-// that serve locked reads.
+// whose backend lacks FastClone.
 type stripe struct {
 	mu         sync.Mutex
 	entries    map[string]*entry
@@ -94,7 +91,6 @@ type Store struct {
 	backend   sketch.Backend
 	mask      uint64
 	stripes   []stripe
-	solver    maxent.Options
 	paneWidth int64 // pane width in nanoseconds; 0 = no time panes
 	retention int   // live panes per key when paneWidth > 0
 	now       func() time.Time
@@ -109,12 +105,6 @@ type Store struct {
 	// none (see SetJournal). Commit paths log through it before applying;
 	// plain Add/AddAt and flusher-internal merges never do.
 	journal Journal
-
-	// waitFree reports whether commits publish immutable entry snapshots
-	// and key indexes for wait-free reads (see published.go): true when the
-	// backend has Caps.FastClone and the store was not built
-	// WithLockedReads. Fixed at construction.
-	waitFree bool
 
 	// keyGauge and obsGauge mirror the per-stripe key and observation
 	// totals, maintained under the stripe locks but read lock-free, so
@@ -147,14 +137,12 @@ type Journal interface {
 type Option func(*storeConfig)
 
 type storeConfig struct {
-	k           int
-	backend     sketch.Backend
-	shards      int
-	solver      maxent.Options
-	paneWidth   time.Duration
-	retention   int
-	now         func() time.Time
-	lockedReads bool
+	k         int
+	backend   sketch.Backend
+	shards    int
+	paneWidth time.Duration
+	retention int
+	now       func() time.Time
 }
 
 // WithShards sets the number of lock stripes (rounded up to a power of two,
@@ -177,12 +165,6 @@ func WithOrder(k int) Option { return func(c *storeConfig) { c.k = k } }
 // lacks Sub).
 func WithBackend(b sketch.Backend) Option { return func(c *storeConfig) { c.backend = b } }
 
-// WithSolverOptions sets the maximum-entropy solver options used by
-// Quantile and Threshold.
-func WithSolverOptions(o maxent.Options) Option {
-	return func(c *storeConfig) { c.solver = o }
-}
-
 // WithWindow adds a time dimension to the store: alongside its all-time
 // sketch, every key keeps a ring of `retention` fixed-width time panes of
 // `paneWidth` each, enabling the windowed queries of §7.2.2. Pane expiry is
@@ -200,17 +182,6 @@ func WithWindow(paneWidth time.Duration, retention int) Option {
 // and expire panes (default time.Now) — for tests and simulations.
 func WithClock(now func() time.Time) Option {
 	return func(c *storeConfig) { c.now = now }
-}
-
-// WithLockedReads disables wait-free published reads: the store skips
-// snapshot publication entirely and every read takes stripe locks, as all
-// reads did before publication existed. It is the escape hatch for
-// write-dominated deployments that would rather not pay the O(k)
-// clone-on-commit, and the locked baseline the read-under-write benchmarks
-// and equivalence suites compare against. Backends without
-// sketch.Caps.FastClone serve locked reads regardless.
-func WithLockedReads() Option {
-	return func(c *storeConfig) { c.lockedReads = true }
 }
 
 // New returns an empty store. Like core.New, it panics if the configured
@@ -246,13 +217,11 @@ func New(opts ...Option) *Store {
 		n <<= 1
 	}
 	s := &Store{
-		k:        cfg.k,
-		backend:  cfg.backend,
-		mask:     uint64(n - 1),
-		stripes:  make([]stripe, n),
-		solver:   cfg.solver,
-		now:      cfg.now,
-		waitFree: cfg.backend.Caps.FastClone && !cfg.lockedReads,
+		k:       cfg.k,
+		backend: cfg.backend,
+		mask:    uint64(n - 1),
+		stripes: make([]stripe, n),
+		now:     cfg.now,
 	}
 	if cfg.paneWidth > 0 {
 		s.paneWidth = int64(cfg.paneWidth)
@@ -263,6 +232,11 @@ func New(opts ...Option) *Store {
 	}
 	return s
 }
+
+// waitFree reports whether commits publish immutable entry snapshots and
+// key indexes for wait-free reads (see published.go). It is the backend's
+// capability and nothing else: no option overrides it.
+func (s *Store) waitFree() bool { return s.backend.Caps.FastClone }
 
 // Order returns the moments-sketch order used for new keys. It is only
 // meaningful on stores serving the default moments backend.
@@ -447,7 +421,7 @@ func (b *Batch) Flush() int {
 				at = now
 			}
 			e := b.store.entryLocked(st, o.Key)
-			if b.store.waitFree {
+			if b.store.waitFree() {
 				// First touch this flush ⇔ the entry is still "clean":
 				// every entry is published at each commit, so at lock
 				// acquisition pub.version == e.version (or pub is nil for
@@ -552,7 +526,7 @@ func (b *Batch) Discard() {
 // lock.
 func (s *Store) Summary(key string) (sketch.Serving, bool) {
 	s.readBarrier()
-	if s.waitFree {
+	if s.waitFree() {
 		p, found := s.lookupPublished(key)
 		if !found {
 			s.pubReads.Add(1)
@@ -591,7 +565,7 @@ func (s *Store) Sketch(key string) (*core.Sketch, bool) {
 // is absent).
 func (s *Store) Count(key string) float64 {
 	s.readBarrier()
-	if s.waitFree {
+	if s.waitFree() {
 		p, found := s.lookupPublished(key)
 		if !found {
 			s.pubReads.Add(1)
@@ -633,7 +607,7 @@ func (s *Store) TotalCount() float64 {
 // per-stripe key indexes without locking.
 func (s *Store) Keys(prefix string) []string {
 	s.readBarrier()
-	if s.waitFree {
+	if s.waitFree() {
 		return s.keysPublished(prefix)
 	}
 	s.lockReads.Add(1)
@@ -670,7 +644,7 @@ func (s *Store) Match(prefix string) []Keyed {
 // gives up, so a query over a huge store cannot outlive its request.
 func (s *Store) MatchContext(ctx context.Context, prefix string) ([]Keyed, error) {
 	s.readBarrier()
-	if s.waitFree {
+	if s.waitFree() {
 		return s.matchPublished(ctx, prefix)
 	}
 	s.lockReads.Add(1)
@@ -711,7 +685,7 @@ func (s *Store) MergePrefix(prefix string) (sketch.Serving, int, error) {
 // repeated queries.
 func (s *Store) MergePrefixContext(ctx context.Context, prefix string) (sketch.Serving, int, error) {
 	s.readBarrier()
-	if s.waitFree {
+	if s.waitFree() {
 		return s.mergePrefixPublished(ctx, prefix)
 	}
 	s.lockReads.Add(1)
@@ -741,60 +715,6 @@ func (s *Store) MergePrefixContext(ctx context.Context, prefix string) (sketch.S
 		st.mu.Unlock()
 	}
 	return out, merges, nil
-}
-
-// Quantile estimates the φ-quantile of the data recorded under key. The
-// estimate runs on a clone outside the stripe lock. On the moments backend,
-// if the maximum-entropy solver fails to converge (near-discrete data), the
-// estimate falls back to inverting the guaranteed rank bounds, so a value
-// is always returned for a non-empty key. Other backends answer directly
-// from their own quantile estimators.
-func (s *Store) Quantile(key string, phi float64) (float64, error) {
-	sum, ok := s.Summary(key)
-	if !ok {
-		return 0, ErrNoKey
-	}
-	if raw := sketch.RawMoments(sum); raw != nil {
-		return QuantileOf(raw, phi, s.solver)
-	}
-	if sum.IsEmpty() {
-		return 0, core.ErrEmpty
-	}
-	return sum.Quantile(phi), nil
-}
-
-// Threshold reports whether the φ-quantile under key exceeds t. On the
-// moments backend it resolves through the paper's cascade (stats, when
-// non-nil, accumulates per-stage resolution counts); other backends
-// degrade to direct quantile evaluation and leave stats untouched.
-func (s *Store) Threshold(key string, t, phi float64, stats *cascade.Stats) (bool, error) {
-	sum, ok := s.Summary(key)
-	if !ok {
-		return false, ErrNoKey
-	}
-	if raw := sketch.RawMoments(sum); raw != nil {
-		cfg := cascade.Full()
-		cfg.Solver = s.solver
-		return cascade.Threshold(raw, t, phi, cfg, stats)
-	}
-	if sum.IsEmpty() {
-		return false, core.ErrEmpty
-	}
-	return sum.Quantile(phi) > t, nil
-}
-
-// QuantileOf estimates the φ-quantile of a standalone sketch with the
-// store's degradation policy: maximum entropy first, guaranteed rank-bound
-// bisection when the solver cannot converge.
-func QuantileOf(sk *core.Sketch, phi float64, opts maxent.Options) (float64, error) {
-	if sk.IsEmpty() {
-		return 0, core.ErrEmpty
-	}
-	q, err := cascade.Quantile(sk, phi, opts)
-	if err == nil {
-		return q, nil
-	}
-	return bounds.InvertRTT(sk, phi), nil
 }
 
 // Delete removes a key, reporting whether it was present.
@@ -854,7 +774,7 @@ func (s *Store) Version() uint64 {
 // deleted and re-created key always reports a strictly newer version.
 func (s *Store) KeyVersion(key string) (uint64, bool) {
 	s.readBarrier()
-	if s.waitFree {
+	if s.waitFree() {
 		p, found := s.lookupPublished(key)
 		if !found {
 			s.pubReads.Add(1)

@@ -11,9 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cascade"
 	"repro/internal/core"
-	"repro/internal/maxent"
-	"repro/internal/sketch"
 )
 
 func TestContextHelpers(t *testing.T) {
@@ -224,6 +223,17 @@ func TestMergePrefix(t *testing.T) {
 	}
 }
 
+// quantileOf answers phi from a clone of the key's summary with the
+// backend's own estimator; serving-grade estimates belong to internal/query.
+func quantileOf(t *testing.T, s *Store, key string, phi float64) float64 {
+	t.Helper()
+	sum, ok := s.Summary(key)
+	if !ok {
+		t.Fatalf("Summary(%q): no such key", key)
+	}
+	return sum.Quantile(phi)
+}
+
 func TestQuantileAgainstSample(t *testing.T) {
 	s := New(WithShards(8))
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -235,35 +245,13 @@ func TestQuantileAgainstSample(t *testing.T) {
 	}
 	sort.Float64s(data)
 	for _, phi := range []float64{0.1, 0.5, 0.9, 0.99} {
-		got, err := s.Quantile("latency", phi)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", phi, err)
-		}
+		got := quantileOf(t, s, "latency", phi)
 		if r := rankOf(data, got); math.Abs(r-phi) > 0.05 {
 			t.Errorf("phi=%v: estimate %v has sample rank %v", phi, got, r)
 		}
 	}
-	if _, err := s.Quantile("missing", 0.5); err != ErrNoKey {
-		t.Errorf("Quantile on missing key: err = %v, want ErrNoKey", err)
-	}
-}
-
-func TestQuantileOfFallsBackOnDiscreteData(t *testing.T) {
-	// One distinct value is the documented solver failure mode; the
-	// rank-bound fallback must still produce a sane value.
-	sk := core.New(10)
-	for i := 0; i < 100; i++ {
-		sk.Add(42)
-	}
-	q, err := QuantileOf(sk, 0.5, maxent.Options{})
-	if err != nil {
-		t.Fatalf("QuantileOf: %v", err)
-	}
-	if math.Abs(q-42) > 1 {
-		t.Errorf("fallback quantile = %v, want ≈42", q)
-	}
-	if _, err := QuantileOf(core.New(10), 0.5, maxent.Options{}); err != core.ErrEmpty {
-		t.Errorf("empty sketch: err = %v, want ErrEmpty", err)
+	if _, ok := s.Summary("missing"); ok {
+		t.Error("Summary on missing key: ok = true")
 	}
 }
 
@@ -272,16 +260,17 @@ func TestThreshold(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		s.Add("lat", float64(i))
 	}
-	above, err := s.Threshold("lat", 2000, 0.99, nil)
+	raw, ok := s.Sketch("lat")
+	if !ok {
+		t.Fatal("Sketch(lat): no such key")
+	}
+	above, err := cascade.Threshold(raw, 2000, 0.99, cascade.Full(), nil)
 	if err != nil || above {
 		t.Errorf("Threshold(2000) = %v, %v; want false", above, err)
 	}
-	above, err = s.Threshold("lat", 0.5, 0.99, nil)
+	above, err = cascade.Threshold(raw, 0.5, 0.99, cascade.Full(), nil)
 	if err != nil || !above {
 		t.Errorf("Threshold(0.5) = %v, %v; want true", above, err)
-	}
-	if _, err := s.Threshold("missing", 1, 0.5, nil); err != ErrNoKey {
-		t.Errorf("missing key: err = %v, want ErrNoKey", err)
 	}
 }
 
@@ -457,8 +446,8 @@ func TestConcurrentIngestMatchesOracle(t *testing.T) {
 				if sk, _, err := s.MergePrefix("grp1."); err != nil {
 					t.Error(err)
 					return
-				} else if raw := sketch.RawMoments(sk); raw != nil && raw.Count > 0 {
-					_, _ = QuantileOf(raw, 0.5, maxent.Options{})
+				} else if !sk.IsEmpty() {
+					_ = sk.Quantile(0.5)
 				}
 				s.Len()
 				var sink bytes.Buffer
@@ -520,10 +509,7 @@ func TestConcurrentIngestMatchesOracle(t *testing.T) {
 		}
 		sort.Float64s(data)
 		for _, phi := range []float64{0.5, 0.99} {
-			got, err := s.Quantile(key, phi)
-			if err != nil {
-				t.Fatalf("Quantile(%q, %v): %v", key, phi, err)
-			}
+			got := quantileOf(t, s, key, phi)
 			if r := rankOf(data, got); math.Abs(r-phi) > 0.05 {
 				t.Errorf("key %q phi=%v: estimate %v has sample rank %v", key, phi, got, r)
 			}

@@ -16,9 +16,8 @@ import (
 // the cascade's Simple range stage settles each window in a comparison or
 // two and the measurement isolates the slide cost — the component the two
 // strategies actually differ in (threshold resolution is constant per
-// position and identical in both). BENCH_baseline.json records the
-// measured ratio; CI's bench-smoke job keeps both cases compiling and
-// running.
+// position and identical in both). CI's bench-smoke job keeps both cases
+// compiling and running.
 const (
 	benchPanes  = 192
 	benchWidth  = 32
@@ -52,8 +51,7 @@ func BenchmarkScanMomentsTurnstile32(b *testing.B) {
 // every position pays a maximum-entropy solve. Warm runs seed each
 // position's Newton iteration from the previous window's θ; cold runs
 // (solver.NoWarmStart) start every solve from the uniform density. The
-// newton-iters/op metric is the acceptance ratio recorded in
-// BENCH_baseline.json (warm must beat cold by ≥1.5x in total iterations).
+// newton-iters/op metric is what the pair compares.
 const benchSolveThresh = 450
 
 func BenchmarkScanMomentsWarm32(b *testing.B) {
