@@ -574,6 +574,8 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		{"-ingest-flush-interval", "1s"},
 		{"-ingest-stale"},
 		{"-locked-reads"},
+		{"-k", "12"},               // say -backend moments:12
+		{"-hedge-quantile", "0.9"}, // a constant of internal/cluster now
 	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			wantRefusal(t, args, "flag provided but not defined")

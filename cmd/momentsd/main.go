@@ -6,17 +6,18 @@
 //
 // Usage:
 //
-//	momentsd [-addr :7607] [-backend moments] [-k 10] [-shards N] [-sep .]
+//	momentsd [-addr :7607] [-backend moments[:K]] [-shards N] [-sep .]
 //	         [-workers N] [-solve-cache N] [-pane-width DUR] [-panes N]
 //	         [-snapshot FILE] [-snapshot-interval DUR]
 //	         [-wal-dir DIR] [-wal-sync-interval DUR] [-wal-segment-size N]
 //	         [-wal-on-error fail|drop] [-pprof-addr ADDR]
 //	momentsd -coordinator -nodes host1:7607,host2:7607[,...]
-//	         [-addr :7607] [-backend moments] [-k 10] [-node-timeout DUR]
-//	         [-hedge-after DUR] [-hedge-quantile Q] [-pprof-addr ADDR]
+//	         [-addr :7607] [-backend moments[:K]] [-node-timeout DUR]
+//	         [-hedge-after DUR] [-pprof-addr ADDR]
 //
-// -coordinator switches momentsd into scatter-gather mode: instead of a
-// local store it serves /ingest and /v1/query by routing keys to the
+// -coordinator switches momentsd into scatter-gather mode: the same HTTP
+// edge (internal/server) over a cluster coordinator instead of a local
+// store. It serves /ingest and /v1/query by routing keys to the
 // -nodes shard list via rendezvous hashing, fanning selections out
 // concurrently over the internal POST /v1/partials endpoint, and merging
 // the nodes' partial aggregates — O(k) backend-codec vectors — before
@@ -24,14 +25,15 @@
 // the smaller of -node-timeout and ~90% of the request's remaining
 // deadline; answers missing nodes carry the typed partial_result envelope
 // naming them) and hedges slow shards with one duplicate-suppressed retry
-// after -hedge-after (0 = adaptively after the -hedge-quantile of recent
-// node latencies). -backend/-k must match the shard nodes' configuration;
+// after -hedge-after (0 = adaptively after the 90th percentile of recent
+// node latencies). -backend must match the shard nodes' configuration;
 // scatter-gather counters appear under "coordinator" on /v1/stats. See
 // ARCHITECTURE.md "Scatter-gather serving".
 //
 // -backend selects the serving summary backend: the default "moments"
-// sketch, or one of the paper's §6.1 baselines — "merge12", "tdigest",
-// "sampling" — optionally parameterized as name:param (e.g. tdigest:200).
+// sketch (order 10), or one of the paper's §6.1 baselines — "merge12",
+// "tdigest", "sampling" — optionally parameterized as name:param (e.g.
+// moments:12 for sketch order 12, tdigest:200).
 // Non-moments backends answer quantile and threshold aggregations from
 // their own estimators; aggregations needing moment structure (cdf,
 // rank_bounds, histogram, stats) and the /v1/windows cascade scan return
@@ -114,7 +116,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -125,8 +126,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":7607", "listen address")
-		backendSpec  = flag.String("backend", "moments", "serving summary backend: moments, merge12, tdigest or sampling, optionally with a size parameter as name:param (e.g. tdigest:200)")
-		order        = flag.Int("k", 10, "moments sketch order (moments backend only)")
+		backendSpec  = flag.String("backend", "moments", "serving summary backend: moments, merge12, tdigest or sampling, optionally with a size parameter as name:param (e.g. moments:12 for sketch order 12, tdigest:200)")
 		shards       = flag.Int("shards", 0, "lock stripes (0 = 8×GOMAXPROCS, rounded to a power of two)")
 		sep          = flag.String("sep", ".", "key segment separator for group-by selections")
 		workers      = flag.Int("workers", 0, "query executor worker pool size (0 = GOMAXPROCS)")
@@ -141,52 +141,42 @@ func main() {
 		walOnError   = flag.String("wal-on-error", "fail", "degraded mode after a log write/fsync failure: fail = 503 every ingest, drop = acknowledge without durability (with -wal-dir)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
-		coordinator   = flag.Bool("coordinator", false, "scatter-gather mode: route to the -nodes shard list instead of serving a local store")
-		nodesSpec     = flag.String("nodes", "", "comma-separated shard node base URLs (coordinator mode; bare host:port gets the http scheme)")
-		nodeTimeout   = flag.Duration("node-timeout", 2*time.Second, "per-node budget for one fan-out attempt (coordinator mode)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "fixed delay before hedging a slow shard with a duplicate request (0 = adaptive from -hedge-quantile; coordinator mode)")
-		hedgeQuantile = flag.Float64("hedge-quantile", 0.9, "latency quantile of recent node responses used as the adaptive hedge delay, in (0,1) (coordinator mode)")
+		coordinator = flag.Bool("coordinator", false, "scatter-gather mode: route to the -nodes shard list instead of serving a local store")
+		nodesSpec   = flag.String("nodes", "", "comma-separated shard node base URLs (coordinator mode; bare host:port gets the http scheme)")
+		nodeTimeout = flag.Duration("node-timeout", 2*time.Second, "per-node budget for one fan-out attempt (coordinator mode)")
+		hedgeAfter  = flag.Duration("hedge-after", 0, "fixed delay before hedging a slow shard with a duplicate request (0 = adaptive: the 90th percentile of recent node latencies; coordinator mode)")
 	)
 	flag.Parse()
 
-	if *order < 1 || *order > core.MaxK {
-		log.Fatalf("momentsd: -k %d outside [1,%d]", *order, core.MaxK)
-	}
-	var backend sketch.Backend
-	if *backendSpec != "" && *backendSpec != "moments" {
-		b, err := sketch.ParseBackend(*backendSpec)
-		if err != nil {
-			log.Fatalf("momentsd: -backend: %v", err)
-		}
-		if b.Name == "moments" {
-			// "moments:K" routes through the order flag path so -k and the
-			// spec cannot disagree silently.
-			log.Fatalf("momentsd: use -k to parameterize the moments backend")
-		}
-		backend = b
+	backend, err := sketch.ParseBackend(*backendSpec)
+	if err != nil {
+		log.Fatalf("momentsd: -backend: %v", err)
 	}
 
 	if *coordinator {
+		// No local store, no snapshots — just routing, fan-out, merge and
+		// solve over the shard nodes, behind the same HTTP edge.
 		if *nodesSpec == "" {
 			log.Fatalf("momentsd: -coordinator requires -nodes")
 		}
 		if *snapshotPath != "" || *paneWidth != 0 || *walDir != "" {
 			log.Fatalf("momentsd: -snapshot, -pane-width and -wal-dir configure a local store; a coordinator has none")
 		}
-		if *hedgeQuantile <= 0 || *hedgeQuantile >= 1 {
-			log.Fatalf("momentsd: -hedge-quantile %g outside (0,1)", *hedgeQuantile)
+		coord, err := cluster.New(cluster.Config{
+			Nodes:       strings.Split(*nodesSpec, ","),
+			Backend:     backend,
+			NodeTimeout: *nodeTimeout,
+			HedgeAfter:  *hedgeAfter,
+		})
+		if err != nil {
+			log.Fatalf("momentsd: %v", err)
 		}
-		if backend.IsZero() {
-			backend = sketch.MomentsBackend(*order)
-		}
-		runCoordinator(coordinatorConfig{
-			addr:          *addr,
-			backend:       backend,
-			nodes:         strings.Split(*nodesSpec, ","),
-			nodeTimeout:   *nodeTimeout,
-			hedgeAfter:    *hedgeAfter,
-			hedgeQuantile: *hedgeQuantile,
-			pprofAddr:     *pprofAddr,
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		startPprof(*pprofAddr)
+		serve(ctx, *addr, server.NewCoordinator(coord), func(bound net.Addr) {
+			log.Printf("momentsd: coordinating %d nodes on %s (backend %s)",
+				len(coord.Nodes()), bound, backend.Fingerprint())
 		})
 		return
 	}
@@ -194,10 +184,7 @@ func main() {
 		log.Fatalf("momentsd: -nodes requires -coordinator")
 	}
 
-	opts := []shard.Option{shard.WithOrder(*order), shard.WithShards(*shards)}
-	if !backend.IsZero() {
-		opts = append(opts, shard.WithBackend(backend))
-	}
+	opts := []shard.Option{shard.WithBackend(backend), shard.WithShards(*shards)}
 	if *paneWidth < 0 {
 		log.Fatalf("momentsd: -pane-width must be positive")
 	}
@@ -313,11 +300,6 @@ func main() {
 		serverOpts = append(serverOpts, server.WithWAL(walLog, save))
 	}
 
-	srv := &http.Server{
-		Handler:           server.New(store, serverOpts...),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -339,15 +321,7 @@ func main() {
 		}()
 	}
 
-	// Listen before announcing so the logged address is the bound one —
-	// with -addr :0 (tests, the crash harness) the kernel-assigned port is
-	// what callers need to see.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatalf("momentsd: %v", err)
-	}
-	errc := make(chan error, 1)
-	go func() {
+	serve(ctx, *addr, server.New(store, serverOpts...), func(bound net.Addr) {
 		windowed := ""
 		if w, n, ok := store.WindowConfig(); ok {
 			windowed = fmt.Sprintf(", %d×%s panes", n, w)
@@ -357,22 +331,8 @@ func main() {
 			durable = fmt.Sprintf(", wal %s", *walDir)
 		}
 		log.Printf("momentsd: listening on %s (backend %s, %d shards%s%s)",
-			ln.Addr(), store.Backend().Fingerprint(), store.NumShards(), windowed, durable)
-		errc <- srv.Serve(ln)
-	}()
-
-	select {
-	case err := <-errc:
-		log.Fatalf("momentsd: %v", err)
-	case <-ctx.Done():
-	}
-
-	log.Printf("momentsd: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("momentsd: shutdown: %v", err)
-	}
+			bound, store.Backend().Fingerprint(), store.NumShards(), windowed, durable)
+	})
 	if *snapshotPath != "" {
 		if err := save(); err != nil {
 			log.Fatalf("momentsd: final snapshot: %v", err)
@@ -386,47 +346,20 @@ func main() {
 	}
 }
 
-// coordinatorConfig carries the coordinator-mode settings from flag
-// parsing to startup.
-type coordinatorConfig struct {
-	addr          string
-	backend       sketch.Backend
-	nodes         []string
-	nodeTimeout   time.Duration
-	hedgeAfter    time.Duration
-	hedgeQuantile float64
-	pprofAddr     string
-}
-
-// runCoordinator boots the scatter-gather coordinator: no local store, no
-// snapshots — just routing, fan-out, merge and solve over the shard nodes.
-func runCoordinator(cfg coordinatorConfig) {
-	coord, err := cluster.New(cluster.Config{
-		Nodes:         cfg.nodes,
-		Backend:       cfg.backend,
-		NodeTimeout:   cfg.nodeTimeout,
-		HedgeAfter:    cfg.hedgeAfter,
-		HedgeQuantile: cfg.hedgeQuantile,
-	})
+// serve is the serving loop of both modes: it listens on addr, announces
+// the bound address (listening before announcing, so with -addr :0 — tests,
+// the crash harness — the logged port is the kernel-assigned one callers
+// need), serves handler until ctx is cancelled by SIGINT/SIGTERM, then
+// drains in-flight requests for up to ten seconds.
+func serve(ctx context.Context, addr string, handler http.Handler, announce func(bound net.Addr)) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatalf("momentsd: %v", err)
 	}
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           server.NewCoordinator(coord),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	startPprof(cfg.pprofAddr)
-
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	announce(ln.Addr())
 	errc := make(chan error, 1)
-	go func() {
-		log.Printf("momentsd: coordinating %d nodes on %s (backend %s)",
-			len(coord.Nodes()), cfg.addr, cfg.backend.Fingerprint())
-		errc <- srv.ListenAndServe()
-	}()
+	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:

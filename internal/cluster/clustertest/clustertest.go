@@ -199,8 +199,7 @@ type Config struct {
 	// backend, order, windows, and the fixed clock windowed suites need.
 	StoreOpts []shard.Option
 	// Cluster overrides coordinator knobs (NodeTimeout, HedgeAfter,
-	// HedgeQuantile, Transport). Nodes and Backend are filled in by the
-	// harness.
+	// Transport). Nodes and Backend are filled in by the harness.
 	Cluster cluster.Config
 }
 

@@ -11,7 +11,6 @@ import (
 	"context"
 
 	"repro/internal/encoding"
-	"repro/internal/maxent"
 	"repro/internal/query"
 	"repro/internal/sketch"
 )
@@ -24,19 +23,13 @@ type Config struct {
 	// Backend is the serving backend every node is configured with; the
 	// fingerprint travels in the partials frame and mismatches fail loudly.
 	Backend sketch.Backend
-	// Solver configures the coordinator's maximum-entropy solver (must match
-	// the nodes' accuracy expectations, though only the coordinator solves).
-	Solver maxent.Options
 	// NodeTimeout caps one node attempt (default 2s). The effective per-node
 	// budget is the smaller of this and ~90% of the request deadline.
 	NodeTimeout time.Duration
 	// HedgeAfter fixes the hedge delay: a duplicate attempt is launched when
 	// the first has not answered after this long. Zero selects the adaptive
-	// delay: the HedgeQuantile of recently observed node latencies.
+	// delay: the hedgeQuantile of recently observed node latencies.
 	HedgeAfter time.Duration
-	// HedgeQuantile is the latency quantile used for the adaptive hedge
-	// delay (default 0.9). Only consulted when HedgeAfter is zero.
-	HedgeQuantile float64
 	// Transport issues the HTTP requests (default a plain http.Client;
 	// per-request contexts carry all timeouts).
 	Transport Doer
@@ -50,8 +43,10 @@ type Config struct {
 
 const (
 	defaultNodeTimeout   = 2 * time.Second
-	defaultHedgeQuantile = 0.9
 	defaultIngestRetries = 2
+	// hedgeQuantile is the quantile of recently observed node latencies
+	// used as the adaptive hedge delay.
+	hedgeQuantile = 0.9
 	// minHedgeDelay floors the adaptive hedge delay so a burst of
 	// microsecond in-process latencies cannot turn hedging into a
 	// double-send of every request.
@@ -67,7 +62,6 @@ type Coordinator struct {
 
 	nodeTimeout   time.Duration
 	hedgeAfter    time.Duration
-	hedgeQuantile float64
 	ingestRetries int
 
 	lat latencyRing
@@ -105,9 +99,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.NodeTimeout <= 0 {
 		cfg.NodeTimeout = defaultNodeTimeout
 	}
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = defaultHedgeQuantile
-	}
 	if cfg.Transport == nil {
 		cfg.Transport = defaultTransport()
 	}
@@ -119,11 +110,10 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	return &Coordinator{
 		nodes:         nodes,
-		ev:            query.NewEvaluator(cfg.Backend, cfg.Solver),
+		ev:            query.NewEvaluator(cfg.Backend),
 		transport:     cfg.Transport,
 		nodeTimeout:   cfg.NodeTimeout,
 		hedgeAfter:    cfg.HedgeAfter,
-		hedgeQuantile: cfg.HedgeQuantile,
 		ingestRetries: cfg.IngestRetries,
 		nodeRequests:  make([]atomic.Uint64, len(nodes)),
 		nodeFailures:  make([]atomic.Uint64, len(nodes)),
@@ -133,14 +123,13 @@ func New(cfg Config) (*Coordinator, error) {
 // Backend returns the serving backend the coordinator answers from.
 func (c *Coordinator) Backend() sketch.Backend { return c.ev.Backend() }
 
-// task is one planned unit of fan-out: a deduplicated selection, the
-// subqueries referencing it, the nodes it routes to, and each node's slot
-// in that node's batched partials request.
+// task is one planned unit of fan-out: a deduplicated selection with the
+// subqueries referencing it (query.Plan's output), the nodes it routes to,
+// and each node's slot in that node's batched partials request.
 type task struct {
-	sel        query.Selection
-	subqueries []int
-	routes     []int // node indexes, ascending
-	slot       []int // per node index; -1 when not routed there
+	*query.Task
+	routes []int // node indexes, ascending
+	slot   []int // per node index; -1 when not routed there
 }
 
 // nodeReply is one node's answer to its batched partials request.
@@ -149,68 +138,43 @@ type nodeReply struct {
 	err  error
 }
 
-// Execute validates, routes and runs a batched request across the shard
-// nodes, merging per-node partial aggregates before evaluating each
-// subquery's aggregations. Per-subquery failures are isolated, exactly as
-// on a single node; answers missing one or more nodes carry the typed
-// partial_result envelope naming them alongside the merged data that was
-// reachable.
+// Execute plans (query.Plan — the planner a single node runs), routes and
+// runs a batched request across the shard nodes, merging per-node partial
+// aggregates before evaluating each subquery's aggregations. Each distinct
+// rollup crosses the network once per node no matter how many subqueries
+// reference it. Per-subquery failures are isolated, exactly as on a single
+// node; answers missing one or more nodes carry the typed partial_result
+// envelope naming them alongside the merged data that was reachable.
 func (c *Coordinator) Execute(ctx context.Context, req *query.Request) (*query.Response, *query.Error) {
-	if req == nil || len(req.Queries) == 0 {
-		return nil, query.Errorf(query.CodeInvalid, "request needs at least one subquery")
-	}
-	if len(req.Queries) > query.MaxSubqueries {
-		return nil, query.Errorf(query.CodeTooLarge, "too many subqueries (%d > %d)", len(req.Queries), query.MaxSubqueries)
+	planned, results, qerr := query.Plan(req, c.ev.Backend())
+	if qerr != nil {
+		return nil, qerr
 	}
 	c.queries.Add(1)
-	results := make([]query.Result, len(req.Queries))
-
-	// Plan: validate up front and deduplicate selections, so each distinct
-	// rollup crosses the network once per node no matter how many
-	// subqueries reference it.
-	var tasks []*task
-	taskBySel := make(map[string]*task)
-	for i := range req.Queries {
-		sq := &req.Queries[i]
-		results[i].ID = sq.ID
-		if err := sq.Validate(); err != nil {
-			results[i].Error = err
-			continue
-		}
-		if err := c.ev.ValidateOps(sq); err != nil {
-			results[i].Error = err
-			continue
-		}
-		key := query.SelectionKey(&sq.Select)
-		t, ok := taskBySel[key]
-		if !ok {
-			t = &task{sel: sq.Select}
-			taskBySel[key] = t
-			tasks = append(tasks, t)
-		}
-		t.subqueries = append(t.subqueries, i)
-	}
 
 	// Route: a key selection lives on exactly its rendezvous owner; prefix,
 	// group-by and windowed-prefix selections span the hash space, so every
 	// node contributes a partial.
 	batches := make([][]query.Selection, len(c.nodes))
-	for _, t := range tasks {
+	tasks := make([]task, len(planned))
+	for i, p := range planned {
+		t := &tasks[i]
+		t.Task = p
 		t.slot = make([]int, len(c.nodes))
-		for i := range t.slot {
-			t.slot[i] = -1
+		for n := range t.slot {
+			t.slot[n] = -1
 		}
-		if t.sel.Key != "" {
-			t.routes = []int{c.Owner(t.sel.Key)}
+		if t.Sel.Key != "" {
+			t.routes = []int{c.Owner(t.Sel.Key)}
 		} else {
 			t.routes = make([]int, len(c.nodes))
-			for i := range c.nodes {
-				t.routes[i] = i
+			for n := range c.nodes {
+				t.routes[n] = n
 			}
 		}
 		for _, n := range t.routes {
 			t.slot[n] = len(batches[n])
-			batches[n] = append(batches[n], t.sel)
+			batches[n] = append(batches[n], t.Sel)
 		}
 	}
 
@@ -232,8 +196,8 @@ func (c *Coordinator) Execute(ctx context.Context, req *query.Request) (*query.R
 	wg.Wait()
 
 	// Gather: merge each task's partials across its nodes and evaluate.
-	for _, t := range tasks {
-		c.gatherTask(t, replies, results, req)
+	for i := range tasks {
+		c.gatherTask(&tasks[i], replies, results, req)
 	}
 	return &query.Response{Results: results}, nil
 }
@@ -314,12 +278,12 @@ func (c *Coordinator) gatherTask(t *task, replies []nodeReply, results []query.R
 			merged[i] = *g
 		}
 		prepared := c.ev.Prepare(merged)
-		for _, qi := range t.subqueries {
+		for _, qi := range t.Subqueries {
 			results[qi].Groups = c.ev.Evaluate(prepared, &req.Queries[qi])
 			results[qi].Error = outErr
 		}
 	} else {
-		for _, qi := range t.subqueries {
+		for _, qi := range t.Subqueries {
 			results[qi].Error = outErr
 		}
 	}

@@ -36,17 +36,12 @@ func defaultTransport() Doer {
 	return &http.Client{}
 }
 
-// partialsRequest is the JSON body of POST /v1/partials.
-type partialsRequest struct {
-	Selections []query.Selection `json:"selections"`
-}
-
 // queryNode sends one node its batched partials request and decodes the
 // answer, under the node's deadline budget and with a hedged duplicate.
 // Every failure — transport, frame, fingerprint, shape — counts against the
 // node and surfaces as that node missing from the merged answer.
 func (c *Coordinator) queryNode(ctx context.Context, n int, sels []query.Selection) ([]encoding.PartialSet, error) {
-	body, err := json.Marshal(partialsRequest{Selections: sels})
+	body, err := json.Marshal(query.PartialsRequest{Selections: sels})
 	if err != nil {
 		return nil, err
 	}
@@ -143,14 +138,14 @@ func (c *Coordinator) fetch(ctx context.Context, n int, body []byte) ([]byte, er
 }
 
 // hedgeDelay returns how long to wait before duplicating an attempt: the
-// configured fixed delay, else the configured quantile of recently observed
-// node latencies, else a quarter of the node timeout while no latencies
+// configured fixed delay, else the hedgeQuantile of recently observed node
+// latencies, else a quarter of the node timeout while no latencies
 // have been observed yet.
 func (c *Coordinator) hedgeDelay() time.Duration {
 	if c.hedgeAfter > 0 {
 		return c.hedgeAfter
 	}
-	if d, ok := c.lat.quantile(c.hedgeQuantile); ok {
+	if d, ok := c.lat.quantile(hedgeQuantile); ok {
 		if d < minHedgeDelay {
 			d = minHedgeDelay
 		}

@@ -73,25 +73,25 @@ func MarshalPartials(backend string, sets []PartialSet) []byte {
 	binary.LittleEndian.PutUint16(buf[0:], magicPartials)
 	buf[2] = versionPartials
 	buf = appendPartialsStr(buf, backend)
-	buf = appendPartialsUvarint(buf, uint64(len(sets)))
+	buf = binary.AppendUvarint(buf, uint64(len(sets)))
 	for i := range sets {
 		set := &sets[i]
 		buf = appendPartialsStr(buf, set.Code)
 		buf = appendPartialsStr(buf, set.Message)
-		buf = appendPartialsUvarint(buf, uint64(len(set.Groups)))
+		buf = binary.AppendUvarint(buf, uint64(len(set.Groups)))
 		for j := range set.Groups {
 			g := &set.Groups[j]
 			buf = appendPartialsStr(buf, g.Label)
-			buf = appendPartialsUvarint(buf, g.Keys)
+			buf = binary.AppendUvarint(buf, g.Keys)
 			if g.HasWindow {
 				buf = append(buf, 1)
-				buf = appendPartialsF64(buf, g.WindowStart)
-				buf = appendPartialsF64(buf, g.WindowEnd)
-				buf = appendPartialsUvarint(buf, g.WindowPanes)
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.WindowStart))
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.WindowEnd))
+				buf = binary.AppendUvarint(buf, g.WindowPanes)
 			} else {
 				buf = append(buf, 0)
 			}
-			buf = appendPartialsUvarint(buf, uint64(len(g.Payload)))
+			buf = binary.AppendUvarint(buf, uint64(len(g.Payload)))
 			buf = append(buf, g.Payload...)
 		}
 	}
@@ -110,159 +110,52 @@ func UnmarshalPartials(data []byte) (backend string, sets []PartialSet, err erro
 	if data[2] != versionPartials {
 		return "", nil, fmt.Errorf("encoding: unsupported partials version %d", data[2])
 	}
-	r := &partialsReader{data: data[3:]}
-	backend = r.str()
-	nsets := r.count()
-	if r.err == nil && nsets > 0 {
+	r := &Reader{Data: data[3:]}
+	backend = r.Str()
+	nsets := r.Count()
+	if r.Err == nil && nsets > 0 {
 		sets = make([]PartialSet, nsets)
 		for i := range sets {
-			sets[i].Code = r.str()
-			sets[i].Message = r.str()
-			ngroups := r.count()
-			if r.err != nil || ngroups == 0 {
+			sets[i].Code = r.Str()
+			sets[i].Message = r.Str()
+			ngroups := r.Count()
+			if r.Err != nil || ngroups == 0 {
 				continue
 			}
 			groups := make([]PartialGroup, ngroups)
 			for j := range groups {
 				g := &groups[j]
-				g.Label = r.str()
-				g.Keys = r.uvarint()
-				switch r.byte() {
+				g.Label = r.Str()
+				g.Keys = r.Uvarint()
+				switch r.Byte() {
 				case 0:
 				case 1:
 					g.HasWindow = true
-					g.WindowStart = r.f64()
-					g.WindowEnd = r.f64()
-					g.WindowPanes = r.uvarint()
+					g.WindowStart = r.F64()
+					g.WindowEnd = r.F64()
+					g.WindowPanes = r.Uvarint()
 					// A window span is wall-clock seconds: NaN or ±Inf
 					// bounds can only come from a hostile frame, and would
 					// poison the coordinator's group alignment and sort.
 					if math.IsNaN(g.WindowStart) || math.IsInf(g.WindowStart, 0) ||
 						math.IsNaN(g.WindowEnd) || math.IsInf(g.WindowEnd, 0) {
-						r.fail()
+						r.Fail()
 					}
 				default:
-					r.fail()
+					r.Fail()
 				}
-				g.Payload = r.bytes()
+				g.Payload = r.Bytes()
 			}
 			sets[i].Groups = groups
 		}
 	}
-	if r.err != nil {
-		return "", nil, r.err
-	}
-	if len(r.data) != 0 {
-		return "", nil, ErrCorrupt
+	if err := r.Done(); err != nil {
+		return "", nil, err
 	}
 	return backend, sets, nil
 }
 
-func appendPartialsUvarint(buf []byte, v uint64) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], v)
-	return append(buf, scratch[:n]...)
-}
-
-func appendPartialsF64(buf []byte, v float64) []byte {
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-	return append(buf, scratch[:]...)
-}
-
 func appendPartialsStr(buf []byte, s string) []byte {
-	buf = appendPartialsUvarint(buf, uint64(len(s)))
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-// partialsReader walks a partials frame, latching the first error. Every
-// count is validated against the remaining input before use, so no claimed
-// length can drive an allocation larger than the frame itself.
-type partialsReader struct {
-	data []byte
-	err  error
-}
-
-func (r *partialsReader) fail() {
-	if r.err == nil {
-		r.err = ErrCorrupt
-	}
-	r.data = nil
-}
-
-func (r *partialsReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-// count reads a collection length, rejecting claims that exceed the
-// remaining input (every counted item occupies at least one byte).
-func (r *partialsReader) count() int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.data)) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *partialsReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 1 {
-		r.fail()
-		return 0
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b
-}
-
-func (r *partialsReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data))
-	r.data = r.data[8:]
-	return v
-}
-
-// bytes reads a length-prefixed byte field, copying out of the frame so the
-// result does not alias the (possibly pooled) input buffer.
-func (r *partialsReader) bytes() []byte {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.data[:n])
-	r.data = r.data[n:]
-	return out
-}
-
-// str reads a length-prefixed string field.
-func (r *partialsReader) str() string {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	s := string(r.data[:n])
-	r.data = r.data[n:]
-	return s
 }

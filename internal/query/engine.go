@@ -125,13 +125,54 @@ func (e *Engine) foldCascadeStats(st *cascade.Stats) {
 	}
 }
 
-// task is one planned unit of execution: a unique selection plus every
-// subquery that references it. Deduplicating selections means a batch that
-// asks ten different aggregations of the same rollup merges its sketches
-// once and solves its max-ent density at most once.
-type task struct {
-	sel        Selection
-	subqueries []int
+// Task is one planned unit of execution: a unique selection plus the index
+// of every subquery that references it. Deduplicating selections means a
+// batch that asks ten different aggregations of the same rollup merges its
+// sketches once — and ships them from each shard node once — and solves its
+// max-ent density at most once.
+type Task struct {
+	Sel        Selection
+	Subqueries []int
+}
+
+// Plan is the planner every executor shares — Engine.Execute against a local
+// store, cluster.Coordinator.Execute against shard nodes. It checks the
+// request envelope (the returned *Error is non-nil only for an empty or
+// oversized batch), validates every subquery without touching any data,
+// rejects aggregations the serving backend cannot answer, and deduplicates
+// selections so each distinct rollup is materialized exactly once. results
+// has one entry per subquery with its ID set; subqueries that failed
+// validation carry their Error there and belong to no task.
+func Plan(req *Request, backend sketch.Backend) (tasks []*Task, results []Result, err *Error) {
+	if req == nil || len(req.Queries) == 0 {
+		return nil, nil, Errorf(CodeInvalid, "request needs at least one subquery")
+	}
+	if len(req.Queries) > MaxSubqueries {
+		return nil, nil, Errorf(CodeTooLarge, "too many subqueries (%d > %d)", len(req.Queries), MaxSubqueries)
+	}
+	results = make([]Result, len(req.Queries))
+	taskBySel := make(map[string]*Task)
+	for i := range req.Queries {
+		sq := &req.Queries[i]
+		results[i].ID = sq.ID
+		if err := sq.validate(); err != nil {
+			results[i].Error = err
+			continue
+		}
+		if err := validateBackendOps(backend, sq); err != nil {
+			results[i].Error = err
+			continue
+		}
+		key := selectionKey(&sq.Select)
+		t, ok := taskBySel[key]
+		if !ok {
+			t = &Task{Sel: sq.Select}
+			taskBySel[key] = t
+			tasks = append(tasks, t)
+		}
+		t.Subqueries = append(t.Subqueries, i)
+	}
+	return tasks, results, nil
 }
 
 // group is one materialized rollup. On the moments backend, sk holds the
@@ -205,44 +246,14 @@ func (g *group) solution(opts maxent.Options) (*maxent.Solution, error) {
 	return sol, err
 }
 
-// Execute validates, plans and runs a batched request. Subqueries fan out
+// Execute plans (see Plan) and runs a batched request. Subqueries fan out
 // over a bounded worker pool; each failure is isolated to its own Result.
 // The returned *Error is non-nil only for request-envelope problems (an
 // empty or oversized batch) — per-subquery failures never fail the batch.
 func (e *Engine) Execute(ctx context.Context, req *Request) (*Response, *Error) {
-	if req == nil || len(req.Queries) == 0 {
-		return nil, Errorf(CodeInvalid, "request needs at least one subquery")
-	}
-	if len(req.Queries) > MaxSubqueries {
-		return nil, Errorf(CodeTooLarge, "too many subqueries (%d > %d)", len(req.Queries), MaxSubqueries)
-	}
-
-	results := make([]Result, len(req.Queries))
-
-	// Plan: validate every subquery up front (malformed ones fail here,
-	// before any data work) and deduplicate selections so each distinct
-	// rollup is materialized exactly once.
-	var tasks []*task
-	taskBySel := make(map[string]*task)
-	for i := range req.Queries {
-		sq := &req.Queries[i]
-		results[i].ID = sq.ID
-		if err := sq.validate(); err != nil {
-			results[i].Error = err
-			continue
-		}
-		if err := e.validateBackendOps(sq); err != nil {
-			results[i].Error = err
-			continue
-		}
-		key := selectionKey(&sq.Select)
-		t, ok := taskBySel[key]
-		if !ok {
-			t = &task{sel: sq.Select}
-			taskBySel[key] = t
-			tasks = append(tasks, t)
-		}
-		t.subqueries = append(t.subqueries, i)
+	tasks, results, err := Plan(req, e.backend)
+	if err != nil {
+		return nil, err
 	}
 
 	// Execute: fan tasks out over the worker pool. Each subquery index
@@ -258,7 +269,7 @@ func (e *Engine) Execute(ctx context.Context, req *Request) (*Response, *Error) 
 		}
 		return &Response{Results: results}, nil
 	}
-	queue := make(chan *task)
+	queue := make(chan *Task)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -365,9 +376,9 @@ func (e *Engine) resolveCached(ctx context.Context, sel *Selection) ([]*group, *
 	return groups, err
 }
 
-func (e *Engine) runTask(ctx context.Context, t *task, req *Request, results []Result) {
-	groups, selErr := e.resolveCached(ctx, &t.sel)
-	for _, qi := range t.subqueries {
+func (e *Engine) runTask(ctx context.Context, t *Task, req *Request, results []Result) {
+	groups, selErr := e.resolveCached(ctx, &t.Sel)
+	for _, qi := range t.Subqueries {
 		if selErr == nil {
 			if err := ctx.Err(); err != nil {
 				selErr = ctxError(err)
@@ -386,8 +397,8 @@ func (e *Engine) runTask(ctx context.Context, t *task, req *Request, results []R
 // read moment structure (solved densities, guaranteed moment bounds,
 // closed-form statistics) that only the moments backend carries. Quantiles
 // and thresholds evaluate directly on every backend.
-func (e *Engine) validateBackendOps(sq *Subquery) *Error {
-	if e.backend.Caps.Cascade {
+func validateBackendOps(backend sketch.Backend, sq *Subquery) *Error {
+	if backend.Caps.Cascade {
 		return nil
 	}
 	for i := range sq.Aggregations {
@@ -396,7 +407,7 @@ func (e *Engine) validateBackendOps(sq *Subquery) *Error {
 		default:
 			return Errorf(CodeBackendUnsupported,
 				"aggregation %d: op %q requires moment structure the %q serving backend lacks (supported: %s, %s)",
-				i, sq.Aggregations[i].Op, e.backend.Name, OpQuantiles, OpThreshold)
+				i, sq.Aggregations[i].Op, backend.Name, OpQuantiles, OpThreshold)
 		}
 	}
 	return nil

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/encoding"
-	"repro/internal/maxent"
 	"repro/internal/sketch"
 )
 
@@ -16,27 +15,19 @@ import (
 // machinery, so a distributed answer is computed by exactly the code that
 // answers single-node queries.
 
-// Partial is one rollup of a node's partials answer: the group metadata the
-// coordinator aligns across nodes plus the merged summary in the serving
-// backend's own codec — the paper's O(k) mergeability is what makes this a
-// small vector instead of raw data.
-type Partial struct {
-	// Label is the group label (group-by segment value or window start
-	// instant; empty for plain key/prefix selections).
-	Label string
-	// Window is the wall-clock span for window selections, nil otherwise.
-	Window *WindowRange
-	// Keys counts the per-key sketches merged into this node's partial.
-	Keys int
-	// Payload is the merged summary in the backend codec
-	// (sketch.Backend.Unmarshal decodes it).
-	Payload []byte
+// PartialsRequest is the JSON body of POST /v1/partials: the deduplicated
+// selections a scatter-gather coordinator fans out to one shard node.
+type PartialsRequest struct {
+	Selections []Selection `json:"selections"`
 }
 
 // PartialSet is one selection's outcome on one node: an error envelope, or
-// the node's partial groups.
+// the node's partial groups, already in the partials frame's group type —
+// the metadata a coordinator aligns across nodes plus the merged summary in
+// the serving backend's own codec. The paper's O(k) mergeability is what
+// makes that a small vector instead of raw data.
 type PartialSet struct {
-	Groups []Partial
+	Groups []encoding.PartialGroup
 	Err    *Error
 }
 
@@ -48,38 +39,37 @@ type PartialSet struct {
 func (e *Engine) ResolvePartials(ctx context.Context, sels []Selection) []PartialSet {
 	out := make([]PartialSet, len(sels))
 	for i := range sels {
-		sel := &sels[i]
-		if err := sel.validate(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			out[i].Err = ctxError(err)
-			continue
-		}
-		groups, selErr := e.resolveCached(ctx, sel)
-		if selErr != nil {
-			out[i].Err = selErr
-			continue
-		}
-		parts := make([]Partial, 0, len(groups))
-		for _, g := range groups {
-			payload, err := e.marshalGroup(g)
-			if err != nil {
-				parts = nil
-				out[i].Err = err
-				break
-			}
-			parts = append(parts, Partial{
-				Label:   g.label,
-				Window:  g.window,
-				Keys:    g.keys,
-				Payload: payload,
-			})
-		}
-		out[i].Groups = parts
+		out[i].Groups, out[i].Err = e.resolvePartial(ctx, &sels[i])
 	}
 	return out
+}
+
+func (e *Engine) resolvePartial(ctx context.Context, sel *Selection) ([]encoding.PartialGroup, *Error) {
+	if err := sel.validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, ctxError(err)
+	}
+	groups, err := e.resolveCached(ctx, sel)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]encoding.PartialGroup, len(groups))
+	for i, g := range groups {
+		payload, err := e.marshalGroup(g)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = encoding.PartialGroup{Label: g.label, Keys: uint64(g.keys), Payload: payload}
+		if w := g.window; w != nil {
+			parts[i].HasWindow = true
+			parts[i].WindowStart = w.StartUnix
+			parts[i].WindowEnd = w.EndUnix
+			parts[i].WindowPanes = uint64(w.Panes)
+		}
+	}
+	return parts, nil
 }
 
 // marshalGroup serializes one resolved rollup in the serving backend's
@@ -97,16 +87,6 @@ func (e *Engine) marshalGroup(g *group) ([]byte, *Error) {
 	return data, nil
 }
 
-// Validate checks the subquery without touching any data — the exported
-// entry point for coordinators that plan a batch before fanning it out.
-func (q *Subquery) Validate() *Error { return q.validate() }
-
-// SelectionKey canonicalizes a selection for deduplication, so a
-// coordinator fans each distinct rollup out exactly once per node no matter
-// how many subqueries reference it. Distinct selections never collide, even
-// with crafted key bytes.
-func SelectionKey(sel *Selection) string { return selectionKey(sel) }
-
 // Evaluator answers aggregations over externally merged rollups — the
 // coordinator side of scatter-gather serving. It is an Engine without a
 // store: the same solver, threshold cascade, degradation policy and
@@ -116,20 +96,16 @@ type Evaluator struct {
 	e Engine
 }
 
-// NewEvaluator wires an Evaluator for the given serving backend and solver
-// options. Backend and solver must match the shard nodes' configuration —
-// the fingerprint travels in the partials frame so mismatches are caught on
-// decode.
-func NewEvaluator(backend sketch.Backend, solver maxent.Options) *Evaluator {
-	return &Evaluator{e: Engine{backend: backend, solver: solver, sep: "."}}
+// NewEvaluator wires an Evaluator for the given serving backend, with the
+// default solver options a shard node's engine runs. The backend must match
+// the shard nodes' configuration — the fingerprint travels in the partials
+// frame so mismatches are caught on decode.
+func NewEvaluator(backend sketch.Backend) *Evaluator {
+	return &Evaluator{e: Engine{backend: backend, sep: "."}}
 }
 
 // Backend returns the serving backend the evaluator answers from.
 func (ev *Evaluator) Backend() sketch.Backend { return ev.e.backend }
-
-// ValidateOps rejects aggregations the serving backend cannot answer,
-// before any fan-out work.
-func (ev *Evaluator) ValidateOps(sq *Subquery) *Error { return ev.e.validateBackendOps(sq) }
 
 // CascadeStats returns the threshold-cascade counters accumulated by
 // evaluations on this evaluator.

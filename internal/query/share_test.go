@@ -110,7 +110,7 @@ func TestEvaluatorSharesRollupSolve(t *testing.T) {
 	if !ok {
 		t.Fatal("missing key")
 	}
-	ev := NewEvaluator(store.Backend(), maxent.Options{})
+	ev := NewEvaluator(store.Backend())
 	for _, order := range []string{"quantiles-first", "threshold-first"} {
 		aggs := []Aggregation{
 			{Op: OpQuantiles, Phis: []float64{phi}},

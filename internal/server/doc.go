@@ -1,6 +1,9 @@
-// Package server exposes a shard.Store of per-key quantile summaries over
-// HTTP — the serving path that turns the paper's merge-cheap summaries into
-// an interactive aggregation service. The store's serving backend (moments
+// Package server is momentsd's HTTP edge: one Server type that exposes a
+// shard.Store of per-key quantile summaries (New) — the serving path that
+// turns the paper's merge-cheap summaries into an interactive aggregation
+// service — or, with the same /ingest and /v1/query handlers, a
+// cluster.Coordinator over a fleet of such nodes (NewCoordinator; see the
+// end of this comment). The store's serving backend (moments
 // by default; Merge12, t-digest or sampling via shard.WithBackend) is
 // echoed on /v1/stats and on every /v1/query result group;
 // aggregations a backend cannot answer return the typed
@@ -26,7 +29,8 @@
 //	                 cache, read-path and write-ahead-log sections
 //	GET  /healthz    liveness probe
 //
-// Ingest hot path: request bodies are decoded into pooled shard.Batch
+// Ingest hot path: request bodies are decoded by the one decodeIngest
+// (three framings, fuzzed by FuzzDecodeNDJSON) into pooled shard.Batch
 // buffers and committed before the ack, so steady-state ingest takes each
 // stripe lock once per request and allocates only what encoding/json itself
 // needs. Queries read clones of the fixed-size sketches — published
@@ -39,4 +43,15 @@
 // aggregation-level — carries the structured {code, message} envelope of
 // internal/query, mapped onto HTTP statuses (invalid_request 400,
 // not_found 404, not_converged 422, too_large 413, deadline_exceeded 504).
+// Every POST route that decodes a body goes through decodeRequest: past the
+// body cap is 413 too_large, otherwise undecodable is 400 invalid_request.
+//
+// Coordinator mode. NewCoordinator returns the same Server with a remote
+// executor and ingest sink: /v1/query runs cluster.Coordinator.Execute
+// (query.Plan, then scatter-gather over the nodes' /v1/partials) where a
+// node runs query.Engine.Execute, and /ingest hands the decoded
+// observations to their rendezvous owners where a node commits a
+// shard.Batch. It registers only /ingest, /v1/query, /v1/stats (fan-out
+// counters under "coordinator") and /healthz; answers missing shards carry
+// the partial_result envelope (207).
 package server

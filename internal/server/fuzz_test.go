@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,15 +10,38 @@ import (
 	"repro/internal/shard"
 )
 
-// FuzzDecodeNDJSON throws hostile byte streams at the ingest hot path.
-// The decoder sits in front of every buffered handle, so the invariants it
-// must hold are load-bearing for the whole buffered-ingest design:
+// seenObs is one observation as the decoder handed it to a sink.
+type seenObs struct {
+	key   string
+	value float64
+	ts    *float64
+}
+
+// recordingSink notes every add on its way to the real sink.
+type recordingSink struct {
+	sink
+	seen []seenObs
+}
+
+func (r *recordingSink) add(key string, value float64, ts *float64) {
+	r.seen = append(r.seen, seenObs{key, value, ts})
+	r.sink.add(key, value, ts)
+}
+
+// FuzzDecodeNDJSON throws hostile byte streams at decodeIngest — the one
+// ingest body decoder, which a shard node and a coordinator both put in
+// front of the internet — in both framings (NDJSON, and bare-array /
+// enveloped JSON) and through both sinks. The invariants it must hold:
 //
 //   - never panic, whatever the bytes;
-//   - on error, the batch Discards cleanly and the store stays untouched;
-//   - on success, every accepted observation has a non-empty bounded key
-//     and a finite value, the flush count matches the store's total, and
-//     the store's aggregate state remains finite.
+//   - both sinks accept or reject a body identically, and see the same
+//     (key, value, ts) sequence; the coordinator's routed observations are
+//     that sequence, ts pointer and all;
+//   - on error, the store sink discards cleanly and the store stays
+//     untouched;
+//   - on success, every accepted observation has a non-empty bounded key, a
+//     finite value and an in-range ts, the flush count matches the store's
+//     total, and the store's per-key counts match the sequence.
 //
 // Seed corpus lives in testdata/fuzz/FuzzDecodeNDJSON; CI runs a short
 // fuzz pass on top of the corpus replay that plain `go test` performs.
@@ -41,29 +65,76 @@ func FuzzDecodeNDJSON(f *testing.F) {
 	f.Add([]byte("{\"value\":1,\"key\":\"a\",\"value\":2}\n")) // duplicate field
 	f.Add([]byte{0})
 
+	// JSON framings, after the NDJSON seeds so their indices stay put.
+	f.Add([]byte("[{\"key\":\"a\",\"value\":1},{\"key\":\"b\",\"value\":2.5,\"ts\":1700000000.25}]"))
+	f.Add([]byte("{\"observations\":[{\"key\":\"a\",\"value\":1},{\"key\":\"a\",\"value\":-3}]}"))
+	f.Add([]byte("[{\"key\":\"a\",\"value\":1},{\"key\":\"b\"}]"))                  // second element lacks a value
+	f.Add([]byte("{\"observations\":[{\"key\":\"a\",\"value\":1,\"ts\":1.7e12}]}")) // ms-unit ts, enveloped
+	f.Add([]byte("{\"observations\":null}"))
+	f.Add([]byte("  \n\t["))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		store := shard.New(shard.WithShards(2))
-		batch := store.NewBatch()
-		err := decodeNDJSON(bytes.NewReader(data), batch)
-		if err != nil {
-			// A rejected stream must leave no residue once discarded —
-			// this mirrors handleIngest's deferred Discard.
-			batch.Discard()
-			if got := store.TotalCount(); got != 0 {
-				t.Fatalf("decode error %v but store has %v observations", err, got)
+		for _, ndjson := range []bool{true, false} {
+			store := shard.New(shard.WithShards(2))
+			node := &recordingSink{sink: &storeSink{batch: store.NewBatch()}}
+			routed := &routedSink{}
+			coord := &recordingSink{sink: routed}
+			err := decodeIngest(bytes.NewReader(data), ndjson, node)
+			coordErr := decodeIngest(bytes.NewReader(data), ndjson, coord)
+			if (err == nil) != (coordErr == nil) || (err != nil && err.Error() != coordErr.Error()) {
+				t.Fatalf("ndjson=%v: node sink got %v, coordinator sink got %v", ndjson, err, coordErr)
 			}
-			return
-		}
-		n := batch.Flush()
-		if got := store.TotalCount(); got != float64(n) {
-			t.Fatalf("flushed %d observations but TotalCount = %v", n, got)
-		}
-		for _, key := range store.Keys("") {
-			if key == "" || len(key) > shard.MaxKeyLen {
-				t.Fatalf("accepted out-of-bounds key %q (len %d)", key, len(key))
+			if len(node.seen) != len(coord.seen) || len(routed.obs) != len(coord.seen) {
+				t.Fatalf("ndjson=%v: node saw %d observations, coordinator %d, routed %d",
+					ndjson, len(node.seen), len(coord.seen), len(routed.obs))
 			}
-			if c := store.Count(key); math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
-				t.Fatalf("key %q: non-finite or non-positive count %v", key, c)
+			perKey := map[string]float64{}
+			for i, o := range node.seen {
+				c, r := coord.seen[i], routed.obs[i]
+				if o.key != c.key || o.value != c.value || (o.ts == nil) != (c.ts == nil) || (o.ts != nil && *o.ts != *c.ts) {
+					t.Fatalf("ndjson=%v: observation %d differs between sinks: %+v vs %+v", ndjson, i, o, c)
+				}
+				if r.Key != c.key || *r.Value != c.value || r.TS != c.ts {
+					t.Fatalf("ndjson=%v: routed observation %d is %+v, decoder handed over %+v", ndjson, i, r, c)
+				}
+				if o.key == "" || len(o.key) > shard.MaxKeyLen {
+					t.Fatalf("accepted out-of-bounds key %q (len %d)", o.key, len(o.key))
+				}
+				if math.IsNaN(o.value) || math.IsInf(o.value, 0) {
+					t.Fatalf("accepted non-finite value %v", o.value)
+				}
+				if o.ts != nil && !(*o.ts >= 0 && *o.ts <= maxIngestTS) {
+					t.Fatalf("accepted out-of-range ts %v", *o.ts)
+				}
+				perKey[o.key]++
+			}
+			if err != nil {
+				// A rejected stream must leave no residue once discarded —
+				// this mirrors handleIngest's deferred discard.
+				node.discard()
+				routed.discard()
+				if got := store.TotalCount(); got != 0 {
+					t.Fatalf("decode error %v but store has %v observations", err, got)
+				}
+				if len(routed.obs) != 0 {
+					t.Fatalf("decode error %v but %d observations stay routed", err, len(routed.obs))
+				}
+				continue
+			}
+			n, qerr := node.commit(context.Background())
+			if qerr != nil {
+				t.Fatal(qerr)
+			}
+			if got := store.TotalCount(); n != len(node.seen) || got != float64(n) {
+				t.Fatalf("decoded %d observations, committed %d, TotalCount = %v", len(node.seen), n, got)
+			}
+			if keys := store.Keys(""); len(keys) != len(perKey) {
+				t.Fatalf("store holds %d keys, decoder emitted %d", len(keys), len(perKey))
+			}
+			for key, want := range perKey {
+				if c := store.Count(key); c != want {
+					t.Fatalf("key %q: count %v, decoder emitted %v", key, c, want)
+				}
 			}
 		}
 	})

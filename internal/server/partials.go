@@ -1,19 +1,11 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
 
 	"repro/internal/encoding"
 	"repro/internal/query"
 )
-
-// partialsRequest is the JSON body of POST /v1/partials: the deduplicated
-// selections a scatter-gather coordinator fans out to this shard.
-type partialsRequest struct {
-	Selections []query.Selection `json:"selections"`
-}
 
 // handlePartialsV1 is the internal shard side of scatter-gather serving:
 // it resolves each selection against the local store and answers with the
@@ -22,18 +14,8 @@ type partialsRequest struct {
 // Selection failures are isolated inside the frame (a not_found here may be
 // a hit on another shard); only a malformed request fails the HTTP call.
 func (s *Server) handlePartialsV1(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req partialsRequest
-	if err := dec.Decode(&req); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, query.CodeTooLarge,
-				"body exceeds %d bytes", maxErr.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, query.CodeInvalid, "decoding request: %v", err)
+	var req query.PartialsRequest
+	if !s.decodeRequest(w, r, strictJSON(&req)) {
 		return
 	}
 	if len(req.Selections) == 0 {
@@ -48,27 +30,13 @@ func (s *Server) handlePartialsV1(w http.ResponseWriter, r *http.Request) {
 
 	sets := s.engine.ResolvePartials(r.Context(), req.Selections)
 	wire := make([]encoding.PartialSet, len(sets))
-	for i := range sets {
-		set := &sets[i]
+	for i, set := range sets {
 		if set.Err != nil {
 			wire[i] = encoding.PartialSet{Code: set.Err.Code, Message: set.Err.Message}
-			continue
+		} else {
+			wire[i].Groups = set.Groups
 		}
-		groups := make([]encoding.PartialGroup, len(set.Groups))
-		for j := range set.Groups {
-			g := &set.Groups[j]
-			pg := encoding.PartialGroup{Label: g.Label, Keys: uint64(g.Keys), Payload: g.Payload}
-			if g.Window != nil {
-				pg.HasWindow = true
-				pg.WindowStart = g.Window.StartUnix
-				pg.WindowEnd = g.Window.EndUnix
-				pg.WindowPanes = uint64(g.Window.Panes)
-			}
-			groups[j] = pg
-		}
-		wire[i] = encoding.PartialSet{Groups: groups}
 	}
-
 	data := encoding.MarshalPartials(s.engine.Backend().Fingerprint(), wire)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(data)

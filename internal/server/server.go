@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cascade"
-	"repro/internal/maxent"
 	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/wal"
@@ -29,21 +29,47 @@ const DefaultMaxBodyBytes = 32 << 20
 // pin.
 const restoreBodyFactor = 32
 
-// Server is the HTTP front end of a shard.Store. Queries run on one
-// internal/query Engine, exposed by POST /v1/query. It implements
-// http.Handler; construct with New.
+// executor answers a batched /v1/query request: *query.Engine against the
+// local store on a shard node, *cluster.Coordinator against the shard nodes
+// in coordinator mode.
+type executor interface {
+	Execute(ctx context.Context, req *query.Request) (*query.Response, *query.Error)
+}
+
+// sink receives the validated observations of one /ingest request, in body
+// order, then applies them all or none: a shard.Batch on a shard node, the
+// per-owner routed batches on a coordinator.
+type sink interface {
+	// add takes one observation; ts is the client's optional unix-seconds
+	// stamp, nil meaning "now".
+	add(key string, value float64, ts *float64)
+	// commit applies everything added and reports how many observations
+	// were ingested. On a partial_result error the count covers the nodes
+	// that did take their slice.
+	commit(ctx context.Context) (int, *query.Error)
+	// discard drops whatever was added and not committed, leaving the sink
+	// clean for the next request.
+	discard()
+}
+
+// Server is the HTTP edge of momentsd in both of its modes. Over a
+// shard.Store (New) it ingests into the store and answers queries from one
+// internal/query Engine; over a cluster.Coordinator (NewCoordinator) the
+// same /ingest and /v1/query handlers route writes to their owning shard
+// nodes and scatter-gather reads. It implements http.Handler.
 type Server struct {
+	exec    executor
+	sinks   sync.Pool // of sink
+	mux     *http.ServeMux
+	maxBody int64
+	start   time.Time
+
+	// Shard-node state; nil and zero on a coordinator.
 	store      *shard.Store
 	engine     *query.Engine
-	mux        *http.ServeMux
 	sep        string
-	maxBody    int64
-	solver     maxent.Options
 	workers    int
 	solveCache int
-	start      time.Time
-
-	batches sync.Pool
 
 	// Write-ahead log (see WithWAL): walLog is nil when durability is
 	// off. afterRestore runs after a successful /restore so the caller
@@ -53,24 +79,13 @@ type Server struct {
 	afterRestore func() error
 }
 
-// ServerOption configures a Server at construction.
+// ServerOption configures a shard-node Server at construction.
 type ServerOption func(*Server)
 
 // WithKeySeparator sets the segment separator used by group-by selections
 // (default ".").
 func WithKeySeparator(sep string) ServerOption {
 	return func(s *Server) { s.sep = sep }
-}
-
-// WithMaxBodyBytes caps the accepted request body size.
-func WithMaxBodyBytes(n int64) ServerOption {
-	return func(s *Server) { s.maxBody = n }
-}
-
-// WithSolverOptions sets the maximum-entropy solver options used for
-// estimates.
-func WithSolverOptions(o maxent.Options) ServerOption {
-	return func(s *Server) { s.solver = o }
 }
 
 // WithQueryWorkers bounds the query engine's executor concurrency
@@ -106,29 +121,36 @@ func WithWAL(l *wal.Log, afterRestore func() error) ServerOption {
 	}
 }
 
-// New wires a Server around store.
-func New(store *shard.Store, opts ...ServerOption) *Server {
+// newServer registers the routes both modes serve from the same handlers;
+// the caller sets exec and sinks.New.
+func newServer() *Server {
 	s := &Server{
-		store:      store,
-		mux:        http.NewServeMux(),
-		sep:        ".",
-		maxBody:    DefaultMaxBodyBytes,
-		solveCache: query.DefaultSolveCacheSize,
-		start:      time.Now(),
+		mux:     http.NewServeMux(),
+		maxBody: DefaultMaxBodyBytes,
+		start:   time.Now(),
 	}
+	s.mux.HandleFunc("POST /ingest", s.handleIngest)
+	s.mux.HandleFunc("POST /v1/query", s.handleQueryV1)
+	return s
+}
+
+// New wires a shard-node Server around store.
+func New(store *shard.Store, opts ...ServerOption) *Server {
+	s := newServer()
+	s.store = store
+	s.sep = "."
+	s.solveCache = query.DefaultSolveCacheSize
 	for _, o := range opts {
 		o(s)
 	}
 	s.engine = query.NewEngine(store, query.Config{
 		Separator:  s.sep,
-		Solver:     s.solver,
 		Workers:    s.workers,
 		SolveCache: s.solveCache,
 	})
-	s.batches.New = func() any { return store.NewBatch() }
+	s.exec = s.engine
+	s.sinks.New = func() any { return &storeSink{batch: store.NewBatch()} }
 
-	s.mux.HandleFunc("POST /ingest", s.handleIngest)
-	s.mux.HandleFunc("POST /v1/query", s.handleQueryV1)
 	s.mux.HandleFunc("POST /v1/partials", s.handlePartialsV1)
 	s.mux.HandleFunc("POST /v1/windows", s.handleWindowsV1)
 	s.mux.HandleFunc("GET /keys", s.handleKeys)
@@ -139,8 +161,8 @@ func New(store *shard.Store, opts ...ServerOption) *Server {
 	return s
 }
 
-// Engine exposes the server's query engine, e.g. for embedding callers
-// that want to bypass HTTP.
+// Engine exposes a shard-node server's query engine, e.g. for embedding
+// callers that want to bypass HTTP; a coordinator has none (nil).
 func (s *Server) Engine() *query.Engine { return s.engine }
 
 // ServeHTTP implements http.Handler.
@@ -168,6 +190,38 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 // 404, not_converged → 422, deadline_exceeded → 504, ...).
 func writeQueryError(w http.ResponseWriter, err *query.Error) {
 	writeJSON(w, err.HTTPStatus(), map[string]any{"error": err})
+}
+
+// decodeRequest runs decode over the request body under the server's body
+// cap and answers the two failures every POST route shares: a body past the
+// cap is 413 too_large, any other decode error 400 invalid_request. It
+// reports whether the handler should go on.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, decode func(body io.Reader) error) bool {
+	err := decode(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err == nil {
+		return true
+	}
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		writeError(w, http.StatusRequestEntityTooLarge, query.CodeTooLarge,
+			"body exceeds %d bytes", maxErr.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, query.CodeInvalid, "%v", err)
+	}
+	return false
+}
+
+// strictJSON is the decode step of the typed JSON routes: one value, unknown
+// fields rejected.
+func strictJSON(v any) func(io.Reader) error {
+	return func(body io.Reader) error {
+		dec := json.NewDecoder(body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(v); err != nil {
+			return fmt.Errorf("decoding request: %w", err)
+		}
+		return nil
+	}
 }
 
 // wireObservation is the ingest wire shape. Value is a pointer so a
@@ -204,18 +258,9 @@ func (o wireObservation) check() error {
 // 2255, safely under math.MaxInt64 nanoseconds ≈ 9.22e9 s). A
 // millisecond- or microsecond-unit timestamp — the classic client bug —
 // lands far above it and is rejected with a hint, rather than overflowing
-// the nanosecond conversion in at() into a negative instant that every
-// pane silently drops. The comparison form also rejects NaN.
+// the nanosecond conversion in storeSink.add into a negative instant that
+// every pane silently drops. The comparison form also rejects NaN.
 const maxIngestTS = 9e9
-
-// at converts the optional wire timestamp; the zero time means "stamp at
-// flush".
-func (o wireObservation) at() time.Time {
-	if o.TS == nil {
-		return time.Time{}
-	}
-	return time.Unix(0, int64(*o.TS*float64(time.Second)))
-}
 
 // ingestRequest is the enveloped JSON body shape; a bare array of
 // observations is accepted too.
@@ -223,47 +268,130 @@ type ingestRequest struct {
 	Observations []wireObservation `json:"observations"`
 }
 
+// storeSink is a shard node's sink: a pooled shard.Batch.
+type storeSink struct {
+	batch *shard.Batch
+}
+
+// add buffers the observation; the zero time means "stamp at flush".
+func (k *storeSink) add(key string, value float64, ts *float64) {
+	var at time.Time
+	if ts != nil {
+		at = time.Unix(0, int64(*ts*float64(time.Second)))
+	}
+	k.batch.AddAt(key, value, at)
+}
+
+// commit is Flush plus write-ahead logging when the store has a journal:
+// the batch is durable before it is applied or acknowledged.
+func (k *storeSink) commit(context.Context) (int, *query.Error) {
+	n, err := k.batch.Commit()
+	if err != nil {
+		return 0, query.Errorf(query.CodeUnavailable, "observation log unavailable: %v", err)
+	}
+	return n, nil
+}
+
+func (k *storeSink) discard() { k.batch.Discard() }
+
+// handleIngest decodes the body — NDJSON by Content-Type, else a bare array
+// or an {"observations":…} envelope — into a pooled sink and commits it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	batch := s.batches.Get().(*shard.Batch)
+	to := s.sinks.Get().(sink)
 	defer func() {
-		// A rejected request must not mutate the store: drop whatever was
-		// buffered before the error. After a successful Flush this is a
-		// no-op, and either way the pooled batch goes back clean.
-		batch.Discard()
-		s.batches.Put(batch)
+		// A rejected request must not mutate anything: drop whatever was
+		// added before the error. After a successful commit this is a
+		// no-op, and either way the pooled sink goes back clean.
+		to.discard()
+		s.sinks.Put(to)
 	}()
 
 	ct := r.Header.Get("Content-Type")
-	var err error
-	if strings.HasPrefix(ct, "application/x-ndjson") || strings.HasPrefix(ct, "text/plain") {
-		err = decodeNDJSON(body, batch)
-	} else {
-		err = decodeJSONBody(body, batch)
-	}
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, query.CodeTooLarge,
-				"body exceeds %d bytes", maxErr.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, query.CodeInvalid, "%v", err)
+	ndjson := strings.HasPrefix(ct, "application/x-ndjson") || strings.HasPrefix(ct, "text/plain")
+	if !s.decodeRequest(w, r, func(body io.Reader) error { return decodeIngest(body, ndjson, to) }) {
 		return
 	}
-	// Commit is Flush plus write-ahead logging when the store has a journal:
-	// the batch is durable before it is applied or acknowledged.
-	n, err := batch.Commit()
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, query.CodeUnavailable,
-			"observation log unavailable: %v", err)
-		return
+	n, qerr := to.commit(r.Context())
+	switch {
+	case qerr == nil:
+		writeJSON(w, http.StatusOK, map[string]any{"ingested": n})
+	case qerr.Code == query.CodePartialResult:
+		// Delivery is all-or-nothing per owning node: the count the
+		// reachable nodes ingested travels alongside the envelope naming
+		// the others.
+		writeJSON(w, qerr.HTTPStatus(), map[string]any{"ingested": n, "error": qerr})
+	default:
+		writeQueryError(w, qerr)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ingested": n})
 }
 
-// decodeJSONBody accepts {"observations":[...]} or a bare [...] array.
-func decodeJSONBody(r io.Reader, batch *shard.Batch) error {
+// lineBufPool recycles the NDJSON scanner's initial line buffers across
+// requests, so steady-state ingest pays no per-request buffer allocation.
+// The scanner grows past 64 KiB only for oversized lines (huge keys); the
+// pooled original stays reusable either way.
+var lineBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 64*1024)
+		return &b
+	},
+}
+
+// decodeIngest is the one ingest body decoder, on a shard node and a
+// coordinator alike. It reads one of three framings — NDJSON (one
+// {"key":...,"value":...} object per line) when ndjson is set, else a bare
+// [...] array or an {"observations":[...]} envelope — validates every
+// observation with check, and hands each to the sink in body order. On
+// error the sink may hold a prefix of the body; the caller discards it.
+//
+// The NDJSON loop is the ingest hot path, tuned to avoid per-observation
+// allocations: lines are decoded straight from the scanner's byte view (no
+// intermediate string), and the value field decodes into one reused float
+// via a NaN sentinel — JSON cannot express NaN, so a sentinel still in
+// place after decoding means the field was absent, which reports the same
+// "missing value" error as the other framings. Only the key string
+// (retained by the sink) and an explicit ts allocate per observation. The
+// line buffer leaves headroom above MaxKeyLen so a maximum-length key is
+// rejected by the same key-length check as the JSON framings, not by an
+// opaque scanner error.
+func decodeIngest(r io.Reader, ndjson bool, to sink) error {
+	if ndjson {
+		sc := bufio.NewScanner(r)
+		bufp := lineBufPool.Get().(*[]byte)
+		defer lineBufPool.Put(bufp)
+		sc.Buffer(*bufp, shard.MaxKeyLen+64*1024)
+		line := 0
+		var (
+			o   wireObservation
+			val float64
+		)
+		for sc.Scan() {
+			if sc.Err() != nil {
+				// The read failed (body cap, dropped connection) and the
+				// scanner is draining what it had buffered: report the
+				// read error, not the line it tore.
+				break
+			}
+			line++
+			text := bytes.TrimSpace(sc.Bytes())
+			if len(text) == 0 {
+				continue
+			}
+			val = math.NaN()
+			o = wireObservation{Value: &val} // resets Key and TS; reuses val
+			if err := json.Unmarshal(text, &o); err != nil {
+				return fmt.Errorf("line %d: %w", line, err)
+			}
+			if o.Value != nil && math.IsNaN(*o.Value) {
+				o.Value = nil // sentinel untouched: the value field was absent
+			}
+			if err := o.check(); err != nil {
+				return fmt.Errorf("line %d: %w", line, err)
+			}
+			to.add(o.Key, *o.Value, o.TS)
+		}
+		return sc.Err()
+	}
+
 	br := bufio.NewReader(r)
 	first, err := firstNonSpace(br)
 	if err != nil {
@@ -286,124 +414,9 @@ func decodeJSONBody(r io.Reader, batch *shard.Batch) error {
 		if err := o.check(); err != nil {
 			return fmt.Errorf("observation %d: %w", i, err)
 		}
-		batch.AddAt(o.Key, *o.Value, o.at())
+		to.add(o.Key, *o.Value, o.TS)
 	}
 	return nil
-}
-
-// lineBufPool recycles the NDJSON scanner's initial line buffers across
-// requests, so steady-state ingest pays no per-request buffer allocation.
-// The scanner grows past 64 KiB only for oversized lines (huge keys); the
-// pooled original stays reusable either way.
-var lineBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 64*1024)
-		return &b
-	},
-}
-
-// decodeNDJSON accepts one {"key":...,"value":...} object per line. The
-// line buffer leaves headroom above MaxKeyLen so a maximum-length key is
-// rejected by the same key-length check as the JSON-array path, not by an
-// opaque scanner error.
-//
-// This is the ingest hot path, tuned to avoid per-observation allocations:
-// lines are decoded straight from the scanner's byte view (no intermediate
-// string), and the value field decodes into one reused float via a NaN
-// sentinel — JSON cannot express NaN, so a sentinel still in place after
-// decoding means the field was absent, which reports the same "missing
-// value" error as the enveloped path. Only the key string (retained by the
-// batch) and an explicit ts allocate per observation.
-func decodeNDJSON(r io.Reader, batch *shard.Batch) error {
-	sc := bufio.NewScanner(r)
-	bufp := lineBufPool.Get().(*[]byte)
-	defer lineBufPool.Put(bufp)
-	sc.Buffer(*bufp, shard.MaxKeyLen+64*1024)
-	line := 0
-	var (
-		o   wireObservation
-		val float64
-	)
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		val = math.NaN()
-		o = wireObservation{Value: &val} // resets Key and TS; reuses val
-		if err := json.Unmarshal(text, &o); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		if o.Value != nil && math.IsNaN(*o.Value) {
-			o.Value = nil // sentinel untouched: the value field was absent
-		}
-		if err := o.check(); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		batch.AddAt(o.Key, *o.Value, o.at())
-	}
-	return sc.Err()
-}
-
-// decodeWireObservations decodes an ingest body into wire observations
-// without a backing store batch — the coordinator path, which re-marshals
-// each observation for its owning node. It dispatches on Content-Type
-// exactly like the single-node /ingest: NDJSON (or text/plain) decodes one
-// object per line, anything else as a bare array or an {"observations":…}
-// envelope. Every observation is validated; a rejected body yields nil.
-func decodeWireObservations(r io.Reader, contentType string) ([]wireObservation, error) {
-	if strings.HasPrefix(contentType, "application/x-ndjson") || strings.HasPrefix(contentType, "text/plain") {
-		sc := bufio.NewScanner(r)
-		bufp := lineBufPool.Get().(*[]byte)
-		defer lineBufPool.Put(bufp)
-		sc.Buffer(*bufp, shard.MaxKeyLen+64*1024)
-		var obs []wireObservation
-		line := 0
-		for sc.Scan() {
-			line++
-			text := bytes.TrimSpace(sc.Bytes())
-			if len(text) == 0 {
-				continue
-			}
-			var o wireObservation
-			if err := json.Unmarshal(text, &o); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if err := o.check(); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			obs = append(obs, o)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return obs, nil
-	}
-	br := bufio.NewReader(r)
-	first, err := firstNonSpace(br)
-	if err != nil {
-		return nil, errors.New("empty body")
-	}
-	dec := json.NewDecoder(br)
-	var obs []wireObservation
-	if first == '[' {
-		if err := dec.Decode(&obs); err != nil {
-			return nil, fmt.Errorf("decoding observation array: %w", err)
-		}
-	} else {
-		var req ingestRequest
-		if err := dec.Decode(&req); err != nil {
-			return nil, fmt.Errorf("decoding ingest request: %w", err)
-		}
-		obs = req.Observations
-	}
-	for i := range obs {
-		if err := obs[i].check(); err != nil {
-			return nil, fmt.Errorf("observation %d: %w", i, err)
-		}
-	}
-	return obs, nil
 }
 
 func firstNonSpace(br *bufio.Reader) (byte, error) {

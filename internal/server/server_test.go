@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/query"
@@ -381,6 +382,78 @@ func TestRemovedRoutes(t *testing.T) {
 			if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
 				t.Errorf("%s GET %s: status %d, want 404 or 405", kind, path, resp.StatusCode)
 			}
+		}
+	}
+}
+
+// TestRequestDecodeErrors pins the one decodeRequest policy on every POST
+// route that decodes a body, on both edges: a body past the cap is 413
+// too_large, malformed JSON and (on the strict routes) an unknown field are
+// 400 invalid_request — the same status and code from a shard node and
+// from a coordinator.
+func TestRequestDecodeErrors(t *testing.T) {
+	const maxBody = 64
+	nodeSrv := New(shard.New(shard.WithShards(8), shard.WithWindow(time.Second, 8)))
+	nodeSrv.maxBody = maxBody
+	node := httptest.NewServer(nodeSrv)
+	t.Cleanup(node.Close)
+	coord, err := cluster.New(cluster.Config{Nodes: []string{node.URL}, Backend: sketch.MomentsBackend(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordSrv := NewCoordinator(coord)
+	coordSrv.maxBody = maxBody
+	coordTS := httptest.NewServer(coordSrv)
+	t.Cleanup(coordTS.Close)
+
+	long := strings.Repeat("k", 2*maxBody)
+	routes := []struct {
+		path, overCap string
+		onCoordinator bool
+		unknownField  int // status of {"bogus":1}
+	}{
+		{"/ingest", `[{"key":"` + long + `","value":1}]`, true, http.StatusOK}, // the lenient envelope: zero observations
+		{"/v1/query", `{"queries":[{"id":"` + long + `"}]}`, true, http.StatusBadRequest},
+		{"/v1/partials", `{"selections":[{"key":"` + long + `"}]}`, false, http.StatusBadRequest},
+		{"/v1/windows", `{"key":"` + long + `","width":1,"t":1}`, false, http.StatusBadRequest},
+	}
+	for _, rt := range routes {
+		edges := map[string]string{"node": node.URL}
+		if rt.onCoordinator {
+			edges["coordinator"] = coordTS.URL
+		}
+		for _, tc := range []struct {
+			name, body string
+			status     int
+			code       string
+		}{
+			{"over-cap", rt.overCap, http.StatusRequestEntityTooLarge, query.CodeTooLarge},
+			{"malformed", `{"queries":[`, http.StatusBadRequest, query.CodeInvalid},
+			{"unknown-field", `{"bogus":1}`, rt.unknownField, query.CodeInvalid},
+		} {
+			for edge, base := range edges {
+				t.Run(rt.path+"/"+tc.name+"/"+edge, func(t *testing.T) {
+					m := wantStatus(t, postJSON(t, base+rt.path, tc.body), tc.status)
+					if tc.status == http.StatusOK {
+						return
+					}
+					if e, _ := m["error"].(map[string]any); e == nil || e["code"] != tc.code {
+						t.Errorf("error = %v, want code %s", m["error"], tc.code)
+					}
+				})
+			}
+		}
+	}
+
+	// The NDJSON framing of /ingest goes through the same cap.
+	for edge, base := range map[string]string{"node": node.URL, "coordinator": coordTS.URL} {
+		resp, err := http.Post(base+"/ingest", "application/x-ndjson", strings.NewReader(`{"key":"`+long+`","value":1}`+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := wantStatus(t, resp, http.StatusRequestEntityTooLarge)
+		if e, _ := m["error"].(map[string]any); e == nil || e["code"] != query.CodeTooLarge {
+			t.Errorf("%s ndjson over-cap: error = %v, want code %s", edge, m["error"], query.CodeTooLarge)
 		}
 	}
 }

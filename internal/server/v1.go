@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
 
 	"repro/internal/query"
@@ -10,23 +8,16 @@ import (
 
 // handleQueryV1 is the batched typed query endpoint: one POST carrying any
 // mix of key / prefix / group-by subqueries, each with its own aggregation
-// list, executed by the parallel engine with per-subquery error isolation.
+// list, planned by query.Plan and run by the server's executor — the local
+// parallel engine, or the scatter-gather coordinator, whose answers carry
+// the additional partial_result envelope when shards were unreachable —
+// with per-subquery error isolation.
 func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req query.Request
-	if err := dec.Decode(&req); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, query.CodeTooLarge,
-				"body exceeds %d bytes", maxErr.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, query.CodeInvalid, "decoding request: %v", err)
+	if !s.decodeRequest(w, r, strictJSON(&req)) {
 		return
 	}
-	resp, qerr := s.engine.Execute(r.Context(), &req)
+	resp, qerr := s.exec.Execute(r.Context(), &req)
 	if qerr != nil {
 		writeQueryError(w, qerr)
 		return

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"time"
 
 	"repro/internal/cascade"
+	"repro/internal/maxent"
 	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/window"
@@ -103,12 +103,8 @@ func (s *Server) handleWindowsV1(w http.ResponseWriter, r *http.Request) {
 			s.store.Backend().Name))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req windowsRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, query.CodeInvalid, "decoding request: %v", err)
+	if !s.decodeRequest(w, r, strictJSON(&req)) {
 		return
 	}
 	if qerr := req.validate(retention); qerr != nil {
@@ -150,7 +146,7 @@ func (s *Server) handleWindowsV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := cascade.Full()
-	res, err := window.ScanMomentsContext(r.Context(), raws, req.Width, *req.T, phi, cfg, s.solver)
+	res, err := window.ScanMomentsContext(r.Context(), raws, req.Width, *req.T, phi, cfg, maxent.Options{})
 	if err != nil {
 		if r.Context().Err() != nil {
 			writeQueryError(w, query.Errorf(query.CodeDeadline, "request deadline exceeded"))

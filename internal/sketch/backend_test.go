@@ -257,10 +257,10 @@ func TestCodecRejectsForeignParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged = append([]byte(nil), blob[:4]...)
-	forged = binary.AppendUvarint(forged, 256)      // size (matches backend)
-	forged = appendF64(forged, 1)                   // n
-	forged = binary.AppendUvarint(forged, 1<<22)    // claimed item count
-	forged = append(forged, 0, 0, 0, 0, 0, 0, 0, 0) // far too few bytes
+	forged = binary.AppendUvarint(forged, 256)                             // size (matches backend)
+	forged = binary.LittleEndian.AppendUint64(forged, math.Float64bits(1)) // n
+	forged = binary.AppendUvarint(forged, 1<<22)                           // claimed item count
+	forged = append(forged, 0, 0, 0, 0, 0, 0, 0, 0)                        // far too few bytes
 	if _, err := sb.Unmarshal(forged); err == nil {
 		t.Error("sampling payload with an implausible item count accepted")
 	}

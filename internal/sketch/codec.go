@@ -100,103 +100,42 @@ func (b Backend) Unmarshal(data []byte) (Serving, error) {
 
 // --- little codec helpers -------------------------------------------------
 
-func appendUvarint(buf []byte, v uint64) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], v)
-	return append(buf, scratch[:n]...)
-}
-
-func appendF64(buf []byte, v float64) []byte {
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-	return append(buf, scratch[:]...)
-}
-
 func appendF64s(buf []byte, vs []float64) []byte {
-	buf = appendUvarint(buf, uint64(len(vs)))
+	buf = binary.AppendUvarint(buf, uint64(len(vs)))
 	for _, v := range vs {
-		buf = appendF64(buf, v)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
 
-// codecReader walks a payload, latching the first error.
-type codecReader struct {
-	data []byte
-	err  error
-}
-
-func (r *codecReader) fail() {
-	if r.err == nil {
-		r.err = encoding.ErrCorrupt
-	}
-	r.data = nil
-}
-
-func (r *codecReader) uvarint() uint64 {
-	if r.err != nil {
+// readCount reads a collection length: bounded by the remaining payload
+// like every encoding.Reader count, and by maxCodecItems on top.
+func readCount(r *encoding.Reader) int {
+	n := r.Count()
+	if n > maxCodecItems {
+		r.Fail()
 		return 0
 	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
+	return n
 }
 
-func (r *codecReader) count() int {
-	v := r.uvarint()
-	if v > maxCodecItems {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *codecReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data))
-	r.data = r.data[8:]
-	return v
-}
-
-func (r *codecReader) f64s() []float64 {
-	n := r.count()
-	if r.err != nil || n == 0 {
+// readF64s reads a length-prefixed float slice, checking the claimed length
+// against the remaining payload before allocating, so a tiny hostile record
+// cannot demand a large buffer.
+func readF64s(r *encoding.Reader) []float64 {
+	n := readCount(r)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
-	// Check the claimed length against the remaining payload before
-	// allocating, so a tiny hostile record cannot demand a large buffer.
-	if len(r.data) < 8*n {
-		r.fail()
+	if len(r.Data) < 8*n {
+		r.Fail()
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.f64()
-	}
-	if r.err != nil {
-		return nil
+		out[i] = r.F64()
 	}
 	return out
-}
-
-func (r *codecReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.data) != 0 {
-		return encoding.ErrCorrupt
-	}
-	return nil
 }
 
 // --- Merge12 --------------------------------------------------------------
@@ -204,48 +143,45 @@ func (r *codecReader) done() error {
 // payload: k, n, base, levelCount, per level (present flag as length with
 // ^0 sentinel for nil), rng.
 func (s *Merge12) appendPayload(buf []byte) []byte {
-	buf = appendUvarint(buf, uint64(s.k))
-	buf = appendF64(buf, s.n)
+	buf = binary.AppendUvarint(buf, uint64(s.k))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.n))
 	buf = appendF64s(buf, s.base)
-	buf = appendUvarint(buf, uint64(len(s.levels)))
+	buf = binary.AppendUvarint(buf, uint64(len(s.levels)))
 	for _, lvl := range s.levels {
 		if lvl == nil {
-			buf = appendUvarint(buf, 0)
+			buf = binary.AppendUvarint(buf, 0)
 			continue
 		}
 		buf = appendF64s(buf, lvl)
 	}
-	buf = appendUvarint(buf, s.rng)
+	buf = binary.AppendUvarint(buf, s.rng)
 	return buf
 }
 
 func unmarshalMerge12(payload []byte, wantK int) (*Merge12, error) {
-	r := &codecReader{data: payload}
-	k := r.count()
-	n := r.f64()
-	base := r.f64s()
-	numLevels := r.count()
+	r := &encoding.Reader{Data: payload}
+	gotK := r.Uvarint()
+	n := r.F64()
+	base := readF64s(r)
+	numLevels := readCount(r)
 	var levels [][]float64
-	if r.err == nil && numLevels > 0 {
-		if numLevels > len(r.data) { // ≥ 1 byte per level remains
-			r.fail()
-		} else {
-			levels = make([][]float64, numLevels)
-			for i := range levels {
-				levels[i] = r.f64s()
-			}
+	if numLevels > 0 { // readCount checked that ≥ 1 byte per level remains
+		levels = make([][]float64, numLevels)
+		for i := range levels {
+			levels[i] = readF64s(r)
 		}
 	}
-	rng := r.uvarint()
-	if err := r.done(); err != nil {
+	rng := r.Uvarint()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	// The buffer parameter must match the decoding backend's own: a payload
 	// cannot smuggle in a different k — which also bounds the base-buffer
 	// allocation to what the operator configured.
-	if k != wantK {
+	if gotK != uint64(wantK) {
 		return nil, ErrTypeMismatch
 	}
+	k := wantK
 	if k < 2 || k%2 == 1 || len(base) > 2*k || n < 0 {
 		return nil, encoding.ErrCorrupt
 	}
@@ -268,36 +204,36 @@ func unmarshalMerge12(payload []byte, wantK int) (*Merge12, error) {
 // The scratch buffer is flushed before encoding, so only centroids travel.
 func (t *TDigest) appendPayload(buf []byte) []byte {
 	t.compress()
-	buf = appendF64(buf, t.compression)
-	buf = appendF64(buf, t.n)
-	buf = appendF64(buf, t.min)
-	buf = appendF64(buf, t.max)
-	buf = appendUvarint(buf, uint64(len(t.cs)))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.compression))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.n))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.min))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.max))
+	buf = binary.AppendUvarint(buf, uint64(len(t.cs)))
 	for _, c := range t.cs {
-		buf = appendF64(buf, c.mean)
-		buf = appendF64(buf, c.count)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.mean))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.count))
 	}
 	return buf
 }
 
 func unmarshalTDigest(payload []byte, wantCompression int) (*TDigest, error) {
-	r := &codecReader{data: payload}
-	compression := r.f64()
-	n := r.f64()
-	min, max := r.f64(), r.f64()
-	numCs := r.count()
+	r := &encoding.Reader{Data: payload}
+	compression := r.F64()
+	n := r.F64()
+	min, max := r.F64(), r.F64()
+	numCs := readCount(r)
 	var cs []tdCentroid
-	if r.err == nil && numCs > 0 {
-		if len(r.data) < 16*numCs {
-			r.fail()
+	if r.Err == nil && numCs > 0 {
+		if len(r.Data) < 16*numCs {
+			r.Fail()
 		} else {
 			cs = make([]tdCentroid, numCs)
 			for i := range cs {
-				cs[i] = tdCentroid{mean: r.f64(), count: r.f64()}
+				cs[i] = tdCentroid{mean: r.F64(), count: r.F64()}
 			}
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	// The compression must match the decoding backend's own: an unbounded
@@ -320,27 +256,28 @@ func unmarshalTDigest(payload []byte, wantCompression int) (*TDigest, error) {
 
 // payload: reservoir size, n, items, rng.
 func (s *Sampling) appendPayload(buf []byte) []byte {
-	buf = appendUvarint(buf, uint64(s.size))
-	buf = appendF64(buf, s.n)
+	buf = binary.AppendUvarint(buf, uint64(s.size))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.n))
 	buf = appendF64s(buf, s.items)
-	buf = appendUvarint(buf, s.rng)
+	buf = binary.AppendUvarint(buf, s.rng)
 	return buf
 }
 
 func unmarshalSampling(payload []byte, wantSize int) (*Sampling, error) {
-	r := &codecReader{data: payload}
-	size := r.count()
-	n := r.f64()
-	items := r.f64s()
-	rng := r.uvarint()
-	if err := r.done(); err != nil {
+	r := &encoding.Reader{Data: payload}
+	gotSize := r.Uvarint()
+	n := r.F64()
+	items := readF64s(r)
+	rng := r.Uvarint()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	// The reservoir size must match the decoding backend's own, bounding
 	// the reservoir allocation to what the operator configured.
-	if size != wantSize {
+	if gotSize != uint64(wantSize) {
 		return nil, ErrTypeMismatch
 	}
+	size := wantSize
 	if size < 1 || len(items) > size || math.IsNaN(n) || n < 0 {
 		return nil, encoding.ErrCorrupt
 	}

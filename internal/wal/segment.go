@@ -96,21 +96,14 @@ func parseSegName(name string) (stripe int, seq uint64, ok bool) {
 	return stripe, seq, true
 }
 
-// appendUvarint appends v as a uvarint.
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
 // appendHeader appends a segment header for the stripe/seq/fingerprint.
 func appendHeader(dst []byte, stripe int, seq uint64, fingerprint string) []byte {
 	start := len(dst)
 	dst = append(dst, segMagic...)
 	dst = append(dst, segVersion)
-	dst = appendUvarint(dst, uint64(stripe))
-	dst = appendUvarint(dst, seq)
-	dst = appendUvarint(dst, uint64(len(fingerprint)))
+	dst = binary.AppendUvarint(dst, uint64(stripe))
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(fingerprint)))
 	dst = append(dst, fingerprint...)
 	crc := crc32.Checksum(dst[start+len(segMagic):], castagnoli)
 	return binary.LittleEndian.AppendUint32(dst, crc)
@@ -193,13 +186,6 @@ type byteReaderFunc func() (byte, error)
 
 func (f byteReaderFunc) ReadByte() (byte, error) { return f() }
 
-// appendVarint appends v zig-zag encoded.
-func appendVarint(dst []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
 // dictBits sizes the encoder's key-dictionary table: 1024 slots, far more
 // than the distinct keys of an ingest-shaped batch, so probe chains stay
 // short at realistic load factors.
@@ -260,7 +246,7 @@ func appendRecord(dst []byte, obs []shard.Observation) []byte {
 func appendRecordDict(dst []byte, obs []shard.Observation, tab *dictTab) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = appendUvarint(dst, uint64(len(obs)))
+	dst = binary.AppendUvarint(dst, uint64(len(obs)))
 	if len(obs) > 0 {
 		// Commit stamps a whole batch with one instant, so encode
 		// optimistically as a uniform-timestamp record (one flag bit drops
@@ -285,7 +271,7 @@ func appendRecordDict(dst []byte, obs []shard.Observation, tab *dictTab) []byte 
 // the base; the caller retries with uniform false.
 func appendObsPayload(dst []byte, obs []shard.Observation, tab *dictTab, uniform bool) ([]byte, bool) {
 	base := obs[0].At.UnixNano()
-	dst = appendVarint(dst, base)
+	dst = binary.AppendVarint(dst, base)
 	if uniform {
 		dst = append(dst, 1)
 	} else {
@@ -328,11 +314,11 @@ func appendObsPayload(dst []byte, obs []shard.Observation, tab *dictTab, uniform
 			}
 		}
 		if id != 0 {
-			dst = appendUvarint(dst, uint64(id))
+			dst = binary.AppendUvarint(dst, uint64(id))
 			prevID = id
 		} else {
 			dst = append(dst, 0)
-			dst = appendUvarint(dst, uint64(len(o.Key)))
+			dst = binary.AppendUvarint(dst, uint64(len(o.Key)))
 			dst = append(dst, o.Key...)
 			prevID = nextID
 		}
@@ -341,9 +327,9 @@ func appendObsPayload(dst []byte, obs []shard.Observation, tab *dictTab, uniform
 		// bytes in the uvarint's high positions: values with few
 		// significant digits — counters, millisecond latencies — encode
 		// in two or three bytes instead of eight.
-		dst = appendUvarint(dst, bits.ReverseBytes64(math.Float64bits(o.Value)))
+		dst = binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(o.Value)))
 		if !uniform {
-			dst = appendVarint(dst, delta)
+			dst = binary.AppendVarint(dst, delta)
 		}
 	}
 	return dst, true
@@ -465,9 +451,9 @@ const maxWatermarkStripes = 1 << 16
 func AppendWatermark(w io.Writer, cuts []uint64) error {
 	var buf []byte
 	buf = append(buf, wmMagic...)
-	buf = appendUvarint(buf, uint64(len(cuts)))
+	buf = binary.AppendUvarint(buf, uint64(len(cuts)))
 	for _, c := range cuts {
-		buf = appendUvarint(buf, c)
+		buf = binary.AppendUvarint(buf, c)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(buf)))
