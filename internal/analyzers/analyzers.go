@@ -9,7 +9,6 @@ import (
 	"repro/internal/analyzers/errenvelope"
 	"repro/internal/analyzers/framework"
 	"repro/internal/analyzers/poolescape"
-	"repro/internal/analyzers/readbarrier"
 	"repro/internal/analyzers/stripelock"
 )
 
@@ -19,7 +18,6 @@ func All() []*framework.Analyzer {
 		capsgate.Analyzer,
 		errenvelope.Analyzer,
 		poolescape.Analyzer,
-		readbarrier.Analyzer,
 		stripelock.Analyzer,
 	}
 }

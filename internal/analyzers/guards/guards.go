@@ -1,6 +1,5 @@
-// Package guards builds the lock-ownership model shared by the stripelock
-// and readbarrier analyzers: which struct fields are protected by which
-// mutexes, and which fields count as mutable shared state.
+// Package guards builds the lock-ownership model behind the stripelock
+// analyzer: which struct fields are protected by which mutexes.
 //
 // Two conventions are recognized, matching how internal/shard is written:
 //
@@ -9,7 +8,7 @@
 //     selector anywhere in the package outside of constructor functions —
 //     immutable configuration set only at construction stays unguarded.
 //     Fields of sync/atomic types are never guarded (they are their own
-//     synchronization), but still count as shared state.
+//     synchronization).
 //
 //  2. A struct reachable only through a mutex-holding owner declares that
 //     with a directive in its doc comment:
@@ -34,10 +33,6 @@ type Model struct {
 	// Guards maps a struct field to the mutex fields that may guard it; an
 	// access is clean while any one of them is held.
 	Guards map[*types.Var][]*types.Var
-	// State holds every field of a guard-involved struct except the
-	// mutexes themselves — the "reads need freshness" set readbarrier
-	// checks, which includes atomics and immutable configuration.
-	State map[*types.Var]bool
 	// Exempt holds the externally guarded struct types whose own methods
 	// are entered with the lock already held.
 	Exempt map[*types.Named]bool
@@ -84,7 +79,6 @@ func structOf(t types.Type) (*types.Named, *types.Struct) {
 func BuildModel(pass *framework.Pass) *Model {
 	m := &Model{
 		Guards: make(map[*types.Var][]*types.Var),
-		State:  make(map[*types.Var]bool),
 		Exempt: make(map[*types.Named]bool),
 		Label:  make(map[*types.Var]string),
 	}
@@ -202,11 +196,7 @@ func BuildModel(pass *framework.Pass) *Model {
 		for i := 0; i < ms.st.NumFields(); i++ {
 			fld := ms.st.Field(i)
 			m.Label[fld] = ms.named.Obj().Name() + "." + fld.Name()
-			if IsMutex(fld.Type()) {
-				continue
-			}
-			m.State[fld] = true
-			if IsAtomic(fld.Type()) {
+			if IsMutex(fld.Type()) || IsAtomic(fld.Type()) {
 				continue
 			}
 			// Externally guarded structs protect every field; mutex-bearing

@@ -326,6 +326,65 @@ func TestWindowsScanMatchesSummaryOracle(t *testing.T) {
 	}
 }
 
+// TestWindowedPrefixAnswersRepeatable: a windowed-prefix /v1/query request
+// and a /v1/windows prefix scan, each sent twice to a quiescent store with
+// the solve cache off, return identical bodies apart from the scan's
+// merge_ns/est_ns timers. One stripe holds all 200 keys and the values span
+// orders of magnitude, so a merge order that followed map iteration would
+// move the trailing digits between the two answers.
+func TestWindowedPrefixAnswersRepeatable(t *testing.T) {
+	store := shard.New(shard.WithShards(1), shard.WithWindow(time.Second, 16),
+		shard.WithClock(func() time.Time { return time.Unix(winEpoch, 0) }))
+	ts := httptest.NewServer(New(store, WithSolveCache(0)))
+	defer ts.Close()
+	rng := rand.New(rand.NewPCG(27, 28))
+	var sb strings.Builder
+	for i := 0; i < 200; i++ {
+		for j := 0; j < 4; j++ {
+			fmt.Fprintf(&sb, `{"key":"rep.k%03d","value":%g,"ts":%d}`+"\n",
+				i, math.Exp(rng.NormFloat64()*4), winEpoch-rng.IntN(16))
+		}
+	}
+	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest returned %s", resp.Status)
+	}
+
+	body := func(path, req string) []byte {
+		t.Helper()
+		resp := postJSON(t, ts.URL+path, req)
+		defer resp.Body.Close()
+		var m map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s returned %s: %v", path, resp.Status, m)
+		}
+		delete(m, "merge_ns")
+		delete(m, "est_ns")
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, tc := range []struct{ path, req string }{
+		{"/v1/query", `{"queries":[
+			{"select":{"prefix":"rep.","window":{"last":8,"step":2}},"aggregations":[{"op":"stats"},{"op":"quantiles","phis":[0.5,0.99]}]},
+			{"select":{"prefix":"rep.","window":{}},"aggregations":[{"op":"stats"},{"op":"quantiles","phis":[0.9]}]}]}`},
+		{"/v1/windows", `{"prefix":"rep.","width":4,"t":100,"phi":0.9}`},
+	} {
+		if first, second := body(tc.path, tc.req), body(tc.path, tc.req); !bytes.Equal(first, second) {
+			t.Errorf("%s: two answers over the same data differ:\n%s\n%s", tc.path, first, second)
+		}
+	}
+}
+
 func TestWindowsEndpointErrors(t *testing.T) {
 	// Timeless store: the endpoint is disabled outright.
 	plain := shard.New(shard.WithShards(2))

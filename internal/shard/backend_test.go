@@ -220,8 +220,8 @@ func TestWindowedBackendStore(t *testing.T) {
 }
 
 // TestSnapshotBackendMismatch: every cross-backend restore — v3 into a
-// differently backed store, legacy moments v1 into a non-moments store, v3
-// into a moments store — must fail with a clear error and leave the target
+// differently backed store, legacy v1 or v3 moments into a non-moments
+// store, non-moments v3 into a moments store — must fail with a clear error and leave the target
 // untouched.
 func TestSnapshotBackendMismatch(t *testing.T) {
 	td := New(WithShards(2), WithBackend(sketch.TDigestBackend(100)))
@@ -248,19 +248,17 @@ func TestSnapshotBackendMismatch(t *testing.T) {
 		t.Errorf("tdigest(c=100) snapshot into tdigest(c=200) store: %v", err)
 	}
 
-	// Legacy moments v1 into a non-moments store.
+	// Legacy moments v1 and moments v3 into a non-moments store.
 	m := New(WithShards(2))
 	m.Add("k", 1)
-	var v1 bytes.Buffer
-	if err := m.Snapshot(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := td.Restore(bytes.NewReader(v1.Bytes())); err == nil ||
-		!strings.Contains(err.Error(), "does not match store backend") {
-		t.Errorf("moments v1 snapshot into tdigest store: %v", err)
+	for _, snap := range [][]byte{readGolden(t, "snapshot-v1.golden"), snapshotBytes(t, m)} {
+		if err := td.Restore(bytes.NewReader(snap)); err == nil ||
+			!strings.Contains(err.Error(), "does not match store backend") {
+			t.Errorf("moments snapshot (version %d) into tdigest store: %v", snap[len(snapMagic)], err)
+		}
 	}
 
-	// v3 into a moments store.
+	// tdigest v3 into a moments store.
 	if err := m.Restore(bytes.NewReader(v3.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "does not match store backend") {
 		t.Errorf("tdigest v3 snapshot into moments store: %v", err)

@@ -24,16 +24,12 @@
 // alone; there is no option. Sketch returns the raw moments view and
 // reports false on non-moments backends.
 //
-// For write rates where even one stripe-lock acquisition per batch
-// contends, NewFlusher attaches thread-local buffered ingest: each
-// ingesting goroutine takes a Local handle and accumulates observations
-// into per-key local summaries (an O(k) vector add on ExactMerge-capable
-// backends; others fall back to a batched striped write), merged into the
-// stripes on size, time or explicit flush triggers. Buffered observations
-// are ordered and versioned at flush; read paths drain pending buffers
-// first (read-your-writes) unless the flusher was configured Stale, and
-// Snapshot/Restore drain regardless. See ARCHITECTURE.md "Buffered
-// ingest" for the full visibility contract.
+// There is one write path: Add/AddAt, or a Batch whose observations become
+// visible, ordered and versioned at Flush (Commit when a journal is
+// attached). There is one key order: every store keeps a sorted key index
+// per stripe, and every prefix or key walk — rollups, matches, key
+// listings, pane series, retained rollups and snapshots — follows it, so
+// every read is a pure function of the data.
 //
 // Every key also carries a mutation version stamped from its stripe's
 // monotonic counter (KeyVersion); Version sums the stripe counters into a
@@ -55,10 +51,10 @@
 //
 // The full store can be serialized to a length-prefixed snapshot stream
 // (see Snapshot/Restore) built on the per-backend codecs in internal/sketch
-// and internal/encoding. Moments stores write the unchanged formats v1/v2
-// (v2 carries the pane configuration and each key's live panes); stores on
-// other backends write the backend-tagged format v3, and Restore rejects
-// any snapshot whose backend fingerprint differs from the store's. Restore
-// re-expires against the wall clock and rebuilds each rolling summary by
-// exact re-merge.
+// and internal/encoding. Every store writes the backend-tagged format v3
+// (with the pane configuration and each key's live panes when windowed),
+// records in key-index order; Restore also reads the moments formats v1/v2
+// earlier releases wrote, and rejects any snapshot whose backend
+// fingerprint differs from the store's. Restore re-expires against the
+// wall clock and rebuilds each rolling summary by exact re-merge.
 package shard

@@ -10,19 +10,20 @@ import (
 	"time"
 )
 
-// -shard.seed pins the property test's randomness for reproducing a
+// -shard.seed pins the property tests' randomness for reproducing a
 // reported failure; 0 (the default) draws a fresh seed and logs it.
-var propSeed = flag.Int64("shard.seed", 0, "seed for the buffered-ingest property test (0 = random, logged)")
+var propSeed = flag.Int64("shard.seed", 0, "seed for the shard property tests (0 = random, logged)")
 
-// TestBufferedIngestLinearizability is the linearizability/staleness
-// property test: one mutator goroutine applies a seeded random interleaving
-// of Add (through a buffered handle), Flush, Delete and Reset while reader
-// goroutines continuously query. With read barriers on (the default mode),
-// every per-key count a reader observes must equal the count after some
-// prefix of the mutator's already-issued operations — no lost observations,
-// no duplicates, no states that never existed — and the store's mutation
-// versions must never regress. The seed is logged so any failure replays
-// with -shard.seed.
+// TestBufferedIngestLinearizability is the linearizability property test of
+// the write path: one mutator goroutine applies a seeded random
+// interleaving of batch Add, batch Flush, direct Store.Add, Delete and Reset
+// while reader goroutines continuously query. A batch add becomes visible
+// at its Flush, not before, and survives a Delete or Reset issued while it
+// was pending. Every per-key count a reader observes must equal the count
+// after some prefix of the mutator's already-issued operations — no lost
+// observations, no duplicates, no states that never existed — and the
+// store's mutation versions must never regress. The seed is logged so any
+// failure replays with -shard.seed.
 func TestBufferedIngestLinearizability(t *testing.T) {
 	seed := *propSeed
 	if seed == 0 {
@@ -35,20 +36,15 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 	const ops = 4000
 
 	s := New(WithShards(4))
-	f, err := NewFlusher(s, FlusherConfig{FlushSize: 7}) // small: force frequent auto-flushes
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 
-	// The model: counts[i][k] is key k's expected observation count after
-	// the first i mutator operations have been applied. The mutator
-	// publishes row i and bumps applied BEFORE performing operation i, so
-	// at applied == i the performed prefix is i-1 or i operations — a
-	// reader bracketing its query with [lo, hi] loads of applied must
-	// observe the state after some prefix j ∈ [lo-1, hi]: the lower bound
-	// because op lo may not have run yet, the upper because an op's effect
-	// can only be visible after its row was published.
+	// The model: counts[i][k] is key k's expected visible count after the
+	// first i mutator operations have been applied. The mutator publishes
+	// row i and bumps applied BEFORE performing operation i, so at applied
+	// == i the performed prefix is i-1 or i operations — a reader
+	// bracketing its query with [lo, hi] loads of applied must observe the
+	// state after some prefix j ∈ [lo-1, hi]: the lower bound because op lo
+	// may not have run yet, the upper because an op's effect can only be
+	// visible after its row was published.
 	counts := make([][len("abc")]float64, ops+1)
 	var applied atomic.Int64
 
@@ -58,10 +54,10 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 	// Readers: each query brackets its read with the applied counter and
 	// asserts the observed count matches the model at some prefix inside
 	// the bracket. Version reads assert global monotonicity, and per-key
-	// version reads — served from published snapshot stamps on the
-	// wait-free path (PR 10) — must never regress either: a reader racing
-	// flushes may observe a snapshot lagging the newest commit, but never
-	// one older than a snapshot it already observed.
+	// version reads — served from published snapshot stamps — must never
+	// regress either: a reader racing a flush may observe a snapshot
+	// lagging the newest commit, but never one older than a snapshot it
+	// already observed.
 	readerErr := make(chan error, 4)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -109,10 +105,11 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 		}(r)
 	}
 
-	// The single mutator: random Add/Flush/Delete/Reset through the
-	// buffered handle, maintaining the model as each operation is issued.
-	h := f.Handle()
-	cur := [3]float64{}
+	// The single mutator: random batch Add/Flush, direct Add, Delete and
+	// Reset, maintaining the model as each operation is issued. pending
+	// counts the batch's unflushed adds per key.
+	b := s.NewBatch()
+	cur, pending := [3]float64{}, [3]float64{}
 	for i := 1; i <= ops; i++ {
 		ki := rng.Intn(len(keys))
 		p := rng.Float64()
@@ -120,10 +117,14 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 		// ordering comment on counts above).
 		next := cur
 		switch {
-		case p < 0.80:
+		case p < 0.55:
+			// A batch add changes nothing visible until the flush.
+		case p < 0.70:
 			next[ki]++
-		case p < 0.90:
-			// Flush changes visibility, not state.
+		case p < 0.85:
+			for k := range next {
+				next[k] += pending[k]
+			}
 		case p < 0.98:
 			next[ki] = 0
 		default:
@@ -132,13 +133,17 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 		counts[i] = next
 		applied.Store(int64(i))
 		switch {
-		case p < 0.80: // Add: buffered, becomes visible at latest by the next barrier
-			h.Add(keys[ki], float64(rng.Intn(5)))
-		case p < 0.90: // explicit Flush
-			h.Flush()
-		case p < 0.98: // Delete: drains first, so buffered adds die with the key
+		case p < 0.55:
+			b.Add(keys[ki], float64(rng.Intn(5)))
+			pending[ki]++
+		case p < 0.70:
+			s.Add(keys[ki], float64(rng.Intn(5)))
+		case p < 0.85:
+			b.Flush()
+			pending = [3]float64{}
+		case p < 0.98: // Delete: the batch's pending adds survive it
 			s.Delete(keys[ki])
-		default: // Reset: everything goes, buffered included
+		default: // Reset: likewise
 			s.Reset()
 		}
 		cur = next
@@ -148,7 +153,6 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 		default:
 		}
 	}
-	h.Close()
 	close(stop)
 	wg.Wait()
 	select {
@@ -157,58 +161,11 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 	default:
 	}
 
-	// Final drain: the store must agree with the model's last row exactly.
-	f.Flush()
+	// Final flush: the store must agree with the model exactly.
+	b.Flush()
 	for ki, key := range keys {
-		if got := s.Count(key); got != counts[ops][ki] {
-			t.Errorf("final Count(%s) = %v, want %v", key, got, counts[ops][ki])
+		if want := cur[ki] + pending[ki]; s.Count(key) != want {
+			t.Errorf("final Count(%s) = %v, want %v", key, s.Count(key), want)
 		}
-	}
-}
-
-// TestBufferedIngestStalenessBound: in Stale mode a reader may lag, but
-// never by more than the unflushed buffer — observed counts must still be a
-// prefix-consistent state (some earlier model row), never a fabricated one,
-// and an explicit Flush catches reads fully up. Single mutator, so prefix
-// states are exactly the model rows.
-func TestBufferedIngestStalenessBound(t *testing.T) {
-	seed := *propSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	t.Logf("seed: %d (replay with -shard.seed=%d)", seed, seed)
-	rng := rand.New(rand.NewSource(seed))
-
-	s := New(WithShards(4))
-	f, err := NewFlusher(s, FlusherConfig{FlushSize: 16, Stale: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	h := f.Handle()
-	defer h.Close()
-
-	const ops = 2000
-	key := "stale.prop"
-	seen := make([]float64, 0, ops+1)
-	seen = append(seen, 0)
-	total := 0.0
-	for i := 0; i < ops; i++ {
-		h.Add(key, float64(rng.Intn(9)))
-		total++
-		seen = append(seen, total)
-		got := s.Count(key)
-		// The observed count must be one of the model states (it lags by
-		// the unflushed remainder) and must never exceed what was added.
-		if got > total {
-			t.Fatalf("op %d: Count = %v exceeds %v added (duplicated observations)", i, got, total)
-		}
-		if lag := total - got; lag > 16 {
-			t.Fatalf("op %d: staleness lag %v exceeds the FlushSize bound 16", i, lag)
-		}
-	}
-	h.Flush()
-	if got := s.Count(key); got != total {
-		t.Fatalf("after explicit flush: Count = %v, want %v", got, total)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -142,31 +141,6 @@ func (r *paneRing) observe(p int64, x float64) {
 	s.idx = p
 	s.sk.Add(x)
 	r.retained.Add(x)
-}
-
-// observeSummary merges a buffered local accumulator into pane p, advancing
-// the ring first — the batched analogue of observe for buffered ingest.
-// Callers must clamp p to the clock's current pane, exactly as for observe.
-// Panes older than the retained range are skipped (their observations are
-// already in the all-time summary), matching the per-observation path. The
-// final ring state is independent of the order accumulators for different
-// panes are applied in: advance is monotonic, and a pane either lands in a
-// live slot or is dropped based only on the maximum pane index seen.
-func (r *paneRing) observeSummary(p int64, sum sketch.Serving) {
-	if p < 0 || sum.IsEmpty() {
-		return
-	}
-	r.advance(p)
-	if p <= r.cur-int64(len(r.slots)) {
-		return // too old: outside the retained range
-	}
-	s := &r.slots[p%int64(len(r.slots))]
-	if s.sk == nil {
-		s.sk = r.newFn()
-	}
-	s.idx = p
-	_ = s.sk.Merge(sum)
-	_ = r.retained.Merge(sum)
 }
 
 // restorePane installs a decoded pane summary during Restore. The ring must
@@ -364,24 +338,21 @@ func (s *Store) Panes(key string) (*PaneSeries, error) {
 // pane rings in place (expiry is driven by reads as well as writes), which
 // is a mutation and cannot run against a shared immutable snapshot.
 func (s *Store) PanesRange(key string, start, end int64) (*PaneSeries, error) {
-	s.readBarrier()
 	s.lockReads.Add(1)
 	if s.paneWidth <= 0 {
 		return nil, ErrNoWindow
 	}
 	start, end = s.clipToRing(start, end)
-	// Cheap existence probe before allocating the dense series — a
-	// missing-key request must not cost retention sketch allocations. The
-	// key is re-checked under the second lock; losing it to a concurrent
-	// Delete in between is the same outcome as arriving slightly later.
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	_, ok := st.entries[key]
-	st.mu.Unlock()
-	if !ok {
+	// Cheap existence probe in the published key index before allocating
+	// the dense series — a missing-key request must not cost retention
+	// sketch allocations. The key is re-checked under the lock; losing it to
+	// a concurrent Delete in between is the same outcome as arriving
+	// slightly later.
+	if _, found := s.lookupPublished(key); !found {
 		return nil, ErrNoKey
 	}
 	ps := s.emptySeries(start, end)
+	st := s.stripeFor(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e, ok := st.entries[key]
@@ -396,10 +367,8 @@ func (s *Store) PanesRange(key string, start, end int64) (*PaneSeries, error) {
 // PanesPrefix returns the pane-wise rollup series across every key with the
 // given prefix — the whole ring, ending at the current pane: Panes[i] is
 // the merge of pane i over all matching keys, the time-indexed analogue of
-// MergePrefix. Within each stripe, keys merge in map order; pane merges
-// commute up to floating-point reassociation, and callers that need
-// determinism pin results through the oracle tests' tolerance rather than
-// bit equality.
+// MergePrefix. Keys merge in MergePrefix's order (ascending within each
+// stripe, stripes in order), so the series is a pure function of the data.
 func (s *Store) PanesPrefix(ctx context.Context, prefix string) (*PaneSeries, error) {
 	if s.paneWidth <= 0 {
 		return nil, ErrNoWindow
@@ -412,31 +381,22 @@ func (s *Store) PanesPrefix(ctx context.Context, prefix string) (*PaneSeries, er
 // [start, end), clipped to the retained ring. Locked on every store — see
 // PanesRange.
 func (s *Store) PanesRangePrefix(ctx context.Context, prefix string, start, end int64) (*PaneSeries, error) {
-	s.readBarrier()
 	s.lockReads.Add(1)
 	if s.paneWidth <= 0 {
 		return nil, ErrNoWindow
 	}
 	start, end = s.clipToRing(start, end)
-	// Cheap existence probe (stops at the first match) before allocating
-	// the dense series, mirroring PanesRange: a request for a prefix
-	// matching nothing — attacker-reachable over HTTP — must not cost a
-	// retention-sized allocation, and allocating mid-sweep would hold a
-	// stripe lock across it.
+	// Cheap existence probe — a binary search per published key index —
+	// before allocating the dense series: a request for a prefix matching
+	// nothing (attacker-reachable over HTTP) must not cost a retention-sized
+	// allocation, and allocating mid-sweep would hold a stripe lock across it.
 	found := false
 	for i := 0; i < len(s.stripes) && !found; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for k := range st.entries {
-			if strings.HasPrefix(k, prefix) {
-				found = true
-				break
-			}
-		}
-		st.mu.Unlock()
+		keys, _ := s.stripes[i].keyRange(prefix)
+		found = len(keys) > 0
 	}
 	if !found {
 		return nil, ErrNoKey
@@ -448,12 +408,11 @@ func (s *Store) PanesRangePrefix(ctx context.Context, prefix string, start, end 
 		}
 		st := &s.stripes[i]
 		st.mu.Lock()
-		for k, e := range st.entries {
-			if strings.HasPrefix(k, prefix) {
-				ps.fillLocked(e.ring)
-				ps.Keys++
-			}
+		_, entries := st.keyRange(prefix)
+		for _, e := range entries {
+			ps.fillLocked(e.ring)
 		}
+		ps.Keys += len(entries)
 		st.mu.Unlock()
 	}
 	if ps.Keys == 0 {
@@ -469,7 +428,6 @@ func (s *Store) PanesRangePrefix(ctx context.Context, prefix string, start, end 
 // returning; backends without Sub keep it exact by re-merging live panes at
 // expiry.
 func (s *Store) Retained(key string) (sketch.Serving, error) {
-	s.readBarrier()
 	s.lockReads.Add(1)
 	if s.paneWidth <= 0 {
 		return nil, ErrNoWindow
@@ -488,10 +446,10 @@ func (s *Store) Retained(key string) (sketch.Serving, error) {
 
 // RetainedPrefix merges the rolling retained summaries of every key with
 // the given prefix — the windowed analogue of MergePrefixContext, costing
-// one merge per matched key rather than one per (key × pane). It returns
-// the merged summary and the number of keys merged.
+// one merge per matched key rather than one per (key × pane), in
+// MergePrefix's key order. It returns the merged summary and the number of
+// keys merged.
 func (s *Store) RetainedPrefix(ctx context.Context, prefix string) (sketch.Serving, int, error) {
-	s.readBarrier()
 	s.lockReads.Add(1)
 	if s.paneWidth <= 0 {
 		return nil, 0, ErrNoWindow
@@ -505,10 +463,8 @@ func (s *Store) RetainedPrefix(ctx context.Context, prefix string) (sketch.Servi
 		}
 		st := &s.stripes[i]
 		st.mu.Lock()
-		for k, e := range st.entries {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
+		_, entries := st.keyRange(prefix)
+		for _, e := range entries {
 			e.ring.advance(now)
 			if err := out.Merge(e.ring.retainedClone()); err != nil {
 				st.mu.Unlock()

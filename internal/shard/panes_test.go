@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -300,6 +301,51 @@ func TestPanesPrefixMatchesPerKeyMerge(t *testing.T) {
 	assertSketchClose(t, rawOf(t, merged), remergePanes(t, gotRaws), 1e-9, "retained prefix")
 }
 
+// TestWindowedPrefixReadsDeterministic: windowed prefix reads walk the one
+// sorted key order, so repeated reads of a quiescent store are
+// byte-identical even where the float merges do not associate. One stripe
+// holds all 200 keys, the case where a walk in map order reshuffles the
+// most.
+func TestWindowedPrefixReadsDeterministic(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	s := New(WithShards(1), WithWindow(time.Second, 8), WithClock(clock.now))
+	rng := rand.New(rand.NewPCG(2, 5))
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("det.k%03d", i)
+		for j := 0; j < 5; j++ {
+			s.AddAt(key, math.Exp(rng.NormFloat64()*4), clock.t.Add(-time.Duration(rng.IntN(8))*time.Second))
+		}
+	}
+	now, _ := s.CurrentPane()
+	reads := func() [][]byte {
+		var out [][]byte
+		all, err := s.PanesPrefix(context.Background(), "det.")
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := s.PanesRangePrefix(context.Background(), "det.", now-3, now+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range append(all.Panes, part.Panes...) {
+			out = append(out, marshalOf(t, s, p))
+		}
+		ret, n, err := s.RetainedPrefix(context.Background(), "det.")
+		if err != nil || n != 200 {
+			t.Fatalf("RetainedPrefix merged %d keys, err %v", n, err)
+		}
+		return append(out, marshalOf(t, s, ret))
+	}
+	first := reads()
+	for rep := 0; rep < 5; rep++ {
+		for i, b := range reads() {
+			if !bytes.Equal(b, first[i]) {
+				t.Fatalf("repeat %d: read %d of %d differs from the first answer", rep, i, len(first))
+			}
+		}
+	}
+}
+
 func TestPaneAccessorsErrors(t *testing.T) {
 	plain := New(WithShards(2))
 	if _, err := plain.Panes("k"); err != ErrNoWindow {
@@ -403,49 +449,54 @@ func TestWindowedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersionMismatches: a windowed snapshot — legacy v2 or v3 with
+// the panes flag — restores only into a store with the same pane
+// configuration, while a timeless one — legacy v1 or v3 — loads into a
+// windowed store with empty panes.
 func TestSnapshotVersionMismatches(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-
-	// v2 snapshot into a timeless store.
-	windowed := newWindowedStore(clock, time.Second, 4)
+	clock := &fakeClock{t: goldenClock}
+	windowed := New(WithShards(2), WithWindow(time.Second, 8), WithClock(clock.now))
 	windowed.Add("k", 1)
-	var v2 bytes.Buffer
-	if err := windowed.Snapshot(&v2); err != nil {
-		t.Fatal(err)
-	}
-	plain := New(WithShards(2))
-	if err := plain.Restore(bytes.NewReader(v2.Bytes())); err == nil ||
-		!strings.Contains(err.Error(), "without time panes") {
-		t.Errorf("v2 restore into timeless store: %v", err)
-	}
-
-	// v2 snapshot into a windowed store with a different pane config.
-	other := New(WithShards(2), WithWindow(2*time.Second, 4), WithClock(clock.now))
-	if err := other.Restore(bytes.NewReader(v2.Bytes())); err == nil ||
-		!strings.Contains(err.Error(), "pane config") {
-		t.Errorf("v2 restore with mismatched pane config: %v", err)
-	}
-
-	// v1 snapshot into a windowed store: accepted, panes start empty.
 	timeless := New(WithShards(2))
 	timeless.Add("k", 42)
-	var v1 bytes.Buffer
-	if err := timeless.Snapshot(&v1); err != nil {
-		t.Fatal(err)
-	}
-	intoWindowed := newWindowedStore(clock, time.Second, 4)
-	if err := intoWindowed.Restore(bytes.NewReader(v1.Bytes())); err != nil {
-		t.Fatalf("v1 restore into windowed store: %v", err)
-	}
-	if got := intoWindowed.Count("k"); got != 1 {
-		t.Errorf("all-time count = %v, want 1", got)
-	}
-	retained, err := intoWindowed.Retained("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !retained.IsEmpty() {
-		t.Errorf("v1 restore produced non-empty panes (count %v)", retained.Count())
+	for _, tc := range []struct {
+		name            string
+		windowed, plain []byte
+	}{
+		{"legacy", readGolden(t, "snapshot-v2.golden"), readGolden(t, "snapshot-v1.golden")},
+		{"v3", snapshotBytes(t, windowed), snapshotBytes(t, timeless)},
+	} {
+		plain := New(WithShards(2))
+		if err := plain.Restore(bytes.NewReader(tc.windowed)); err == nil ||
+			!strings.Contains(err.Error(), "without time panes") {
+			t.Errorf("%s: windowed restore into timeless store: %v", tc.name, err)
+		}
+		other := New(WithShards(2), WithWindow(2*time.Second, 8), WithClock(clock.now))
+		if err := other.Restore(bytes.NewReader(tc.windowed)); err == nil ||
+			!strings.Contains(err.Error(), "pane config") {
+			t.Errorf("%s: windowed restore with mismatched pane config: %v", tc.name, err)
+		}
+
+		// Timeless into a windowed store: accepted, panes start empty.
+		if err := plain.Restore(bytes.NewReader(tc.plain)); err != nil {
+			t.Fatal(err)
+		}
+		into := newWindowedStore(clock, time.Second, 4)
+		if err := into.Restore(bytes.NewReader(tc.plain)); err != nil {
+			t.Fatalf("%s: timeless restore into windowed store: %v", tc.name, err)
+		}
+		if got, want := into.TotalCount(), plain.TotalCount(); got != want || got == 0 {
+			t.Errorf("%s: all-time count = %v, want %v", tc.name, got, want)
+		}
+		for _, k := range into.Keys("") {
+			retained, err := into.Retained(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !retained.IsEmpty() {
+				t.Errorf("%s: timeless restore produced non-empty panes for %s (count %v)", tc.name, k, retained.Count())
+			}
+		}
 	}
 }
 
@@ -466,14 +517,14 @@ func TestRestoreRejectsDuplicatePaneIndex(t *testing.T) {
 	}
 }
 
-// forgeDuplicatePaneSnapshot rewrites a single-key, single-pane v2
+// forgeDuplicatePaneSnapshot rewrites a single-key, single-pane windowed
 // snapshot so the pane record appears twice (pane count 2).
 func forgeDuplicatePaneSnapshot(t *testing.T, blob []byte) []byte {
 	t.Helper()
-	// Layout: "MDSS" ver k | uvarint(width) uvarint(retention) |
-	// uvarint(keyLen) key uvarint(allLen) all uvarint(paneCount=1)
-	// uvarint(idx) uvarint(paneLen) pane | trailer.
-	r := bytes.NewReader(blob[6:]) // skip magic+version+k
+	// Layout: "MDSS" ver | uvarint(fpLen) fp flags | uvarint(width)
+	// uvarint(retention) | uvarint(keyLen) key uvarint(allLen) all
+	// uvarint(paneCount=1) uvarint(idx) uvarint(paneLen) pane | trailer.
+	r := bytes.NewReader(blob[len(snapMagic)+1:])
 	readUv := func() uint64 {
 		v, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -486,10 +537,11 @@ func forgeDuplicatePaneSnapshot(t *testing.T, blob []byte) []byte {
 			t.Fatal(err)
 		}
 	}
-	readUv()       // pane width
-	readUv()       // retention
-	skip(readUv()) // key
-	skip(readUv()) // all-time payload
+	skip(readUv() + 1) // fingerprint and flags
+	readUv()           // pane width
+	readUv()           // retention
+	skip(readUv())     // key
+	skip(readUv())     // all-time payload
 	paneCount := readUv()
 	if paneCount != 1 {
 		t.Fatalf("fixture has %d panes, want 1", paneCount)

@@ -13,12 +13,13 @@ import (
 // Wait-free snapshot reads (the Quancurrent idea, arXiv 2208.09265): on
 // backends whose Clone is a cheap flat copy (sketch.Caps.FastClone — the
 // moments vector), every write commit publishes an immutable, version-
-// stamped clone of the touched entry through an atomic pointer, and every
-// key-set change republishes a sorted per-stripe key index the same way.
-// Timeless read paths (Summary, Count, KeyVersion, Keys, MatchContext,
-// MergePrefixContext and everything layered on them) then traverse only
-// atomic loads: they never take a stripe lock, so a rollup scan cannot
-// stall ingest and a flush cannot stall queries.
+// stamped clone of the touched entry through an atomic pointer. Every store,
+// whatever its backend, also republishes a sorted per-stripe key index the
+// same way whenever its key set changes. Timeless read paths (Summary,
+// Count, KeyVersion, MatchContext, MergePrefixContext and everything layered
+// on them) then traverse only atomic loads: they never take a stripe lock,
+// so a rollup scan cannot stall ingest and a flush cannot stall queries.
+// Keys reads only the index, so it is lock-free on every store.
 //
 // The protocol, and why it is correct:
 //
@@ -28,26 +29,22 @@ import (
 //     reader that observes the new index therefore observes published
 //     entries, and a reader holding the old index observes the pre-commit
 //     store: every read maps to a state the locked store actually passed
-//     through.
+//     through. A write is committed when its Add or Flush returns, so a
+//     read that follows it observes it.
 //   - Published values are immutable: the clone is never mutated after its
 //     atomic Store, and atomic.Pointer's release/acquire ordering makes the
 //     fully built clone visible to any reader that loads the pointer.
-//   - Read-your-writes is the barrier's job, exactly as before: readBarrier
-//     drains buffered ingest from the reader's own goroutine, each flush
-//     publishes under the stripe locks before returning, and the reader's
-//     subsequent atomic loads are sequenced after the drain — so a read
-//     that follows an acknowledged write observes it. Stale-mode reads skip
-//     the drain and become genuinely zero-synchronization: one atomic load
-//     for the index, one per entry.
-//   - Determinism is preserved byte for byte: the published index holds each
-//     stripe's keys pre-sorted, stripes are scanned in index order, and each
-//     published summary is bit-identical to the entry it was cloned from, so
-//     a wait-free rollup reproduces the locked rollup's merge order and
-//     floating-point rounding exactly (pinned by the equivalence suites).
+//   - One key order: the index holds each stripe's keys pre-sorted, and
+//     every prefix or key walk — wait-free or under the stripe lock, where
+//     the index is the live key set — goes through keyRange, stripes in
+//     order. Each published summary is bit-identical to the entry it was
+//     cloned from, so every rollup, pane series and snapshot is a pure
+//     function of the data, and a wait-free rollup reproduces the locked
+//     rollup's floating-point rounding exactly (pinned by the equivalence
+//     suites).
 //
-// Backends without FastClone keep the locked read paths: nothing is
-// published for them, and the same bodies serve windowed pane reads on every
-// store.
+// Backends without FastClone publish no entry snapshots and keep the locked
+// read bodies; the same bodies serve windowed pane reads on every store.
 
 // published is one entry's immutable read snapshot: the all-time summary as
 // of mutation version, cloned at commit. Readers may Clone it, merge FROM
@@ -77,23 +74,28 @@ func (ix *stripeIndex) prefixRange(prefix string) (int, int) {
 	return lo, hi
 }
 
-// publishedIndex is the published-snapshot accessor for a stripe's key
-// index: one atomic load, nil when the backend lacks FastClone (or the
-// stripe has never been written). The momentslint readbarrier analyzer
-// recognizes it (with lookupPublished) as the entry point of the
-// publication-based read discipline.
-func (st *stripe) publishedIndex() *stripeIndex {
-	return st.index.Load()
+// keyRange returns the stripe's keys carrying prefix, ascending, and their
+// entries — the one key order every walk uses. Under st.mu the index is the
+// live key set (it is republished before every unlock), and the caller may
+// use the entries' locked state; without the lock it is the last published
+// key set, and the caller may read only the entries' published snapshots.
+func (st *stripe) keyRange(prefix string) ([]string, []*entry) {
+	ix := st.index.Load()
+	if ix == nil {
+		return nil, nil
+	}
+	lo, hi := ix.prefixRange(prefix)
+	return ix.keys[lo:hi], ix.entries[lo:hi]
 }
 
 // lookupPublished resolves key to its published snapshot. found reports
 // whether the key is in the published index at all; a found key's snapshot
 // is non-nil for every store that publishes (entries are published before
 // the index that names them), so callers treat (nil, true) — impossible by
-// construction, checked by the invariant tests — as a locked-read fallback
-// rather than data.
+// construction on wait-free stores, checked by the invariant tests — as a
+// locked-read fallback rather than data.
 func (s *Store) lookupPublished(key string) (p *published, found bool) {
-	ix := s.stripeFor(key).publishedIndex()
+	ix := s.stripeFor(key).index.Load()
 	if ix == nil {
 		return nil, false
 	}
@@ -123,10 +125,10 @@ func (s *Store) publishEntryLocked(e *entry) {
 // publishIndexLocked rebuilds and republishes the stripe's sorted key index
 // when the key set changed in the current critical section (entryLocked,
 // Delete, Reset and Restore mark it stale). Every mutating entry point calls
-// it immediately before releasing the stripe lock. The stripe lock must be
-// held.
+// it immediately before releasing the stripe lock. It is the only walk over
+// the stripe's map. The stripe lock must be held.
 func (s *Store) publishIndexLocked(st *stripe) {
-	if !s.waitFree() || !st.indexStale {
+	if !st.indexStale {
 		return
 	}
 	ix := &stripeIndex{
@@ -146,11 +148,9 @@ func (s *Store) publishIndexLocked(st *stripe) {
 }
 
 // mergePrefixPublished is MergePrefixContext's wait-free body: it walks the
-// published per-stripe indexes — each already sorted, so repeated rollups
-// never re-sort — and merges directly from the immutable published
-// summaries. Merge order (sorted keys within each stripe, stripes in index
-// order) matches the locked path's exactly, so the result is byte-identical
-// for any state the locked store passes through.
+// published per-stripe indexes and merges directly from the immutable
+// published summaries, in the locked body's order, so the result is
+// byte-identical for any state the locked store passes through.
 func (s *Store) mergePrefixPublished(ctx context.Context, prefix string) (sketch.Serving, int, error) {
 	s.pubReads.Add(1)
 	out := s.backend.New()
@@ -159,13 +159,9 @@ func (s *Store) mergePrefixPublished(ctx context.Context, prefix string) (sketch
 		if err := ctx.Err(); err != nil {
 			return nil, merges, err
 		}
-		ix := s.stripes[i].publishedIndex()
-		if ix == nil {
-			continue
-		}
-		lo, hi := ix.prefixRange(prefix)
-		for j := lo; j < hi; j++ {
-			p := ix.entries[j].pub.Load()
+		_, entries := s.stripes[i].keyRange(prefix)
+		for _, e := range entries {
+			p := e.pub.Load()
 			if p == nil {
 				continue // unpublished indexed entry: impossible by construction
 			}
@@ -187,37 +183,17 @@ func (s *Store) matchPublished(ctx context.Context, prefix string) ([]Keyed, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ix := s.stripes[i].publishedIndex()
-		if ix == nil {
-			continue
-		}
-		lo, hi := ix.prefixRange(prefix)
-		for j := lo; j < hi; j++ {
-			p := ix.entries[j].pub.Load()
+		keys, entries := s.stripes[i].keyRange(prefix)
+		for j, e := range entries {
+			p := e.pub.Load()
 			if p == nil {
 				continue // unpublished indexed entry: impossible by construction
 			}
-			out = append(out, Keyed{Key: ix.keys[j], Summary: p.sum.Clone()})
+			out = append(out, Keyed{Key: keys[j], Summary: p.sum.Clone()})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-// keysPublished is Keys' wait-free body.
-func (s *Store) keysPublished(prefix string) []string {
-	s.pubReads.Add(1)
-	var keys []string
-	for i := range s.stripes {
-		ix := s.stripes[i].publishedIndex()
-		if ix == nil {
-			continue
-		}
-		lo, hi := ix.prefixRange(prefix)
-		keys = append(keys, ix.keys[lo:hi]...)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // atomicFloat64 is a CAS-maintained float64 gauge. The store's observation
@@ -250,12 +226,13 @@ type ReadStats struct {
 	// reads (the backend has FastClone).
 	WaitFree bool `json:"wait_free"`
 	// PublishedReads counts read operations answered entirely from
-	// published snapshots, without taking any stripe lock.
+	// published snapshots or key indexes, without taking any stripe lock
+	// (Keys counts here on every store).
 	PublishedReads uint64 `json:"published_reads"`
 	// LockedReads counts read operations that took stripe locks: every read
-	// on a backend without FastClone, plus the windowed pane reads (Panes,
-	// Retained and friends), which advance rings in place and stay locked
-	// on every store.
+	// but Keys on a backend without FastClone, plus the windowed pane reads
+	// (Panes, Retained and friends), which advance rings in place and stay
+	// locked on every store.
 	LockedReads uint64 `json:"locked_reads"`
 	// Publishes counts entry snapshot publications (one clone each).
 	Publishes uint64 `json:"publishes"`
@@ -264,9 +241,7 @@ type ReadStats struct {
 	IndexRebuilds uint64 `json:"index_rebuilds"`
 }
 
-// ReadStats returns the store's read-path counters. It is a diagnostics
-// read of the counters themselves and takes no barrier: the counters are
-// not data and a scrape must not force a buffer drain.
+// ReadStats returns the store's read-path counters.
 func (s *Store) ReadStats() ReadStats {
 	return ReadStats{
 		WaitFree:       s.waitFree(),
@@ -283,7 +258,6 @@ func (s *Store) ReadStats() ReadStats {
 // deliberately not used by any serving path: a /v1/stats scrape must not
 // take every stripe lock.
 func (s *Store) AuditCounts() (keys int, observations float64) {
-	s.readBarrier()
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()

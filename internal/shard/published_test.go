@@ -252,7 +252,7 @@ func TestWaitFreeEquivalenceWindowed(t *testing.T) {
 		}
 	}
 
-	// Windowed snapshot (v2) round-trip preserves equivalence.
+	// Windowed snapshot round-trip preserves equivalence.
 	var snap bytes.Buffer
 	if err := a.Snapshot(&snap); err != nil {
 		t.Fatal(err)
@@ -268,81 +268,9 @@ func TestWaitFreeEquivalenceWindowed(t *testing.T) {
 	assertReadEquivalence(t, "windowed after restore", a2, b2, false)
 }
 
-// TestWaitFreeEquivalenceMidFlush pins the "including mid-flush" clause:
-// both twins carry buffered ingest handles with pending observations, and
-// every read — whose barrier drains the pending buffer — must still be
-// byte-identical between the wait-free store and the locked twin.
-func TestWaitFreeEquivalenceMidFlush(t *testing.T) {
-	seed := *propSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	t.Logf("seed: %d (replay with -shard.seed=%d)", seed, seed)
-	rng := rand.New(rand.NewSource(seed))
-
-	a := New(WithShards(4))
-	b := New(WithShards(4), lockedMoments())
-	fa, err := NewFlusher(a, FlusherConfig{FlushSize: 1 << 20}) // manual flushes only
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fa.Close()
-	fb, err := NewFlusher(b, FlusherConfig{FlushSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	ha, hb := fa.Handle(), fb.Handle()
-	defer ha.Close()
-	defer hb.Close()
-
-	keys := []string{"svc.a", "svc.b", "svc.c", "other.x"}
-	for round := 0; round < 40; round++ {
-		// Buffer a burst without flushing: reads below hit the store with
-		// this data still pending and drain it through their own barrier.
-		for op := 0; op < 15; op++ {
-			k := keys[rng.Intn(len(keys))]
-			x := float64(rng.Intn(1000)) / 3.0
-			ha.Add(k, x)
-			hb.Add(k, x)
-		}
-		assertReadEquivalence(t, fmt.Sprintf("mid-flush round %d", round), a, b, true)
-	}
-}
-
-// TestWaitFreeStaleReads: Stale-mode reads skip the drain entirely — on a
-// wait-free store they are pure atomic loads — yet remain prefix-consistent
-// and catch up exactly on an explicit flush.
-func TestWaitFreeStaleReads(t *testing.T) {
-	s := New(WithShards(4))
-	f, err := NewFlusher(s, FlusherConfig{FlushSize: 32, Stale: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	h := f.Handle()
-	defer h.Close()
-
-	const n = 500
-	for i := 0; i < n; i++ {
-		h.Add("stale.k", 1)
-		if got := s.Count("stale.k"); got > float64(i+1) {
-			t.Fatalf("op %d: stale Count = %v exceeds %d added", i, got, i+1)
-		}
-	}
-	h.Flush()
-	if got := s.Count("stale.k"); got != n {
-		t.Fatalf("after flush: Count = %v, want %d", got, n)
-	}
-	st := s.ReadStats()
-	if !st.WaitFree || st.PublishedReads == 0 {
-		t.Fatalf("stale reads should be served from published snapshots: %+v", st)
-	}
-}
-
 // TestGaugesMatchAudit cross-checks the lock-free Len/TotalCount gauges
 // against the locked full sweep after a seeded mix of every mutation kind —
-// direct, batched, buffered, delete, reset and restore. All deltas are
+// direct, batch flushes, delete, reset and restore. All deltas are
 // integral, so the match is exact, not approximate.
 func TestGaugesMatchAudit(t *testing.T) {
 	seed := *propSeed
@@ -361,13 +289,6 @@ func TestGaugesMatchAudit(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			s := New(opts...)
-			f, err := NewFlusher(s, FlusherConfig{FlushSize: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			h := f.Handle()
-			defer h.Close()
 			batch := s.NewBatch()
 			keys := []string{"g.a", "g.b", "g.c", "g.d", "g.e"}
 
@@ -387,8 +308,6 @@ func TestGaugesMatchAudit(t *testing.T) {
 				switch p := rng.Float64(); {
 				case p < 0.40:
 					s.Add(k, rng.Float64())
-				case p < 0.65:
-					h.Add(k, rng.Float64())
 				case p < 0.85:
 					batch.Add(k, rng.Float64())
 					if rng.Float64() < 0.4 {
@@ -405,7 +324,6 @@ func TestGaugesMatchAudit(t *testing.T) {
 				}
 			}
 			batch.Flush()
-			h.Flush()
 			checkpoint("final")
 
 			var snap bytes.Buffer
@@ -576,8 +494,15 @@ func TestReadStatsCounters(t *testing.T) {
 	if lst.WaitFree || lst.PublishedReads != 0 || lst.LockedReads < 2 {
 		t.Fatalf("locked store counters off: %+v", lst)
 	}
-	if lst.Publishes != 0 || lst.IndexRebuilds != 0 {
-		t.Fatalf("locked store must not publish: %+v", lst)
+	if lst.Publishes != 0 {
+		t.Fatalf("locked store must not publish entry snapshots: %+v", lst)
+	}
+	// Every store publishes its key index, so Keys never locks.
+	if got := l.Keys(""); len(got) != 1 || lst.IndexRebuilds == 0 {
+		t.Fatalf("locked store Keys = %v with %d index rebuilds", got, lst.IndexRebuilds)
+	}
+	if st := l.ReadStats(); st.PublishedReads != 1 || st.LockedReads != lst.LockedReads {
+		t.Fatalf("locked store Keys should count as one published read: %+v", st)
 	}
 
 	// Non-FastClone backends never publish.
@@ -598,20 +523,15 @@ func TestReadStatsCounters(t *testing.T) {
 }
 
 // TestReadWhileFlushByteIdentical is the -race stress suite: readers race
-// buffered flushes on a wait-free store and every observed summary must be
+// batch flushes on a wait-free store and every observed summary must be
 // byte-identical to a state of the sequential oracle — a prefix of the
 // add stream — with per-reader monotonic counts and key versions. Values
 // are all 1.0, so every moment accumulation is exact and any partition
-// order the flusher commits in produces the oracle's exact bytes;
+// order the flushes commit in produces the oracle's exact bytes;
 // non-associative rounding is covered by the quiescent equivalence suites.
 func TestReadWhileFlushByteIdentical(t *testing.T) {
 	const n = 3000
 	s := New(WithShards(2))
-	f, err := NewFlusher(s, FlusherConfig{FlushSize: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 
 	// Oracle: marshal bytes after each prefix of i adds of 1.0.
 	oracle := make([][]byte, n+1)
@@ -678,11 +598,11 @@ func TestReadWhileFlushByteIdentical(t *testing.T) {
 		}(r)
 	}
 
-	h := f.Handle()
+	b := s.NewBatch()
 	for i := 0; i < n; i++ {
-		h.Add(key, 1.0)
-		if i%97 == 0 {
-			h.Flush()
+		b.Add(key, 1.0)
+		if b.Len() == 11 || i%97 == 0 {
+			b.Flush()
 		}
 		select {
 		case err := <-readerErr:
@@ -690,7 +610,7 @@ func TestReadWhileFlushByteIdentical(t *testing.T) {
 		default:
 		}
 	}
-	h.Close()
+	b.Flush()
 	close(stop)
 	wg.Wait()
 	select {
@@ -698,7 +618,6 @@ func TestReadWhileFlushByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	f.Flush()
 	if got := s.Count(key); got != n {
 		t.Fatalf("final Count = %v, want %d", got, n)
 	}

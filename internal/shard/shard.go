@@ -9,7 +9,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,8 +70,9 @@ type entry struct {
 // index is the stripe's published key index (see published.go): a sorted,
 // immutable (keys, entries) snapshot rebuilt copy-on-write — while the
 // stripe lock is held, marked by indexStale — whenever the key set changes,
-// and read lock-free by the wait-free scan paths. It stays nil on stores
-// whose backend lacks FastClone.
+// on every store. Every prefix or key walk follows it: lock-free on the
+// wait-free paths, under the lock on the others. It is nil only until the
+// stripe's first write.
 type stripe struct {
 	mu         sync.Mutex
 	entries    map[string]*entry
@@ -95,15 +95,9 @@ type Store struct {
 	retention int   // live panes per key when paneWidth > 0
 	now       func() time.Time
 
-	// flusher is the attached buffered-ingest coordinator, nil when the
-	// store has none (see NewFlusher). Read paths drain it through
-	// readBarrier so queries observe every buffered observation, unless the
-	// flusher was configured for bounded-staleness reads.
-	flusher atomic.Pointer[Flusher]
-
 	// journal is the attached write-ahead log, nil when the store has
-	// none (see SetJournal). Commit paths log through it before applying;
-	// plain Add/AddAt and flusher-internal merges never do.
+	// none (see SetJournal). Batch.Commit logs through it before applying;
+	// plain Add/AddAt never do.
 	journal Journal
 
 	// keyGauge and obsGauge mirror the per-stripe key and observation
@@ -124,8 +118,7 @@ type Store struct {
 // (internal/wal implements it). Append logs one batch and blocks until it
 // is durable per the journal's policy, returning a release func the
 // caller MUST invoke — typically deferred — after applying the batch to
-// the store (or to a flusher handle, whose buffered contents every
-// snapshot drains). The journal may hold a checkpoint guard from Append
+// the store. The journal may hold a checkpoint guard from Append
 // to release, so a snapshot can never fall between a logged record and
 // its application and the snapshot ∪ retained-log always covers exactly
 // the acknowledged observations.
@@ -233,9 +226,10 @@ func New(opts ...Option) *Store {
 	return s
 }
 
-// waitFree reports whether commits publish immutable entry snapshots and
-// key indexes for wait-free reads (see published.go). It is the backend's
-// capability and nothing else: no option overrides it.
+// waitFree reports whether commits publish immutable entry snapshots for
+// wait-free reads (see published.go; key indexes are published on every
+// store). It is the backend's capability and nothing else: no option
+// overrides it.
 func (s *Store) waitFree() bool { return s.backend.Caps.FastClone }
 
 // Order returns the moments-sketch order used for new keys. It is only
@@ -250,37 +244,12 @@ func (s *Store) NumShards() int { return len(s.stripes) }
 
 // SetJournal attaches a write-ahead journal to the store. It must be
 // called once, before the store serves any traffic — the field is read
-// without synchronization on every Commit. Only the Commit entry points
-// (Batch.Commit, Local.CommitBatch) log through the journal; direct
-// Add/AddAt writes and Delete/Reset/Restore mutations do not, so a
-// journaling deployment must ingest through Commit (momentsd does) and
-// should re-snapshot after a restore or reset (momentsd checkpoints on
-// /restore).
+// without synchronization on every Commit. Only Batch.Commit logs through
+// the journal; direct Add/AddAt writes and Delete/Reset/Restore mutations
+// do not, so a journaling deployment must ingest through Commit (momentsd
+// does) and should re-snapshot after a restore or reset (momentsd
+// checkpoints on /restore).
 func (s *Store) SetJournal(j Journal) { s.journal = j }
-
-// readBarrier drains any buffered ingest attached to the store so the
-// caller reads a state that includes every observation flushed — the
-// read-your-writes seam between Flusher handles and query paths. It is a
-// single atomic load (plus one more inside the flusher) when no flusher is
-// attached or nothing is pending; flushers configured Stale skip the drain
-// for bounded-staleness reads. Mutating entry points (Delete, Reset,
-// Restore) call it too, so buffered observations are ordered before the
-// mutation rather than resurrecting state after it.
-func (s *Store) readBarrier() {
-	if f := s.flusher.Load(); f != nil {
-		f.drainBarrier(false)
-	}
-}
-
-// snapshotBarrier is readBarrier for the snapshot path: it drains even
-// under bounded-staleness reads, because a snapshot that silently dropped
-// buffered observations would turn a staleness bound into data loss across
-// a restore cycle.
-func (s *Store) snapshotBarrier() {
-	if f := s.flusher.Load(); f != nil {
-		f.drainBarrier(true)
-	}
-}
 
 // fnv64a hashes a key without allocating (FNV-1a).
 func fnv64a(key string) uint64 {
@@ -354,7 +323,6 @@ func (s *Store) AddAt(key string, x float64, at time.Time) {
 	st.mu.Lock()
 	e := s.entryLocked(st, key)
 	s.addLocked(st, e, x, at, nowPane)
-	//lint:allow readbarrier AddAt is the write path the barrier drains into
 	st.count++
 	s.obsGauge.Add(1)
 	s.publishEntryLocked(e)
@@ -467,45 +435,27 @@ func (b *Batch) Commit() (int, error) {
 	if j == nil || b.n == 0 {
 		return b.Flush(), nil
 	}
-	b.stampTimes()
-	release, err := j.Append(b.flatten())
-	b.clearFlat()
+	// Stamp zero timestamps in place, so Flush has nothing left to stamp and
+	// the journaled record and the store apply carry identical instants.
+	now := b.store.now()
+	b.flat = b.flat[:0]
+	for _, i := range b.touched {
+		bucket := b.buckets[i]
+		for k := range bucket {
+			if bucket[k].At.IsZero() {
+				bucket[k].At = now
+			}
+		}
+		b.flat = append(b.flat, bucket...)
+	}
+	release, err := j.Append(b.flat)
+	clear(b.flat) // release the key strings the scratch retains
+	b.flat = b.flat[:0]
 	if err != nil {
 		return 0, err
 	}
 	defer release()
 	return b.Flush(), nil
-}
-
-// stampTimes resolves zero observation timestamps to the store clock's
-// now, in place. Flush's own stamping then has nothing left to do, so a
-// journaled record and the store apply carry identical instants.
-func (b *Batch) stampTimes() {
-	now := b.store.now()
-	for _, i := range b.touched {
-		bucket := b.buckets[i]
-		for j := range bucket {
-			if bucket[j].At.IsZero() {
-				bucket[j].At = now
-			}
-		}
-	}
-}
-
-// flatten copies the buffered observations into the reusable flat
-// scratch for the journal's encoder.
-func (b *Batch) flatten() []Observation {
-	b.flat = b.flat[:0]
-	for _, i := range b.touched {
-		b.flat = append(b.flat, b.buckets[i]...)
-	}
-	return b.flat
-}
-
-// clearFlat releases the key strings the flatten scratch retains.
-func (b *Batch) clearFlat() {
-	clear(b.flat)
-	b.flat = b.flat[:0]
 }
 
 // Discard drops the buffered observations without applying them — e.g.
@@ -525,7 +475,6 @@ func (b *Batch) Discard() {
 // snapshot without taking any lock; otherwise it clones under the stripe
 // lock.
 func (s *Store) Summary(key string) (sketch.Serving, bool) {
-	s.readBarrier()
 	if s.waitFree() {
 		p, found := s.lookupPublished(key)
 		if !found {
@@ -564,7 +513,6 @@ func (s *Store) Sketch(key string) (*core.Sketch, bool) {
 // Count returns the number of observations recorded under key (0 if the key
 // is absent).
 func (s *Store) Count(key string) float64 {
-	s.readBarrier()
 	if s.waitFree() {
 		p, found := s.lookupPublished(key)
 		if !found {
@@ -591,36 +539,24 @@ func (s *Store) Count(key string) float64 {
 // create/delete/reset/restore; AuditCounts is the locked sweep the test
 // suites cross-check it against.
 func (s *Store) Len() int {
-	s.readBarrier()
 	return int(s.keyGauge.Load())
 }
 
 // TotalCount returns the total number of observations ingested — one
 // atomic gauge load, no stripe locks (see Len).
 func (s *Store) TotalCount() float64 {
-	s.readBarrier()
 	return s.obsGauge.Load()
 }
 
 // Keys returns every key with the given prefix, sorted. An empty prefix
-// matches all keys. On wait-free stores the scan walks the published
-// per-stripe key indexes without locking.
+// matches all keys. Every store publishes its per-stripe key indexes, so
+// the scan never locks.
 func (s *Store) Keys(prefix string) []string {
-	s.readBarrier()
-	if s.waitFree() {
-		return s.keysPublished(prefix)
-	}
-	s.lockReads.Add(1)
+	s.pubReads.Add(1)
 	var keys []string
 	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for k := range st.entries {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
-			}
-		}
-		st.mu.Unlock()
+		k, _ := s.stripes[i].keyRange(prefix)
+		keys = append(keys, k...)
 	}
 	sort.Strings(keys)
 	return keys
@@ -643,7 +579,6 @@ func (s *Store) Match(prefix string) []Keyed {
 // stripes and returns ctx.Err() when the deadline passes or the caller
 // gives up, so a query over a huge store cannot outlive its request.
 func (s *Store) MatchContext(ctx context.Context, prefix string) ([]Keyed, error) {
-	s.readBarrier()
 	if s.waitFree() {
 		return s.matchPublished(ctx, prefix)
 	}
@@ -655,10 +590,9 @@ func (s *Store) MatchContext(ctx context.Context, prefix string) ([]Keyed, error
 		}
 		st := &s.stripes[i]
 		st.mu.Lock()
-		for k, e := range st.entries {
-			if strings.HasPrefix(k, prefix) {
-				out = append(out, Keyed{Key: k, Summary: e.all.Clone()})
-			}
+		keys, entries := st.keyRange(prefix)
+		for j, e := range entries {
+			out = append(out, Keyed{Key: keys[j], Summary: e.all.Clone()})
 		}
 		st.mu.Unlock()
 	}
@@ -684,29 +618,21 @@ func (s *Store) MergePrefix(prefix string) (sketch.Serving, int, error) {
 // order. Query layers rely on this to return bit-identical answers for
 // repeated queries.
 func (s *Store) MergePrefixContext(ctx context.Context, prefix string) (sketch.Serving, int, error) {
-	s.readBarrier()
 	if s.waitFree() {
 		return s.mergePrefixPublished(ctx, prefix)
 	}
 	s.lockReads.Add(1)
 	out := s.backend.New()
 	merges := 0
-	var keys []string
 	for i := range s.stripes {
 		if err := ctx.Err(); err != nil {
 			return nil, merges, err
 		}
 		st := &s.stripes[i]
-		keys = keys[:0]
 		st.mu.Lock()
-		for k := range st.entries {
-			if strings.HasPrefix(k, prefix) {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err := out.Merge(st.entries[k].all); err != nil {
+		_, entries := st.keyRange(prefix)
+		for _, e := range entries {
+			if err := out.Merge(e.all); err != nil {
 				st.mu.Unlock()
 				return nil, merges, err
 			}
@@ -719,7 +645,6 @@ func (s *Store) MergePrefixContext(ctx context.Context, prefix string) (sketch.S
 
 // Delete removes a key, reporting whether it was present.
 func (s *Store) Delete(key string) bool {
-	s.readBarrier()
 	st := s.stripeFor(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -738,7 +663,6 @@ func (s *Store) Delete(key string) bool {
 
 // Reset removes every key.
 func (s *Store) Reset() {
-	s.readBarrier()
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
@@ -759,7 +683,6 @@ func (s *Store) Reset() {
 // any Add, Delete, Reset or Restore anywhere strictly increases the sum.
 // Query-layer caches stamp prefix-rollup results with it.
 func (s *Store) Version() uint64 {
-	s.readBarrier()
 	var sum uint64
 	for i := range s.stripes {
 		sum += s.stripes[i].version.Load()
@@ -773,7 +696,6 @@ func (s *Store) Version() uint64 {
 // guarantees the key's sketch — and its time panes — are unchanged; a
 // deleted and re-created key always reports a strictly newer version.
 func (s *Store) KeyVersion(key string) (uint64, bool) {
-	s.readBarrier()
 	if s.waitFree() {
 		p, found := s.lookupPublished(key)
 		if !found {
@@ -802,28 +724,28 @@ func (s *Store) KeyVersion(key string) (uint64, bool) {
 // truncation — even at a record boundary — is always detectable. See
 // internal/encoding and internal/sketch's codecs for the payload formats.
 //
-// Version 1 is the timeless moments format: a sketch-order byte in the
-// header, then each record is the key plus the all-time sketch payload.
-// Version 2 — written if and only if a moments store has time panes —
-// appends the pane configuration (width in nanoseconds, retention) to the
-// header and, to each record, the key's live panes as a pane count followed
-// by (absolute pane index, payload) pairs. Pane indices are absolute (unix
-// nanoseconds / width), so a restored store re-expires against the wall
-// clock: panes that aged out while the snapshot sat on disk are dropped
-// during Restore, and each key's rolling retained sketch is rebuilt by an
-// exact re-merge of the live panes (clearing any turnstile floating-point
-// drift).
+// Every store writes version 3. Its header carries the backend's
+// length-prefixed fingerprint (e.g. "moments(k=10)", "tdigest(c=100)") and a
+// flags byte whose bit 0 marks a windowed store, followed when set by the
+// pane configuration (width in nanoseconds, retention). Each record is the
+// key, its all-time payload in the backend's codec and, on windowed stores,
+// the key's live panes as a pane count followed by (absolute pane index,
+// payload) pairs. Records come in key-index order (stripes in order, keys
+// ascending within a stripe), so the same store state always gives the same
+// bytes. Restore rejects a snapshot whose backend fingerprint does not match
+// the store's, so summaries from different backends — or differently
+// parameterized ones — can never be mixed.
 //
-// Version 3 is the backend-tagged format, written by stores serving a
-// non-moments backend: the header replaces the order byte with the
-// backend's length-prefixed fingerprint (e.g. "tdigest(c=100)") and a flags
-// byte whose bit 0 marks a windowed store (followed, when set, by the v2
-// pane configuration). Records carry the same key/payload/pane structure
-// with payloads in the backend's tagged-envelope codec. Restore rejects a
-// snapshot whose backend fingerprint does not match the store's, so
-// summaries from different backends — or differently parameterized ones —
-// can never be mixed. Moments stores keep writing v1/v2, byte-identical to
-// earlier releases.
+// Pane indices are absolute (unix nanoseconds / width), so a restored store
+// re-expires against the wall clock: panes that aged out while the snapshot
+// sat on disk are dropped during Restore, and each key's rolling retained
+// sketch is rebuilt by an exact re-merge of the live panes (clearing any
+// turnstile floating-point drift).
+//
+// Restore still reads the two moments-only formats earlier releases wrote:
+// version 1, whose header is a sketch-order byte in place of the
+// fingerprint and flags, and version 2, which adds the pane configuration
+// to that header and the live panes to each record.
 const (
 	snapMagic      = "MDSS"
 	snapVersion    = 1
@@ -847,117 +769,89 @@ const MaxKeyLen = 1 << 20
 // internally consistent; keys ingested during the snapshot may or may not
 // appear.
 func (s *Store) Snapshot(w io.Writer) error {
-	s.snapshotBarrier()
 	if !s.backend.Caps.Snapshot {
 		return fmt.Errorf("shard: backend %s does not support snapshots", s.backend.Fingerprint())
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapMagic); err != nil {
-		return err
-	}
-	momentsStore := s.backend.Name == "moments"
-	version := byte(snapVersion)
-	switch {
-	case !momentsStore:
-		version = snapVersionV3
-	case s.paneWidth > 0:
-		version = snapVersionV2
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(records []byte, v uint64) []byte {
-		n := binary.PutUvarint(scratch[:], v)
-		return append(records, scratch[:n]...)
-	}
-	var hdr []byte
-	hdr = append(hdr, version)
-	if version == snapVersionV3 {
-		fp := s.backend.Fingerprint()
-		hdr = putUvarint(hdr, uint64(len(fp)))
-		hdr = append(hdr, fp...)
-		flags := byte(0)
-		if s.paneWidth > 0 {
-			flags |= snapFlagPanes
-		}
-		hdr = append(hdr, flags)
-	} else {
-		hdr = append(hdr, byte(s.k))
-	}
-	if s.paneWidth > 0 && version != snapVersion {
-		hdr = putUvarint(hdr, uint64(s.paneWidth))
-		hdr = putUvarint(hdr, uint64(s.retention))
-	}
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	writePanes := s.paneWidth > 0 && version != snapVersion
+	fp := s.backend.Fingerprint()
+	hdr := append([]byte(snapMagic), snapVersionV3)
+	hdr = binary.AppendUvarint(hdr, uint64(len(fp)))
+	hdr = append(hdr, fp...)
 	nowPane := int64(0)
 	if s.paneWidth > 0 {
+		hdr = append(hdr, snapFlagPanes)
+		hdr = binary.AppendUvarint(hdr, uint64(s.paneWidth))
+		hdr = binary.AppendUvarint(hdr, uint64(s.retention))
 		nowPane = s.nowPane()
+	} else {
+		hdr = append(hdr, 0)
+	}
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(hdr); err != nil {
+		return err
 	}
 	var records []byte
 	total := uint64(0)
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		records = records[:0]
-		var marshalErr error
 		st.mu.Lock()
-		for key, e := range st.entries {
-			payload, err := s.backend.Marshal(e.all)
-			if err != nil {
-				marshalErr = err
-				break
+		keys, entries := st.keyRange("")
+		var err error
+		records = records[:0]
+		for j, e := range entries {
+			if records, err = s.appendRecordLocked(records, keys[j], e, nowPane); err != nil {
+				st.mu.Unlock()
+				return err
 			}
-			records = putUvarint(records, uint64(len(key)))
-			records = append(records, key...)
-			records = putUvarint(records, uint64(len(payload)))
-			records = append(records, payload...)
-			if writePanes {
-				// Expire first so stale panes are not persisted; count the
-				// live panes, then emit (index, payload) pairs.
-				e.ring.advance(nowPane)
-				live := uint64(0)
-				for j := range e.ring.slots {
-					if e.ring.slots[j].idx >= 0 {
-						live++
-					}
-				}
-				records = putUvarint(records, live)
-				for j := range e.ring.slots {
-					if e.ring.slots[j].idx < 0 {
-						continue
-					}
-					pp, err := s.backend.Marshal(e.ring.slots[j].sk)
-					if err != nil {
-						marshalErr = err
-						break
-					}
-					records = putUvarint(records, uint64(e.ring.slots[j].idx))
-					records = putUvarint(records, uint64(len(pp)))
-					records = append(records, pp...)
-				}
-				if marshalErr != nil {
-					break
-				}
-			}
-			total++
 		}
 		st.mu.Unlock()
-		if marshalErr != nil {
-			return marshalErr
-		}
+		total += uint64(len(entries))
 		if _, err := bw.Write(records); err != nil {
 			return err
 		}
 	}
-	n := binary.PutUvarint(scratch[:], snapEndMarker)
-	if _, err := bw.Write(scratch[:n]); err != nil {
-		return err
-	}
-	n = binary.PutUvarint(scratch[:], total)
-	if _, err := bw.Write(scratch[:n]); err != nil {
+	trailer := binary.AppendUvarint(records[:0], snapEndMarker)
+	if _, err := bw.Write(binary.AppendUvarint(trailer, total)); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// appendRecordLocked appends key's snapshot record to buf. On windowed
+// stores the ring is expired to nowPane first, so stale panes are not
+// persisted. The stripe lock must be held.
+func (s *Store) appendRecordLocked(buf []byte, key string, e *entry, nowPane int64) ([]byte, error) {
+	payload, err := s.backend.Marshal(e.all)
+	if err != nil {
+		return buf, err
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
+	if e.ring == nil {
+		return buf, nil
+	}
+	e.ring.advance(nowPane)
+	live := uint64(0)
+	for j := range e.ring.slots {
+		if e.ring.slots[j].idx >= 0 {
+			live++
+		}
+	}
+	buf = binary.AppendUvarint(buf, live)
+	for j := range e.ring.slots {
+		if e.ring.slots[j].idx < 0 {
+			continue
+		}
+		pp, err := s.backend.Marshal(e.ring.slots[j].sk)
+		if err != nil {
+			return buf, err
+		}
+		buf = binary.AppendUvarint(buf, uint64(e.ring.slots[j].idx))
+		buf = binary.AppendUvarint(buf, uint64(len(pp)))
+		buf = append(buf, pp...)
+	}
+	return buf, nil
 }
 
 // Restore replaces the store's contents with a snapshot previously written
@@ -966,7 +860,6 @@ func (s *Store) Snapshot(w io.Writer) error {
 // and validated into a staging area first, so a bad or cut-short snapshot
 // leaves the store untouched.
 func (s *Store) Restore(r io.Reader) error {
-	s.snapshotBarrier()
 	br := bufio.NewReader(r)
 	head := make([]byte, len(snapMagic)+1)
 	if _, err := io.ReadFull(br, head); err != nil {

@@ -60,8 +60,16 @@ func requireRestoreRejects(t *testing.T, data []byte, wantErr string) {
 	}
 }
 
+// snapshotHeaderLen is the length of the header corruptionSeedStore's
+// snapshots start with: everything an empty store of the same shape writes
+// before its trailer (the 10-byte end marker and a 1-byte zero count).
+func snapshotHeaderLen(t testing.TB) int {
+	return len(snapshotBytes(t, New(WithShards(4), WithOrder(6)))) - 11
+}
+
 func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	seed := snapshotBytes(t, corruptionSeedStore(t))
+	hdr := snapshotHeaderLen(t)
 
 	t.Run("empty", func(t *testing.T) {
 		requireRestoreRejects(t, nil, "reading snapshot header")
@@ -78,8 +86,8 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		requireRestoreRejects(t, data, "unsupported snapshot version")
 	})
 	t.Run("order-mismatch", func(t *testing.T) {
-		data := append([]byte(nil), seed...)
-		data[5] = 9 // the moments order byte
+		data := readGolden(t, "snapshot-v1.golden")
+		data[5] = 9 // the legacy v1 header's moments order byte
 		requireRestoreRejects(t, data, "does not match store order")
 	})
 	t.Run("torn-mid-records", func(t *testing.T) {
@@ -89,9 +97,9 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		requireRestoreRejects(t, seed[:len(seed)-2], "snapshot")
 	})
 	t.Run("implausible-key-length", func(t *testing.T) {
-		// First record begins right after magic+version+order: replace its
+		// First record begins right after the header: replace its
 		// key-length uvarint with a huge value.
-		data := append([]byte(nil), seed[:6]...)
+		data := append([]byte(nil), seed[:hdr]...)
 		data = append(data, 0xff, 0xff, 0xff, 0xff, 0x7f)
 		requireRestoreRejects(t, data, "implausible key length")
 	})
@@ -103,7 +111,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		// counts must differ from the seed in an observable way or match
 		// it exactly (flips in padding do not exist in this format).
 		want := corruptionSeedStore(t)
-		for off := 6; off < len(seed); off += 7 {
+		for off := hdr; off < len(seed); off += 7 {
 			data := append([]byte(nil), seed...)
 			data[off] ^= 0x40
 			st := New(WithShards(4), WithOrder(6))
@@ -167,9 +175,12 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/2] ^= 0x08
 	f.Add(flipped)
-	huge := append([]byte(nil), seed[:6]...)
+	huge := append([]byte(nil), seed[:snapshotHeaderLen(f)]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
+	// The legacy formats no store writes any more.
+	f.Add(readGolden(f, "snapshot-v1.golden"))
+	f.Add(readGolden(f, "snapshot-v2.golden"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := New(WithShards(4), WithOrder(6))

@@ -24,28 +24,21 @@ import (
 //     window's θ. Meaningless without Cascade.
 //   - Snapshot: the backend has a binary codec, so stores built on it can
 //     write and restore snapshots.
-//   - ExactMerge: merging summaries built from partitions of a stream yields
-//     the same state as accumulating the stream directly (up to floating-
-//     point rounding, and exactly when the arithmetic is exact). The moments
-//     sketch has it — a merge is an O(k) vector add — so buffered ingest can
-//     accumulate into thread-local summaries and merge them in later.
-//     Backends whose merge is lossy relative to item-wise adds (compaction
-//     buffers, centroid merges, reservoir subsampling) do not; buffered
-//     ingest falls back to batched striped writes for them.
 //   - FastClone: Clone is a cheap O(k) flat copy whose result is a pure
 //     value — reading it (Count, Merge-as-source, Marshal) never mutates
 //     internal state. Stores on such backends publish an immutable clone of
 //     every entry on each write commit, so queries read the published
 //     snapshots wait-free instead of taking stripe locks. Backends whose
 //     clone is proportional to retained data (reservoirs, centroid sets) or
-//     whose reads compact lazily buffered state keep locked reads.
+//     whose reads compact lazily buffered state keep locked reads. The flag
+//     gates only those per-entry clones: every store keeps its sorted key
+//     index, whatever the backend.
 type Caps struct {
-	Sub        bool `json:"sub"`
-	Cascade    bool `json:"cascade"`
-	WarmStart  bool `json:"warm_start"`
-	Snapshot   bool `json:"snapshot"`
-	ExactMerge bool `json:"exact_merge"`
-	FastClone  bool `json:"fast_clone"`
+	Sub       bool `json:"sub"`
+	Cascade   bool `json:"cascade"`
+	WarmStart bool `json:"warm_start"`
+	Snapshot  bool `json:"snapshot"`
+	FastClone bool `json:"fast_clone"`
 }
 
 // Serving extends Summary with the lifecycle operations the live serving
@@ -160,7 +153,7 @@ func MomentsBackend(k int) Backend {
 	return Backend{
 		Name:  "moments",
 		Param: fmt.Sprintf("k=%d", k),
-		Caps:  Caps{Sub: true, Cascade: true, WarmStart: true, Snapshot: true, ExactMerge: true, FastClone: true},
+		Caps:  Caps{Sub: true, Cascade: true, WarmStart: true, Snapshot: true, FastClone: true},
 		New:   func() Serving { return NewMSketch(k) },
 		param: k,
 		tag:   tagMoments,

@@ -60,13 +60,6 @@ func TestBackendCaps(t *testing.T) {
 		if b.Caps.Sub != moments || b.Caps.Cascade != moments || b.Caps.WarmStart != moments {
 			t.Errorf("%s: caps %+v (moment structure flags must be moments-only)", b.Name, b.Caps)
 		}
-		// ExactMerge gates thread-local buffered ingest: only the moments
-		// vector-add merge commutes exactly, so only moments may advertise
-		// it. Widening this to an approximate backend would silently change
-		// its query answers under buffering.
-		if b.Caps.ExactMerge != moments {
-			t.Errorf("%s: Caps.ExactMerge=%v, want %v", b.Name, b.Caps.ExactMerge, moments)
-		}
 		// FastClone gates wait-free published reads: only the moments
 		// vector copy is O(k) with pure-value read semantics. A reservoir
 		// or centroid backend advertising it would pay a proportional-to-
