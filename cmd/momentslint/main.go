@@ -1,21 +1,17 @@
 // Command momentslint runs the repository's invariant analyzers (package
-// internal/analyzers) in two modes:
+// internal/analyzers):
 //
 //	momentslint [packages]
 //
-// loads and checks the given package patterns (default ./...) in-process,
-// printing file:line:col diagnostics and exiting 1 when any survive their
-// //lint:allow directives.
-//
-//	go vet -vettool=$(which momentslint) ./...
-//
-// speaks the go vet unit-checker protocol: the go command supplies
-// per-package .cfg files with export data and fact-file plumbing, and
-// caches clean results keyed on the binary's build ID.
+// loads and type-checks the given package patterns (default ./...)
+// in-process, printing file:line:col diagnostics. It exits 1 when any
+// diagnostic survives its //lint:allow directive, and 2 when a package
+// fails to load or type-check.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,19 +20,16 @@ import (
 )
 
 func main() {
-	suite := analyzers.All()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-	for _, a := range os.Args[1:] {
-		if strings.HasPrefix(a, "-V") || a == "-flags" || strings.HasSuffix(a, ".cfg") {
-			framework.Main(suite...) // never returns
-		}
-	}
-
-	patterns := os.Args[1:]
+// run lints the patterns relative to the working directory and returns the
+// exit code.
+func run(patterns []string, stderr io.Writer) int {
 	for _, p := range patterns {
 		if strings.HasPrefix(p, "-") {
-			fmt.Fprintf(os.Stderr, "momentslint: unknown flag %s\nusage: momentslint [packages]\n", p)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "momentslint: unknown flag %s\nusage: momentslint [packages]\n", p)
+			return 2
 		}
 	}
 	if len(patterns) == 0 {
@@ -44,33 +37,34 @@ func main() {
 	}
 	dir, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "momentslint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "momentslint:", err)
+		return 2
 	}
 	pkgs, err := framework.Load(dir, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "momentslint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "momentslint:", err)
+		return 2
 	}
+	code := 0
 	for _, p := range pkgs {
 		if p.Standard || p.DepOnly {
 			continue
 		}
 		for _, e := range p.Errors {
-			fmt.Fprintf(os.Stderr, "momentslint: %s: %v\n", p.PkgPath, e)
+			fmt.Fprintf(stderr, "momentslint: %s: %v\n", p.PkgPath, e)
+			code = 2
 		}
 	}
-	diags, err := framework.RunPackages(pkgs, suite)
+	diags, err := framework.RunPackages(pkgs, analyzers.All())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "momentslint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "momentslint:", err)
+		return 2
 	}
-	if len(diags) == 0 {
-		return
-	}
-	fset := pkgs[0].Fset
 	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
+		fmt.Fprintf(stderr, "%s: %s [%s]\n", pkgs[0].Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	os.Exit(1)
+	if code == 0 && len(diags) > 0 {
+		code = 1
+	}
+	return code
 }

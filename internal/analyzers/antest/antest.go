@@ -11,21 +11,14 @@
 // Each regexp must match at least one diagnostic reported on that line, and
 // every diagnostic must be matched by some want — an unexpected diagnostic
 // or an unmatched want fails the test. Fixture packages may import one
-// another (facts flow between them) and the standard library, which is
-// type-checked from GOROOT source so no compiled export data is needed.
+// another (facts flow between them) and the standard library; framework's
+// loader lists <testdata> in GOPATH mode and type-checks everything from
+// source.
 package antest
 
 import (
-	"fmt"
-	"go/ast"
-	"go/build"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -47,36 +40,23 @@ func TestData() string {
 // diagnostics against the fixtures' want comments.
 func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	ld := &loader{
-		srcRoot: filepath.Join(testdata, "src"),
-		fset:    token.NewFileSet(),
-		byPath:  make(map[string]*framework.Package),
-		types:   make(map[string]*types.Package),
+	pkgs, err := framework.LoadGOPATH(testdata, pkgpaths...)
+	if err != nil {
+		t.Fatalf("loading fixtures: %v", err)
 	}
-	targets := make(map[string]bool, len(pkgpaths))
-	for _, p := range pkgpaths {
-		targets[p] = true
-	}
-	for _, p := range pkgpaths {
-		if _, err := ld.load(p); err != nil {
-			t.Fatalf("loading fixture %s: %v", p, err)
+	for _, p := range pkgs {
+		if p.Standard {
+			continue
 		}
-	}
-	// ld.order is dependency-first; everything not explicitly requested is
-	// facts-only.
-	for _, p := range ld.order {
-		p.DepOnly = !targets[p.PkgPath]
 		for _, err := range p.Errors {
-			if !p.Standard {
-				t.Errorf("fixture %s: %v", p.PkgPath, err)
-			}
+			t.Errorf("fixture %s: %v", p.PkgPath, err)
 		}
 	}
-	diags, err := framework.RunPackages(ld.order, []*framework.Analyzer{a})
+	diags, err := framework.RunPackages(pkgs, []*framework.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWants(t, ld, diags, pkgpaths)
+	checkWants(t, pkgs, diags)
 }
 
 // want is one expectation parsed from a fixture comment.
@@ -88,18 +68,18 @@ type want struct {
 	matched bool
 }
 
-func checkWants(t *testing.T, ld *loader, diags []framework.Diagnostic, pkgpaths []string) {
+func checkWants(t *testing.T, pkgs []*framework.Package, diags []framework.Diagnostic) {
 	t.Helper()
+	fset := pkgs[0].Fset // Load returns at least one package and shares one FileSet
 	var wants []*want
-	for _, pkgpath := range pkgpaths {
-		p := ld.byPath[pkgpath]
-		if p == nil {
+	for _, p := range pkgs {
+		if p.Standard || p.DepOnly {
 			continue
 		}
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					pos := ld.fset.Position(c.Slash)
+					pos := fset.Position(c.Slash)
 					for _, raw := range parseWant(c.Text) {
 						re, err := regexp.Compile(raw)
 						if err != nil {
@@ -114,7 +94,7 @@ func checkWants(t *testing.T, ld *loader, diags []framework.Diagnostic, pkgpaths
 	}
 
 	for _, d := range diags {
-		pos := ld.fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		found := false
 		for _, w := range wants {
 			if w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
@@ -165,95 +145,3 @@ func parseWant(text string) []string {
 	}
 	return out
 }
-
-// loader type-checks fixture packages and their imports from source.
-type loader struct {
-	srcRoot string
-	fset    *token.FileSet
-	byPath  map[string]*framework.Package
-	types   map[string]*types.Package
-	order   []*framework.Package // dependency-first
-}
-
-func (ld *loader) load(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if tp, ok := ld.types[path]; ok {
-		return tp, nil
-	}
-
-	fixtureDir := filepath.Join(ld.srcRoot, filepath.FromSlash(path))
-	var (
-		dir      string
-		goFiles  []string
-		standard bool
-	)
-	if st, err := os.Stat(fixtureDir); err == nil && st.IsDir() {
-		dir = fixtureDir
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				goFiles = append(goFiles, e.Name())
-			}
-		}
-		sort.Strings(goFiles)
-	} else {
-		// Standard library, type-checked from GOROOT source with build
-		// constraints applied by go/build. Cgo is disabled so packages like
-		// net select their pure-Go fallbacks, which go/types can check.
-		standard = true
-		ctxt := build.Default
-		ctxt.CgoEnabled = false
-		bp, err := ctxt.Import(path, "", 0)
-		if err != nil {
-			return nil, fmt.Errorf("resolving import %q: %v", path, err)
-		}
-		dir = bp.Dir
-		goFiles = append(goFiles, bp.GoFiles...)
-		goFiles = append(goFiles, bp.CgoFiles...)
-	}
-	if len(goFiles) == 0 {
-		return nil, fmt.Errorf("no Go files for %q in %s", path, dir)
-	}
-
-	p := &framework.Package{PkgPath: path, Fset: ld.fset, Standard: standard}
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		p.Files = append(p.Files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := &types.Config{
-		Importer:         importerFunc(ld.load),
-		Error:            func(err error) { p.Errors = append(p.Errors, err) },
-		IgnoreFuncBodies: standard,
-	}
-	tp, err := conf.Check(path, ld.fset, p.Files, info)
-	if err != nil && len(p.Errors) == 0 {
-		p.Errors = append(p.Errors, err)
-	}
-	p.Pkg = tp
-	p.Info = info
-	ld.types[path] = tp
-	ld.byPath[path] = p
-	ld.order = append(ld.order, p)
-	return tp, nil
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -1,9 +1,9 @@
 // Package framework is a self-contained analysis driver in the shape of
 // golang.org/x/tools/go/analysis, built only on the standard library so the
 // repository carries no external dependencies. It provides the Analyzer /
-// Pass / Diagnostic vocabulary, package facts serialized across compilation
-// units, an in-process loader for whole-module runs (Load + RunPackages),
-// and a `go vet -vettool` compatible driver (Main in unit.go).
+// Pass / Diagnostic vocabulary, package facts shared between the packages
+// of one run, and one in-process driver: Load type-checks packages from
+// source and RunPackages runs the analyzers over them.
 //
 // The suppression directive
 //
@@ -11,7 +11,9 @@
 //
 // placed on the flagged line or the line directly above it silences a
 // diagnostic; deliberate exceptions stay visible and greppable in the source
-// instead of in an external baseline file.
+// instead of in an external baseline file. A directive naming an analyzer
+// that is not in the run is itself reported, so deleting an analyzer cannot
+// leave dead annotations behind.
 package framework
 
 import (
@@ -33,15 +35,15 @@ type Analyzer struct {
 	Doc string
 	// FactTypes lists prototypes of the fact types the analyzer exports or
 	// imports. Facts cross package boundaries: values exported while
-	// analyzing a dependency are importable while analyzing its dependents,
-	// in-process or through vetx files under `go vet`.
+	// analyzing a dependency are importable while analyzing its dependents.
 	FactTypes []Fact
 	// Run analyzes a package and reports diagnostics through the pass.
 	Run func(*Pass) error
 }
 
 // A Fact is a package-level observation exported by an analyzer for use when
-// analyzing downstream packages. Implementations must be gob-encodable.
+// analyzing downstream packages. Implementations are pointers to structs;
+// importing copies the exported value into the caller's fact.
 type Fact interface{ AFact() }
 
 // A Diagnostic is one finding, anchored to a source position.
@@ -102,8 +104,8 @@ func (p *Pass) NonTestFiles() []*ast.File {
 	return out
 }
 
-// SortDiagnostics orders diagnostics by position for deterministic output.
-func SortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
+// sortDiagnostics orders diagnostics by position for deterministic output.
+func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -119,24 +121,25 @@ func SortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 	})
 }
 
-// Validate checks the analyzer set for driver use: names must be non-empty,
-// valid directive tokens, and unique.
-func Validate(analyzers []*Analyzer) error {
-	seen := make(map[string]bool)
+// validate checks the analyzer set for driver use: names must be
+// non-empty, valid directive tokens, and unique. It returns the set of
+// names.
+func validate(analyzers []*Analyzer) (map[string]bool, error) {
+	names := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		if a.Name == "" {
-			return fmt.Errorf("framework: analyzer with empty name (doc: %.40q)", a.Doc)
+			return nil, fmt.Errorf("framework: analyzer with empty name (doc: %.40q)", a.Doc)
 		}
 		if strings.ContainsAny(a.Name, " \t,") {
-			return fmt.Errorf("framework: analyzer name %q is not a valid directive token", a.Name)
+			return nil, fmt.Errorf("framework: analyzer name %q is not a valid directive token", a.Name)
 		}
-		if seen[a.Name] {
-			return fmt.Errorf("framework: duplicate analyzer name %q", a.Name)
+		if names[a.Name] {
+			return nil, fmt.Errorf("framework: duplicate analyzer name %q", a.Name)
 		}
-		seen[a.Name] = true
+		names[a.Name] = true
 		if a.Run == nil {
-			return fmt.Errorf("framework: analyzer %q has no Run function", a.Name)
+			return nil, fmt.Errorf("framework: analyzer %q has no Run function", a.Name)
 		}
 	}
-	return nil
+	return names, nil
 }

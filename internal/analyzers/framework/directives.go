@@ -1,6 +1,7 @@
 package framework
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -16,15 +17,26 @@ type allowSites map[string]map[int]map[string]bool
 // collectAllows scans the files' comments for //lint:allow directives. A
 // directive suppresses the named analyzers on its own line and on the line
 // directly below it (the conventional "directive above the statement"
-// placement).
-func collectAllows(fset *token.FileSet, files []*ast.File) allowSites {
+// placement). Names outside known (other than "all") are returned as
+// diagnostics.
+func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) (allowSites, []Diagnostic) {
 	sites := make(allowSites)
+	var unknown []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				names, ok := parseAllow(c.Text)
 				if !ok {
 					continue
+				}
+				for _, n := range names {
+					if n != "all" && !known[n] {
+						unknown = append(unknown, Diagnostic{
+							Pos:      c.Slash,
+							Message:  fmt.Sprintf("unknown analyzer %q", n),
+							Analyzer: "lint:allow",
+						})
+					}
 				}
 				pos := fset.Position(c.Slash)
 				lines := sites[pos.Filename]
@@ -45,7 +57,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) allowSites {
 			}
 		}
 	}
-	return sites
+	return sites, unknown
 }
 
 // parseAllow extracts the analyzer names from one comment, reporting whether
@@ -93,15 +105,15 @@ func (s allowSites) suppressed(fset *token.FileSet, d Diagnostic) bool {
 }
 
 // filterSuppressed drops the diagnostics covered by //lint:allow directives
-// in the given files and returns the survivors, sorted by position.
-func filterSuppressed(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	sites := collectAllows(fset, files)
-	out := diags[:0]
+// in the given files, adds one for every directive name outside known, and
+// returns the survivors sorted by position.
+func filterSuppressed(fset *token.FileSet, files []*ast.File, diags []Diagnostic, known map[string]bool) []Diagnostic {
+	sites, out := collectAllows(fset, files, known)
 	for _, d := range diags {
 		if !sites.suppressed(fset, d) {
 			out = append(out, d)
 		}
 	}
-	SortDiagnostics(fset, out)
+	sortDiagnostics(fset, out)
 	return out
 }

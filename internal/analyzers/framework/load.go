@@ -51,10 +51,21 @@ type listPackage struct {
 // CGO is disabled for the listing so cgo-dependent packages (net, os/user)
 // resolve to their pure-Go fallbacks, which go/types can check from source.
 func Load(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, nil, patterns)
+}
+
+// LoadGOPATH is Load for a GOPATH-mode tree: patterns are import paths
+// resolved under gopath/src, as in analyzer fixtures laid out
+// testdata/src/<importpath>.
+func LoadGOPATH(gopath string, patterns ...string) ([]*Package, error) {
+	return load(gopath, []string{"GO111MODULE=off", "GOPATH=" + gopath, "GOFLAGS="}, patterns)
+}
+
+func load(dir string, env, patterns []string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-deps", "-json=ImportPath,Name,Dir,GoFiles,CgoFiles,Imports,Standard,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	cmd.Env = append(append(os.Environ(), "CGO_ENABLED=0"), env...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr

@@ -1,8 +1,6 @@
 package framework
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 )
@@ -21,12 +19,12 @@ type factSet map[factKey]Fact
 // RunPackages runs the analyzers over every loaded package and returns the
 // surviving diagnostics (suppression directives applied), sorted by
 // position. Dependency-only packages are analyzed just for the facts they
-// export — mirroring `go vet`'s VetxOnly mode — and contribute no
-// diagnostics. Standard-library packages are skipped entirely: their facts
-// are not interesting to this suite and their internals are not ours to
-// lint.
+// export and contribute no diagnostics. Standard-library packages are
+// skipped entirely: their facts are not interesting to this suite and their
+// internals are not ours to lint.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if err := Validate(analyzers); err != nil {
+	known, err := validate(analyzers)
+	if err != nil {
 		return nil, err
 	}
 	facts := make(factSet)
@@ -53,7 +51,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				return nil, fmt.Errorf("%s: analyzing %s: %v", a.Name, p.PkgPath, err)
 			}
 		}
-		diags = append(diags, filterSuppressed(p.Fset, p.Files, pkgDiags)...)
+		diags = append(diags, filterSuppressed(p.Fset, p.Files, pkgDiags, known)...)
 	}
 	return diags, nil
 }
@@ -71,12 +69,10 @@ func runOne(p *Package, a *Analyzer, facts factSet, report func(Diagnostic)) err
 		report:    report,
 		importPackageFact: func(path string, f Fact) bool {
 			got, ok := facts[factKey{a.Name, path, reflect.TypeOf(f)}]
-			if !ok {
-				return false
+			if ok {
+				reflect.ValueOf(f).Elem().Set(reflect.ValueOf(got).Elem())
 			}
-			// Copy through gob so in-process and vetx-mediated runs see
-			// identical (value-decoupled) fact data.
-			return copyFact(got, f)
+			return ok
 		},
 		exportPackageFact: func(f Fact) {
 			facts[factKey{a.Name, p.PkgPath, reflect.TypeOf(f)}] = f
@@ -86,14 +82,4 @@ func runOne(p *Package, a *Analyzer, facts factSet, report func(Diagnostic)) err
 		pass.report = func(Diagnostic) {}
 	}
 	return a.Run(pass)
-}
-
-// copyFact deep-copies src into dst via gob, the same serialization facts
-// cross process boundaries with.
-func copyFact(src, dst Fact) bool {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
-		return false
-	}
-	return gob.NewDecoder(&buf).Decode(dst) == nil
 }

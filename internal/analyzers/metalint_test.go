@@ -11,9 +11,10 @@ import (
 // TestRepositoryIsLintClean runs the full momentslint suite over the whole
 // module and requires zero diagnostics: every invariant violation is either
 // fixed or carries a documented //lint:allow directive. This is the
-// dogfood gate — touching a stripe field outside its lock, asserting a
-// capability interface without checking its flag, or dropping a codec
-// error makes this test (and the CI lint job) fail.
+// dogfood gate — touching a stripe field outside its lock, using a pooled
+// workspace after Put, dropping a codec error, or a //lint:allow naming an
+// analyzer that is not in the suite makes this test (and the momentslint
+// CLI) fail.
 func TestRepositoryIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is slow; skipped in -short mode")

@@ -1,7 +1,16 @@
-// Package guards builds the lock-ownership model behind the stripelock
-// analyzer: which struct fields are protected by which mutexes.
-//
-// Two conventions are recognized, matching how internal/shard is written:
+package stripelock
+
+import (
+	"go/ast"
+	"go/types"
+	"strings"
+
+	"repro/internal/analyzers/framework"
+)
+
+// lockModel is a package's lock-ownership model: which struct fields are
+// protected by which mutexes. Two conventions are recognized, matching how
+// internal/shard is written:
 //
 //  1. A struct with a sync.Mutex / sync.RWMutex field guards its sibling
 //     fields. A sibling is considered guarded when it is mutated through a
@@ -18,31 +27,20 @@
 //     Every field of such a struct is guarded by the owner's mutex, and
 //     the struct's own methods are exempt from checking (they are entered
 //     with the lock held, like *Locked functions).
-package guards
-
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-
-	"repro/internal/analyzers/framework"
-)
-
-// Model is the package's lock-ownership model.
-type Model struct {
-	// Guards maps a struct field to the mutex fields that may guard it; an
+type lockModel struct {
+	// guards maps a struct field to the mutex fields that may guard it; an
 	// access is clean while any one of them is held.
-	Guards map[*types.Var][]*types.Var
-	// Exempt holds the externally guarded struct types whose own methods
+	guards map[*types.Var][]*types.Var
+	// exempt holds the externally guarded struct types whose own methods
 	// are entered with the lock already held.
-	Exempt map[*types.Named]bool
-	// Label maps fields and mutexes to "Type.field" strings for
+	exempt map[*types.Named]bool
+	// label maps fields and mutexes to "Type.field" strings for
 	// diagnostics.
-	Label map[*types.Var]string
+	label map[*types.Var]string
 }
 
-// IsMutex reports whether t is sync.Mutex or sync.RWMutex.
-func IsMutex(t types.Type) bool {
+// isMutex reports whether t is sync.Mutex or sync.RWMutex.
+func isMutex(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	if !ok {
 		return false
@@ -54,8 +52,8 @@ func IsMutex(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// IsAtomic reports whether t is one of sync/atomic's typed values.
-func IsAtomic(t types.Type) bool {
+// isAtomic reports whether t is one of sync/atomic's typed values.
+func isAtomic(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	if !ok {
 		return false
@@ -75,12 +73,12 @@ func structOf(t types.Type) (*types.Named, *types.Struct) {
 	return n, s
 }
 
-// BuildModel scans the pass's package and assembles its lock model.
-func BuildModel(pass *framework.Pass) *Model {
-	m := &Model{
-		Guards: make(map[*types.Var][]*types.Var),
-		Exempt: make(map[*types.Named]bool),
-		Label:  make(map[*types.Var]string),
+// buildModel scans the pass's package and assembles its lock model.
+func buildModel(pass *framework.Pass) *lockModel {
+	m := &lockModel{
+		guards: make(map[*types.Var][]*types.Var),
+		exempt: make(map[*types.Named]bool),
+		label:  make(map[*types.Var]string),
 	}
 	files := pass.NonTestFiles()
 
@@ -106,8 +104,8 @@ func BuildModel(pass *framework.Pass) *Model {
 			return nil
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Name() == muName && IsMutex(f.Type()) {
-				m.Label[f] = owner + "." + muName
+			if f := st.Field(i); f.Name() == muName && isMutex(f.Type()) {
+				m.label[f] = owner + "." + muName
 				return f
 			}
 		}
@@ -135,12 +133,12 @@ func BuildModel(pass *framework.Pass) *Model {
 				if ext := guardedByDirective(ts, gd); ext != "" {
 					if mu := resolveExtern(ext); mu != nil {
 						muStructs = append(muStructs, &muStruct{named: named, st: st, extern: mu})
-						m.Exempt[named] = true
+						m.exempt[named] = true
 					}
 					continue
 				}
 				for i := 0; i < st.NumFields(); i++ {
-					if fld := st.Field(i); IsMutex(fld.Type()) {
+					if fld := st.Field(i); isMutex(fld.Type()) {
 						muStructs = append(muStructs, &muStruct{named: named, st: st, mu: fld})
 						break
 					}
@@ -161,7 +159,7 @@ func BuildModel(pass *framework.Pass) *Model {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			locals := ConstructorLocals(fd, pass.TypesInfo)
+			locals := constructorLocals(fd, pass.TypesInfo)
 			markWrite := func(e ast.Expr) {
 				if fld := writtenField(e, pass.TypesInfo, locals); fld != nil {
 					written[fld] = true
@@ -195,14 +193,14 @@ func BuildModel(pass *framework.Pass) *Model {
 		}
 		for i := 0; i < ms.st.NumFields(); i++ {
 			fld := ms.st.Field(i)
-			m.Label[fld] = ms.named.Obj().Name() + "." + fld.Name()
-			if IsMutex(fld.Type()) || IsAtomic(fld.Type()) {
+			m.label[fld] = ms.named.Obj().Name() + "." + fld.Name()
+			if isMutex(fld.Type()) || isAtomic(fld.Type()) {
 				continue
 			}
 			// Externally guarded structs protect every field; mutex-bearing
 			// structs protect the fields mutated outside construction.
 			if ms.extern != nil || written[fld] {
-				m.Guards[fld] = append(m.Guards[fld], guard)
+				m.guards[fld] = append(m.guards[fld], guard)
 			}
 		}
 	}
@@ -242,7 +240,7 @@ func writtenField(e ast.Expr, info *types.Info, locals map[types.Object]bool) *t
 			e = x.X
 			continue
 		case *ast.SelectorExpr:
-			if fld := FieldOf(x, info); fld != nil {
+			if fld := fieldOf(x, info); fld != nil {
 				if base := rootIdent(x.X); base != nil && locals[info.ObjectOf(base)] {
 					return nil
 				}
@@ -255,9 +253,9 @@ func writtenField(e ast.Expr, info *types.Info, locals map[types.Object]bool) *t
 	}
 }
 
-// FieldOf returns the struct field a selector expression accesses, or nil
+// fieldOf returns the struct field a selector expression accesses, or nil
 // when the selector is not a field access.
-func FieldOf(sel *ast.SelectorExpr, info *types.Info) *types.Var {
+func fieldOf(sel *ast.SelectorExpr, info *types.Info) *types.Var {
 	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 		if v, ok := s.Obj().(*types.Var); ok {
 			return v
@@ -288,10 +286,10 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// ConstructorLocals collects the function's local variables initialized
+// constructorLocals collects the function's local variables initialized
 // from a composite literal (possibly behind &) — freshly built values that
 // cannot race until published, so accesses through them are exempt.
-func ConstructorLocals(fn *ast.FuncDecl, info *types.Info) map[types.Object]bool {
+func constructorLocals(fn *ast.FuncDecl, info *types.Info) map[types.Object]bool {
 	locals := make(map[types.Object]bool)
 	if fn.Body == nil {
 		return locals
@@ -322,10 +320,10 @@ func ConstructorLocals(fn *ast.FuncDecl, info *types.Info) map[types.Object]bool
 	return locals
 }
 
-// MutexField resolves a call like x.mu.Lock() / x.mu.Unlock() to the mutex
+// mutexField resolves a call like x.mu.Lock() / x.mu.Unlock() to the mutex
 // field being operated on, with the method name ("Lock", "RUnlock", ...).
 // Returns nil for anything else, including locks on local mutex variables.
-func MutexField(call *ast.CallExpr, info *types.Info) (*types.Var, string) {
+func mutexField(call *ast.CallExpr, info *types.Info) (*types.Var, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil, ""
@@ -340,17 +338,17 @@ func MutexField(call *ast.CallExpr, info *types.Info) (*types.Var, string) {
 	if !ok {
 		return nil, ""
 	}
-	fld := FieldOf(inner, info)
-	if fld == nil || !IsMutex(fld.Type()) {
+	fld := fieldOf(inner, info)
+	if fld == nil || !isMutex(fld.Type()) {
 		return nil, ""
 	}
 	return fld, name
 }
 
-// Terminates reports whether the statement unconditionally leaves the
+// terminates reports whether the statement unconditionally leaves the
 // enclosing straight-line flow: return, branch, panic, or an if whose
 // branches both terminate.
-func Terminates(s ast.Stmt) bool {
+func terminates(s ast.Stmt) bool {
 	switch s := s.(type) {
 	case *ast.ReturnStmt, *ast.BranchStmt:
 		return true
@@ -369,13 +367,13 @@ func Terminates(s ast.Stmt) bool {
 		return false
 	case *ast.BlockStmt:
 		for i := len(s.List) - 1; i >= 0; i-- {
-			return Terminates(s.List[i])
+			return terminates(s.List[i])
 		}
 		return false
 	case *ast.IfStmt:
-		return s.Else != nil && Terminates(s.Body) && Terminates(s.Else)
+		return s.Else != nil && terminates(s.Body) && terminates(s.Else)
 	case *ast.LabeledStmt:
-		return Terminates(s.Stmt)
+		return terminates(s.Stmt)
 	}
 	return false
 }

@@ -2,8 +2,8 @@
 // stripe-style structs: every access to a mutex-guarded field must happen
 // inside a Lock/Unlock span of that mutex.
 //
-// The lock model comes from package guards: a struct with a sync.Mutex
-// field guards its mutated siblings; a struct annotated
+// The lock model (model.go): a struct with a sync.Mutex field guards its
+// mutated siblings; a struct annotated
 // `//lint:guardedby Owner.mu` is guarded by another struct's mutex.
 // Functions whose name ends in "Locked" and methods on externally guarded
 // types are entered with the lock held and are exempt, matching the
@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/analyzers/framework"
-	"repro/internal/analyzers/guards"
 )
 
 // Analyzer is the stripelock analysis.
@@ -34,8 +33,8 @@ var Analyzer = &framework.Analyzer{
 }
 
 func run(pass *framework.Pass) error {
-	model := guards.BuildModel(pass)
-	if len(model.Guards) == 0 {
+	model := buildModel(pass)
+	if len(model.guards) == 0 {
 		return nil
 	}
 	for _, f := range pass.NonTestFiles() {
@@ -47,13 +46,13 @@ func run(pass *framework.Pass) error {
 			if strings.HasSuffix(fd.Name.Name, "Locked") {
 				continue
 			}
-			if recv := receiverNamed(fd, pass.TypesInfo); recv != nil && model.Exempt[recv] {
+			if recv := receiverNamed(fd, pass.TypesInfo); recv != nil && model.exempt[recv] {
 				continue
 			}
 			c := &checker{
 				pass:   pass,
 				model:  model,
-				locals: guards.ConstructorLocals(fd, pass.TypesInfo),
+				locals: constructorLocals(fd, pass.TypesInfo),
 			}
 			c.stmt(fd.Body, make(lockState))
 		}
@@ -103,7 +102,7 @@ func intersect(states []lockState) lockState {
 
 type checker struct {
 	pass   *framework.Pass
-	model  *guards.Model
+	model  *lockModel
 	locals map[types.Object]bool
 }
 
@@ -119,7 +118,7 @@ func (c *checker) stmt(s ast.Stmt, st lockState) lockState {
 		return st
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if mu, op := guards.MutexField(call, c.pass.TypesInfo); mu != nil {
+			if mu, op := mutexField(call, c.pass.TypesInfo); mu != nil {
 				switch op {
 				case "Lock", "RLock":
 					st[mu] = true
@@ -132,7 +131,7 @@ func (c *checker) stmt(s ast.Stmt, st lockState) lockState {
 		c.expr(s.X, st)
 		return st
 	case *ast.DeferStmt:
-		if mu, op := guards.MutexField(s.Call, c.pass.TypesInfo); mu != nil {
+		if mu, op := mutexField(s.Call, c.pass.TypesInfo); mu != nil {
 			// defer x.mu.Unlock(): the lock stays held for the rest of the
 			// function body; no state change either way.
 			_ = op
@@ -196,12 +195,12 @@ func (c *checker) stmt(s ast.Stmt, st lockState) lockState {
 			elseOut = c.stmt(s.Else, st.clone())
 		}
 		var outs []lockState
-		if !guards.Terminates(s.Body) {
+		if !terminates(s.Body) {
 			outs = append(outs, bodyOut)
 		}
 		if s.Else == nil {
 			outs = append(outs, st)
-		} else if !guards.Terminates(s.Else) {
+		} else if !terminates(s.Else) {
 			outs = append(outs, elseOut)
 		}
 		if len(outs) == 0 {
@@ -213,14 +212,14 @@ func (c *checker) stmt(s ast.Stmt, st lockState) lockState {
 		c.expr(s.Cond, st)
 		bodyOut := c.stmt(s.Body, st.clone())
 		c.stmt(s.Post, bodyOut)
-		if guards.Terminates(s.Body) {
+		if terminates(s.Body) {
 			return st
 		}
 		return intersect([]lockState{st, bodyOut})
 	case *ast.RangeStmt:
 		c.expr(s.X, st)
 		bodyOut := c.stmt(s.Body, st.clone())
-		if guards.Terminates(s.Body) {
+		if terminates(s.Body) {
 			return st
 		}
 		return intersect([]lockState{st, bodyOut})
@@ -279,7 +278,7 @@ func (c *checker) clauses(body *ast.BlockStmt, st lockState) lockState {
 		for _, sub := range stmts {
 			out = c.stmt(sub, out)
 		}
-		if n := len(stmts); n > 0 && guards.Terminates(stmts[n-1]) {
+		if n := len(stmts); n > 0 && terminates(stmts[n-1]) {
 			terminated = true
 		}
 		if !terminated {
@@ -308,11 +307,11 @@ func (c *checker) expr(e ast.Expr, st lockState) {
 			c.stmt(n.Body, st.clone())
 			return false
 		case *ast.SelectorExpr:
-			fld := guards.FieldOf(n, c.pass.TypesInfo)
+			fld := fieldOf(n, c.pass.TypesInfo)
 			if fld == nil {
 				return true
 			}
-			mus, guarded := c.model.Guards[fld]
+			mus, guarded := c.model.guards[fld]
 			if !guarded {
 				return true
 			}
@@ -325,31 +324,9 @@ func (c *checker) expr(e ast.Expr, st lockState) {
 				return true
 			}
 			c.pass.Reportf(n.Sel.Pos(), "%s accessed without holding %s",
-				c.model.Label[fld], c.model.Label[mus[0]])
+				c.model.label[fld], c.model.label[mus[0]])
 			return true
 		}
 		return true
 	})
-}
-
-// rootIdent mirrors guards.rootIdent for the checker's local use.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.CallExpr:
-			e = x.Fun
-		default:
-			return nil
-		}
-	}
 }

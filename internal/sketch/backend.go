@@ -56,8 +56,6 @@ type Serving interface {
 
 // Subber is the optional turnstile extension: removing a previously merged
 // summary. Only backends with Caps.Sub implement it.
-//
-//lint:capability Sub
 type Subber interface {
 	// Sub removes a previously merged summary (turnstile semantics).
 	Sub(other Serving) error
@@ -78,8 +76,6 @@ type Compactor interface {
 // solves, turnstile range tightening) extract the core sketch through it;
 // every other backend simply does not implement the interface. Only
 // backends with Caps.Cascade carry the moment structure.
-//
-//lint:capability Cascade
 type MomentsCarrier interface {
 	Moments() *core.Sketch
 }

@@ -71,10 +71,16 @@ func TestBackendCaps(t *testing.T) {
 		if !b.Caps.Snapshot {
 			t.Errorf("%s: expected snapshot capability", b.Name)
 		}
-		// Sub capability must match the Subber implementation.
+		// Sub and Cascade must match the Subber and MomentsCarrier
+		// implementations: serving code asserts either interface only
+		// behind its flag.
 		_, subs := b.New().(Subber)
 		if subs != b.Caps.Sub {
 			t.Errorf("%s: Caps.Sub=%v but Subber=%v", b.Name, b.Caps.Sub, subs)
+		}
+		_, carries := b.New().(MomentsCarrier)
+		if carries != b.Caps.Cascade {
+			t.Errorf("%s: Caps.Cascade=%v but MomentsCarrier=%v", b.Name, b.Caps.Cascade, carries)
 		}
 	}
 }
