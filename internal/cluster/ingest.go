@@ -9,12 +9,13 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
 
 // Observation is one routed ingest record, matching the shard nodes'
-// /ingest JSON shape.
+// /ingest JSON shape. Ingest forwards it as one NDJSON line (appendNDJSON).
 type Observation struct {
 	Key   string   `json:"key"`
 	Value *float64 `json:"value"`
@@ -85,9 +86,10 @@ const (
 // sleep that the request deadline could not absorb along with one more
 // node timeout's worth of attempt.
 func (c *Coordinator) ingestNode(ctx context.Context, n int, batch []Observation) (int, error) {
+	body := appendNDJSON(make([]byte, 0, 64*len(batch)), batch)
 	backoff := ingestBackoffBase
 	for attempt := 0; ; attempt++ {
-		count, retryable, err := c.postIngest(ctx, n, batch)
+		count, retryable, err := c.postIngest(ctx, n, body)
 		if err == nil || !retryable || attempt >= c.ingestRetries || ctx.Err() != nil {
 			return count, err
 		}
@@ -109,22 +111,59 @@ func (c *Coordinator) ingestNode(ctx context.Context, n int, batch []Observation
 	}
 }
 
-// postIngest delivers one node's batch over the standard /ingest endpoint.
-// retryable reports whether the failure class could plausibly clear on a
-// re-attempt: transport errors, short reads and 5xx answers qualify; a
-// 4xx rejection or an undecodable 200 will only repeat.
-func (c *Coordinator) postIngest(ctx context.Context, n int, batch []Observation) (count int, retryable bool, err error) {
-	body, err := json.Marshal(batch)
-	if err != nil {
-		return 0, false, err
+// appendNDJSON appends batch to b as NDJSON, one line per observation in
+// the canonical shape {"key":"…","value":N[,"ts":N]} that a node's /ingest
+// decodes without encoding/json. Numbers are written by
+// strconv.AppendFloat(…, 'g', -1, 64), the shortest form that parses back
+// to the same bits. A key of printable ASCII without '"' or '\\' is written
+// as is; any other goes through json.Marshal, which escapes it (and, as for
+// every JSON body, replaces invalid UTF-8 with U+FFFD). A non-finite value
+// comes out as NaN or ±Inf, which the node's /ingest rejects.
+func appendNDJSON(b []byte, batch []Observation) []byte {
+	for _, o := range batch {
+		b = append(b, `{"key":`...)
+		if plainKey(o.Key) {
+			b = append(b, '"')
+			b = append(b, o.Key...)
+			b = append(b, '"')
+		} else {
+			q, _ := json.Marshal(o.Key) // a string always marshals
+			b = append(b, q...)
+		}
+		b = append(b, `,"value":`...)
+		b = strconv.AppendFloat(b, *o.Value, 'g', -1, 64)
+		if o.TS != nil {
+			b = append(b, `,"ts":`...)
+			b = strconv.AppendFloat(b, *o.TS, 'g', -1, 64)
+		}
+		b = append(b, "}\n"...)
 	}
+	return b
+}
+
+// plainKey reports whether key is printable ASCII without '"' or '\\', so
+// its JSON string is the key between quotes.
+func plainKey(key string) bool {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// postIngest delivers one node's NDJSON body over the standard /ingest
+// endpoint. retryable reports whether the failure class could plausibly
+// clear on a re-attempt: transport errors, short reads and 5xx answers
+// qualify; a 4xx rejection or an undecodable 200 will only repeat.
+func (c *Coordinator) postIngest(ctx context.Context, n int, body []byte) (count int, retryable bool, err error) {
 	actx, cancel := context.WithTimeout(ctx, c.nodeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.nodes[n]+"/ingest", bytes.NewReader(body))
 	if err != nil {
 		return 0, false, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/x-ndjson")
 	c.nodeRequests[n].Add(1)
 	start := time.Now()
 	resp, err := c.transport.Do(req)

@@ -32,8 +32,11 @@
 // Ingest hot path: request bodies are decoded by the one decodeIngest
 // (three framings, fuzzed by FuzzDecodeNDJSON) into pooled shard.Batch
 // buffers and committed before the ack, so steady-state ingest takes each
-// stripe lock once per request and allocates only what encoding/json itself
-// needs. Queries read clones of the fixed-size sketches — published
+// stripe lock once per request. NDJSON lines of the canonical shape
+// {"key":"…","value":N[,"ts":N]} are parsed from the scanner's bytes,
+// allocating only the retained key (and a ts the line carries); any other
+// line, and the JSON framings, go through encoding/json, whose answer the
+// fast path matches bit for bit (FuzzNDJSONLineMatchesJSON). Queries read clones of the fixed-size sketches — published
 // snapshots on the moments backend, taken under the stripe lock otherwise —
 // and run estimation outside any lock, so slow maximum-entropy solves never
 // block writers; see internal/query for the planner/executor (selection
@@ -51,7 +54,8 @@
 // (query.Plan, then scatter-gather over the nodes' /v1/partials) where a
 // node runs query.Engine.Execute, and /ingest hands the decoded
 // observations to their rendezvous owners where a node commits a
-// shard.Batch. It registers only /ingest, /v1/query, /v1/stats (fan-out
+// shard.Batch, forwarding each owner's slice as NDJSON in the canonical
+// line shape. It registers only /ingest, /v1/query, /v1/stats (fan-out
 // counters under "coordinator") and /healthz; answers missing shards carry
 // the partial_result envelope (207).
 package server

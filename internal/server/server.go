@@ -336,6 +336,12 @@ var lineBufPool = sync.Pool{
 	},
 }
 
+// maxLineBytes caps one NDJSON line: a MaxKeyLen key with every byte
+// escaped as \u00XX — the longest JSON form of a key check accepts, which
+// a coordinator forwards for a key it took in a JSON framing — plus
+// headroom for the rest of the object.
+const maxLineBytes = 6*shard.MaxKeyLen + 64*1024
+
 // decodeIngest is the one ingest body decoder, on a shard node and a
 // coordinator alike. It reads one of three framings — NDJSON (one
 // {"key":...,"value":...} object per line) when ndjson is set, else a bare
@@ -343,22 +349,22 @@ var lineBufPool = sync.Pool{
 // observation with check, and hands each to the sink in body order. On
 // error the sink may hold a prefix of the body; the caller discards it.
 //
-// The NDJSON loop is the ingest hot path, tuned to avoid per-observation
-// allocations: lines are decoded straight from the scanner's byte view (no
-// intermediate string), and the value field decodes into one reused float
-// via a NaN sentinel — JSON cannot express NaN, so a sentinel still in
-// place after decoding means the field was absent, which reports the same
-// "missing value" error as the other framings. Only the key string
-// (retained by the sink) and an explicit ts allocate per observation. The
-// line buffer leaves headroom above MaxKeyLen so a maximum-length key is
-// rejected by the same key-length check as the JSON framings, not by an
-// opaque scanner error.
+// The NDJSON loop is the ingest hot path and decodes each line in one of
+// two tiers. parseLine takes the canonical shape {"key":"…","value":N
+// [,"ts":N]} — plain-ASCII key, JSON numbers, fields in any order — straight
+// from the scanner's byte view, allocating only the key string the sink
+// retains and, when present, a fresh ts (sinks may keep the pointer). Any
+// line it refuses goes to json.Unmarshal into a zero wireObservation, so
+// the accepted and rejected lines and the error text are encoding/json's:
+// FuzzNDJSONLineMatchesJSON holds the two tiers to the same result bit for
+// bit. The line buffer admits maxLineBytes, so a key is judged by the same
+// key-length check as in the JSON framings, not by an opaque scanner error.
 func decodeIngest(r io.Reader, ndjson bool, to sink) error {
 	if ndjson {
 		sc := bufio.NewScanner(r)
 		bufp := lineBufPool.Get().(*[]byte)
 		defer lineBufPool.Put(bufp)
-		sc.Buffer(*bufp, shard.MaxKeyLen+64*1024)
+		sc.Buffer(*bufp, maxLineBytes)
 		line := 0
 		var (
 			o   wireObservation
@@ -376,13 +382,18 @@ func decodeIngest(r io.Reader, ndjson bool, to sink) error {
 			if len(text) == 0 {
 				continue
 			}
-			val = math.NaN()
-			o = wireObservation{Value: &val} // resets Key and TS; reuses val
-			if err := json.Unmarshal(text, &o); err != nil {
-				return fmt.Errorf("line %d: %w", line, err)
-			}
-			if o.Value != nil && math.IsNaN(*o.Value) {
-				o.Value = nil // sentinel untouched: the value field was absent
+			if key, v, ts, hasTS, ok := parseLine(text); ok {
+				val = v
+				o = wireObservation{Key: string(key), Value: &val}
+				if hasTS {
+					o.TS = new(float64)
+					*o.TS = ts
+				}
+			} else {
+				o = wireObservation{}
+				if err := json.Unmarshal(text, &o); err != nil {
+					return fmt.Errorf("line %d: %w", line, err)
+				}
 			}
 			if err := o.check(); err != nil {
 				return fmt.Errorf("line %d: %w", line, err)

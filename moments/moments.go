@@ -70,7 +70,16 @@ type Option func(*config)
 
 type config struct {
 	k    int
-	opts maxent.Options
+	opts *maxent.Options // nil: solver defaults
+}
+
+// solver returns the options the With… setters fill, allocating them on
+// first use so an unconfigured sketch shares the nil defaults.
+func (c *config) solver() *maxent.Options {
+	if c.opts == nil {
+		c.opts = new(maxent.Options)
+	}
+	return c.opts
 }
 
 // WithK sets the sketch order: k standard and k log moments are tracked.
@@ -82,26 +91,28 @@ func WithK(k int) Option { return func(c *config) { c.k = k } }
 // selecting how many moments to trust at estimation time (default 1e4).
 // Lower values favour estimation speed and robustness over accuracy.
 func WithMaxCondition(kappa float64) Option {
-	return func(c *config) { c.opts.MaxCond = kappa }
+	return func(c *config) { c.solver().MaxCond = kappa }
 }
 
 // WithTolerance sets the moment-matching tolerance δ of the solver
 // (default 1e-9).
 func WithTolerance(delta float64) Option {
-	return func(c *config) { c.opts.GradTol = delta }
+	return func(c *config) { c.solver().GradTol = delta }
 }
 
 // WithGridSize sets the initial integration grid size (default 128,
 // rounded to a power of two). Larger grids cost estimation time and help
 // only for very spiky densities.
 func WithGridSize(n int) Option {
-	return func(c *config) { c.opts.GridSize = n }
+	return func(c *config) { c.solver().GridSize = n }
 }
 
 // Sketch is a mergeable moments-sketch quantile summary.
 type Sketch struct {
-	raw  *core.Sketch
-	opts maxent.Options
+	raw *core.Sketch
+	// opts are the solver options fixed at construction: nil means the
+	// defaults, and a non-nil value is never mutated, so clones share it.
+	opts *maxent.Options
 
 	// sol caches the solved maximum-entropy density; any mutation clears it.
 	sol *maxent.Solution
@@ -218,12 +229,20 @@ func (s *Sketch) LogMoment(i int) float64 { return s.raw.LogMoment(i) }
 // SizeBytes returns the serialized size of the sketch.
 func (s *Sketch) SizeBytes() int { return len(encoding.Marshal(s.raw)) }
 
+// solverOptions returns the solver options the sketch was built with.
+func (s *Sketch) solverOptions() maxent.Options {
+	if s.opts == nil {
+		return maxent.Options{}
+	}
+	return *s.opts
+}
+
 // solve returns the cached maximum-entropy solution, computing it if needed.
 func (s *Sketch) solve() (*maxent.Solution, error) {
 	if s.sol != nil {
 		return s.sol, nil
 	}
-	sol, err := maxent.SolveSketch(s.raw, s.opts)
+	sol, err := maxent.SolveSketch(s.raw, s.solverOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +320,7 @@ func (s *Sketch) QuantileErrorBound(phi float64) (float64, error) {
 // Quantile, so the two solve once between them in either order.
 func (s *Sketch) Threshold(t, phi float64) (bool, error) {
 	cfg := cascade.Full()
-	cfg.Solver = s.opts
+	cfg.Solver = s.solverOptions()
 	cfg.Solve = func() (*maxent.Solution, bool, error) {
 		shared := s.sol != nil
 		sol, err := s.solve()

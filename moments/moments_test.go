@@ -41,6 +41,18 @@ func TestOptions(t *testing.T) {
 	if _, err := s.Median(); err != nil {
 		t.Fatalf("Median: %v", err)
 	}
+	// Solver options reach the solver and are shared, never copied, by
+	// clones; an unconfigured sketch carries none.
+	c := s.Clone()
+	if o := c.solverOptions(); o.MaxCond != 500 || o.GradTol != 1e-8 || o.GridSize != 64 {
+		t.Errorf("clone solves with %+v", o)
+	}
+	if c.opts != s.opts {
+		t.Error("clone copied the solver options instead of sharing them")
+	}
+	if New().opts != nil {
+		t.Error("an unconfigured sketch allocates solver options")
+	}
 }
 
 func TestBasicStats(t *testing.T) {
