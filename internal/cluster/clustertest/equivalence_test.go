@@ -208,6 +208,28 @@ func TestScatterGatherEquivalenceMoments(t *testing.T) {
 	}
 }
 
+// TestScatterGatherEquivalenceGroupOrder pins group order: the keys below
+// first show their labels in an order that is not ascending at either
+// level, and the coordinator (which merges partials by label) and a single
+// node must still list groups identically.
+func TestScatterGatherEquivalenceGroupOrder(t *testing.T) {
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	// 37 observations per key (not a multiple of ExactValue's period of 10)
+	// give every key, and so every group, a different distribution.
+	seedGrid(t, c, []string{"a.z", "b.y", "a-b.x", "a.w"}, 37, nil)
+
+	req := &query.Request{Queries: []query.Subquery{
+		{ID: "level-0", Select: query.Selection{Prefix: strp(""), GroupBy: intp(0)}, Aggregations: momentsAggs()},
+		{ID: "level-1", Select: query.Selection{Prefix: strp(""), GroupBy: intp(1)}, Aggregations: momentsAggs()},
+	}}
+	resp := requireEquivalent(t, c, req, 0)
+	for i, n := range []int{3, 4} {
+		if got := len(resp.Results[i].Groups); got != n {
+			t.Fatalf("%s groups = %d, want %d", resp.Results[i].ID, got, n)
+		}
+	}
+}
+
 // TestScatterGatherEquivalenceMomentsWindowed covers the windowed
 // selections: whole retained ring, trailing window, explicit range, sliding
 // and tumbling positions — again exact against the oracle, with every store

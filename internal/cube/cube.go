@@ -25,15 +25,6 @@ func (s Schema) strides() []int {
 	return st
 }
 
-// MaxCells returns the total coordinate space size.
-func (s Schema) MaxCells() int {
-	acc := 1
-	for _, c := range s.Card {
-		acc *= c
-	}
-	return acc
-}
-
 // Cell is one pre-aggregated cube entry.
 type Cell struct {
 	Coords  []int
@@ -111,35 +102,8 @@ func (c *Cube) Ingest(coords []int, value float64) {
 	cell.Count++
 }
 
-// IngestSummary merges a pre-aggregated summary into the cell at coords,
-// creating the cell on first touch. sum and count update the cell's native
-// baseline aggregates alongside. This lets a cube be materialized from
-// summaries maintained outside it (per-key sketches in a shard store,
-// decoded snapshot cells) instead of from raw values.
-func (c *Cube) IngestSummary(coords []int, s sketch.Summary, sum, count float64) error {
-	k := c.key(coords)
-	cell, ok := c.cells[k]
-	if !ok {
-		cell = &Cell{
-			Coords:  append([]int{}, coords...),
-			Summary: c.factory(),
-		}
-		c.cells[k] = cell
-		c.sorted = nil
-	}
-	if err := cell.Summary.Merge(s); err != nil {
-		return err
-	}
-	cell.Sum += sum
-	cell.Count += count
-	return nil
-}
-
 // NumCells returns the number of materialized cells.
 func (c *Cube) NumCells() int { return len(c.cells) }
-
-// Schema returns the cube's schema.
-func (c *Cube) Schema() Schema { return c.schema }
 
 // Filter restricts a query to cells with the given value on a dimension.
 // A query takes zero or more filters; unmentioned dimensions roll up.
@@ -207,96 +171,4 @@ func (c *Cube) QuerySum(filters ...Filter) (sum, count float64) {
 		}
 	}
 	return sum, count
-}
-
-// GroupBy rolls up matching cells grouped by the given dimensions,
-// returning one merged summary per group. This is the MacroBase-style
-// subgroup enumeration.
-func (c *Cube) GroupBy(dims []int, filters ...Filter) (map[string]sketch.Summary, error) {
-	out := make(map[string]sketch.Summary)
-	for _, cell := range c.sortedCells() {
-		if !matches(cell, filters) {
-			continue
-		}
-		key := groupKey(cell.Coords, dims)
-		agg, ok := out[key]
-		if !ok {
-			agg = c.factory()
-			out[key] = agg
-		}
-		if err := agg.Merge(cell.Summary); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Group is one GroupByCoords result: the merged rollup of every matching
-// cell sharing the same values on the grouped dimensions.
-type Group struct {
-	// Coords holds the group's values on the grouped dimensions, in the
-	// order the dims argument listed them.
-	Coords  []int
-	Summary sketch.Summary
-	// Merges counts the cells rolled into this group.
-	Merges float64
-	// Sum and Count are the native baseline aggregates.
-	Sum, Count float64
-}
-
-// GroupByCoords rolls up matching cells grouped by the given dimensions,
-// like GroupBy, but returns the grouped coordinate values so callers can
-// map groups back to dimension labels. Groups are sorted by coordinate,
-// lexicographically over dims; cells merge into their group in packed-key
-// order, so each group's rollup is bit-deterministic for a given cube.
-func (c *Cube) GroupByCoords(dims []int, filters ...Filter) ([]Group, error) {
-	byKey := make(map[string]*Group)
-	for _, cell := range c.sortedCells() {
-		if !matches(cell, filters) {
-			continue
-		}
-		key := groupKey(cell.Coords, dims)
-		g, ok := byKey[key]
-		if !ok {
-			coords := make([]int, len(dims))
-			for i, d := range dims {
-				coords[i] = cell.Coords[d]
-			}
-			g = &Group{Coords: coords, Summary: c.factory()}
-			byKey[key] = g
-		}
-		if err := g.Summary.Merge(cell.Summary); err != nil {
-			return nil, err
-		}
-		g.Merges++
-		g.Sum += cell.Sum
-		g.Count += cell.Count
-	}
-	out := make([]Group, 0, len(byKey))
-	for _, g := range byKey {
-		out = append(out, *g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Coords, out[j].Coords
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
-	return out, nil
-}
-
-// Cells exposes the raw cells for engines that orchestrate their own
-// aggregation (MacroBase, window scans). The map must not be mutated.
-func (c *Cube) Cells() map[uint64]*Cell { return c.cells }
-
-func groupKey(coords []int, dims []int) string {
-	b := make([]byte, 0, len(dims)*4)
-	for _, d := range dims {
-		v := coords[d]
-		b = append(b, byte(d), byte(v>>16), byte(v>>8), byte(v))
-	}
-	return string(b)
 }

@@ -75,31 +75,6 @@ func TestCubeRollupMatchesRawData(t *testing.T) {
 	}
 }
 
-func TestCubeGroupBy(t *testing.T) {
-	c := newTestCube(t)
-	rng := rand.New(rand.NewPCG(3, 4))
-	perVersion := map[int]float64{}
-	for i := 0; i < 20000; i++ {
-		coords := []int{rng.IntN(4), rng.IntN(5), rng.IntN(3)}
-		c.Ingest(coords, rng.Float64())
-		perVersion[coords[1]]++
-	}
-	groups, err := c.GroupBy([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 5 {
-		t.Fatalf("GroupBy produced %d groups, want 5", len(groups))
-	}
-	total := 0.0
-	for _, g := range groups {
-		total += g.Count()
-	}
-	if total != 20000 {
-		t.Errorf("group counts sum to %v", total)
-	}
-}
-
 func TestCubeMultiFilter(t *testing.T) {
 	c := newTestCube(t)
 	c.Ingest([]int{0, 1, 2}, 5)
@@ -167,52 +142,5 @@ func TestNewRejectsOverflowingSchema(t *testing.T) {
 	}, func() sketch.Summary { return sketch.NewMSketch(8) })
 	if err == nil {
 		t.Error("coordinate-space overflow accepted")
-	}
-}
-
-func TestIngestSummaryAndGroupByCoords(t *testing.T) {
-	c := newTestCube(t)
-	// Pre-aggregate two summaries outside the cube and fold them in.
-	pre1 := sketch.NewMSketch(8)
-	pre2 := sketch.NewMSketch(8)
-	sum1, sum2 := 0.0, 0.0
-	for i := 1; i <= 100; i++ {
-		pre1.Add(float64(i))
-		sum1 += float64(i)
-		pre2.Add(float64(i) + 1000)
-		sum2 += float64(i) + 1000
-	}
-	if err := c.IngestSummary([]int{0, 0, 0}, pre1, sum1, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.IngestSummary([]int{1, 0, 0}, pre2, sum2, 100); err != nil {
-		t.Fatal(err)
-	}
-	c.Ingest([]int{0, 1, 0}, 50)
-
-	agg, merges, err := c.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merges != 3 || agg.Count() != 201 {
-		t.Errorf("Query: merges=%d count=%v, want 3/201", merges, agg.Count())
-	}
-
-	groups, err := c.GroupByCoords([]int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
-	}
-	// Sorted by coordinate: country 0 first (two cells), then country 1.
-	if groups[0].Coords[0] != 0 || groups[0].Merges != 2 || groups[0].Count != 101 {
-		t.Errorf("group 0 = coords %v merges %v count %v", groups[0].Coords, groups[0].Merges, groups[0].Count)
-	}
-	if groups[1].Coords[0] != 1 || groups[1].Count != 100 || groups[1].Sum != sum2 {
-		t.Errorf("group 1 = coords %v count %v sum %v", groups[1].Coords, groups[1].Count, groups[1].Sum)
-	}
-	if med := groups[1].Summary.Quantile(0.5); math.Abs(med-1050) > 10 {
-		t.Errorf("group 1 median = %v, want ≈1050", med)
 	}
 }

@@ -5,11 +5,8 @@
 // which is precisely the regime the moments sketch targets. A native sum
 // aggregate is maintained per cell as the lower-bound baseline of Fig. 11.
 //
-// Cells can be populated pointwise (Ingest) or from pre-aggregated
-// summaries (IngestSummary), so a cube can be materialized on the fly from
-// summaries already maintained elsewhere — the serving layer in
-// internal/server does exactly this to answer grouped rollups over a
-// sharded key space. Query merges matching cells into one aggregate;
-// GroupBy and GroupByCoords partition matching cells by a subset of
-// dimensions, the MacroBase-style subgroup enumeration.
+// Cells are populated pointwise (Ingest). Query merges every cell matching
+// a set of filters into one aggregate; QuerySum is the native sum/count
+// baseline over the same cells. The experiments harness drives the cube;
+// the serving layer does not use it.
 package cube

@@ -14,7 +14,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "ablation",
-		Title: "Ablation: primary integration domain, condition cap, and grid size (DESIGN.md §4)",
+		Title: "Ablation: primary integration domain, condition cap, and grid size",
 		Run:   runAblation,
 	})
 }

@@ -1,9 +1,9 @@
 // Package harness runs the paper's evaluation: every table and figure in
 // §6, §7 and the appendices maps to a registered Experiment that
-// regenerates the corresponding rows or series (see DESIGN.md §2 for the
-// full index). Experiments print plain-text tables; cmd/experiments is the
-// CLI front end and bench_test.go exposes the same workloads as testing.B
-// benchmarks.
+// regenerates the corresponding rows or series (`go run ./cmd/experiments
+// list` prints the full index). Experiments print plain-text tables;
+// cmd/experiments is the CLI front end and bench_test.go exposes the same
+// workloads as testing.B benchmarks.
 package harness
 
 import (
@@ -19,7 +19,7 @@ import (
 // Config scales experiment workloads.
 type Config struct {
 	// Scale multiplies dataset sizes (1.0 = the scaled-down defaults
-	// recorded in EXPERIMENTS.md; raise toward paper-scale fidelity).
+	// each experiment is written with; raise toward paper-scale fidelity).
 	Scale float64
 	// Quick shrinks workloads to smoke-test size (used by unit tests).
 	Quick bool

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every table/figure in DESIGN.md's experiment index must be present.
+	// Every table and figure of the paper's evaluation must be registered.
 	want := []string{
 		"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",

@@ -46,7 +46,8 @@ func (d Domain) String() string {
 
 // logRangeRatioForLogPrimary is the xmax/xmin ratio beyond which the solver
 // integrates in the log domain. At the threshold both cross-domain basis
-// families stay smooth enough for modest grids (see DESIGN.md §4).
+// families stay smooth enough for modest grids (the "ablation" experiment
+// in internal/harness measures this choice).
 const logRangeRatioForLogPrimary = 100
 
 // Basis describes the moment constraints handed to the solver: which domain

@@ -92,7 +92,7 @@ func TestBackendQuantilesEndToEnd(t *testing.T) {
 				t.Errorf("rollup q(0.9) = %v has sample rank %v", q, r)
 			}
 
-			// Group-by through the summary-agnostic cube.
+			// Group-by through the summary-agnostic fold.
 			res = execOne(t, e, &Request{Queries: []Subquery{{
 				Select:       Selection{Prefix: ptr("us."), GroupBy: ptrInt(1)},
 				Aggregations: []Aggregation{{Op: OpQuantiles, Phis: []float64{0.5}}},

@@ -2,112 +2,53 @@ package query
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
-	"repro/internal/cube"
 	"repro/internal/shard"
 	"repro/internal/sketch"
 )
 
-// groupBySegment materializes the matched summaries into an ephemeral
-// internal/cube data cube whose dimensions are the key's
-// separator-delimited segments, then rolls them up grouped by the requested
-// segment with GroupByCoords. Each group carries the merged rollup of every
-// key sharing that segment value; its Keys counts those matched keys (not
-// cube cells — distinct keys can collapse into one cell when segment
-// padding makes their coordinates coincide). The cube is summary-agnostic,
-// so the same path serves every backend.
+// groupBySegment rolls the matched summaries up by one separator-delimited
+// key segment: one group per distinct segment value at level, keys with
+// fewer segments grouping under "". matches are sorted, independent clones
+// (MatchContext), so a label's first clone becomes its accumulator and the
+// later ones merge into it in key order. Each group's Keys counts the
+// matched keys folded into it, and groups come back in ascending byte
+// order of their label — the order a coordinator's partial merge restores
+// too. The fold is summary-agnostic, so the same path serves every backend.
 func (e *Engine) groupBySegment(matches []shard.Keyed, level int) ([]*group, *Error) {
-	c, labels, err := e.buildCube(matches)
-	if err != nil {
-		return nil, mergeError("building rollup cube", err)
+	type acc struct {
+		sum  sketch.Serving
+		keys int
 	}
-	if level >= len(labels) {
-		return nil, Errorf(CodeInvalid, "group_by must be a key-segment index in [0,%d)", len(labels))
-	}
-	cubeGroups, err := c.GroupByCoords([]int{level})
-	if err != nil {
-		return nil, mergeError("rollup", err)
-	}
-	keysPerLabel := make(map[string]int, len(cubeGroups))
+	byLabel := make(map[string]*acc)
+	depth := 0
 	for _, m := range matches {
 		segs := strings.Split(m.Key, e.sep)
-		seg := ""
+		depth = max(depth, len(segs))
+		label := ""
 		if level < len(segs) {
-			seg = segs[level]
+			label = segs[level]
 		}
-		keysPerLabel[seg]++
+		a, ok := byLabel[label]
+		if !ok {
+			a = &acc{sum: m.Summary}
+			byLabel[label] = a
+		} else if err := a.sum.Merge(m.Summary); err != nil {
+			return nil, mergeError(fmt.Sprintf("merging group %q", label), err)
+		}
+		a.keys++
 	}
-	out := make([]*group, len(cubeGroups))
-	for i, g := range cubeGroups {
-		label := labels[level][g.Coords[0]]
-		out[i] = newGroup(g.Summary.(sketch.Serving), keysPerLabel[label])
-		out[i].label = label
+	if level >= depth {
+		return nil, Errorf(CodeInvalid, "group_by must be a key-segment index in [0,%d)", depth)
 	}
+	out := make([]*group, 0, len(byLabel))
+	for label, a := range byLabel {
+		g := newGroup(a.sum, a.keys)
+		g.label = label
+		out = append(out, g)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
 	return out, nil
-}
-
-// buildCube materializes the matched summaries into a data cube whose
-// dimensions are the key segments (split on the engine's separator; short
-// keys pad with ""). It returns the cube and, per dimension, the segment
-// label for each coordinate id.
-func (e *Engine) buildCube(matches []shard.Keyed) (*cube.Cube, [][]string, error) {
-	depth := 1
-	split := make([][]string, len(matches))
-	for i, m := range matches {
-		split[i] = strings.Split(m.Key, e.sep)
-		if len(split[i]) > depth {
-			depth = len(split[i])
-		}
-	}
-
-	ids := make([]map[string]int, depth)
-	labels := make([][]string, depth)
-	for l := range ids {
-		ids[l] = make(map[string]int)
-	}
-	coordsOf := func(segs []string) []int {
-		coords := make([]int, depth)
-		for l := 0; l < depth; l++ {
-			seg := ""
-			if l < len(segs) {
-				seg = segs[l]
-			}
-			id, ok := ids[l][seg]
-			if !ok {
-				id = len(labels[l])
-				ids[l][seg] = id
-				labels[l] = append(labels[l], seg)
-			}
-			coords[l] = id
-		}
-		return coords
-	}
-	allCoords := make([][]int, len(matches))
-	for i := range matches {
-		allCoords[i] = coordsOf(split[i])
-	}
-
-	schema := cube.Schema{Dims: make([]string, depth), Card: make([]int, depth)}
-	for l := 0; l < depth; l++ {
-		schema.Dims[l] = fmt.Sprintf("seg%d", l)
-		schema.Card[l] = len(labels[l])
-	}
-	c, err := cube.New(schema, func() sketch.Summary { return e.backend.New() })
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, m := range matches {
-		// The cube's per-cell value sum is only derivable from moment
-		// structure; other backends ingest with sum 0 (QuerySum is not on
-		// the serving path).
-		sum := 0.0
-		if raw := sketch.RawMoments(m.Summary); raw != nil && !raw.IsEmpty() {
-			sum = raw.Pow[0]
-		}
-		if err := c.IngestSummary(allCoords[i], m.Summary, sum, m.Summary.Count()); err != nil {
-			return nil, nil, err
-		}
-	}
-	return c, labels, nil
 }

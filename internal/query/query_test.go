@@ -369,10 +369,13 @@ func TestNotConvergedIsolation(t *testing.T) {
 	}
 }
 
-// TestGroupByKeysCountsMatchedKeys: distinct keys whose padded segment
-// coordinates coincide ("a.b" and "a.b." both pad to [a, b, ""]) collapse
-// into one cube cell, but GroupResult.Keys must still count the matched
-// keys, not the cells.
+// TestGroupByKeysCountsMatchedKeys: distinct keys whose padded segments
+// coincide ("a.b" and "a.b." both pad to [a, b, ""]) still count as two
+// matched keys in GroupResult.Keys. It also pins the rest of the single-node
+// group_by contract: groups in ascending byte order of the label (not the
+// order labels first appear in the sorted key list), keys shorter than the
+// level grouped under "", and a level at or past the deepest matched key
+// rejected.
 func TestGroupByKeysCountsMatchedKeys(t *testing.T) {
 	store := shard.New(shard.WithShards(4))
 	store.Add("a.b", 1)
@@ -398,6 +401,61 @@ func TestGroupByKeysCountsMatchedKeys(t *testing.T) {
 	g := res.Groups[0]
 	if g.Group != "a" || g.Keys != 3 || g.Count != 3 {
 		t.Errorf("group = %q keys = %d count = %v, want a/3/3", g.Group, g.Keys, g.Count)
+	}
+
+	// Sorted keys a-b.x < a.w < a.z < b.y < c first show their labels in
+	// an order that differs from ascending at both levels.
+	ordered := shard.New(shard.WithShards(4))
+	for i, k := range []string{"a.z", "b.y", "a-b.x", "a.w", "c"} {
+		ordered.Add(k, float64(i))
+	}
+	oe := NewEngine(ordered, Config{})
+	groupBy := func(e *Engine, level int) Result {
+		t.Helper()
+		resp, qerr := e.Execute(context.Background(), &Request{Queries: []Subquery{{
+			Select:       Selection{Prefix: &prefix, GroupBy: intPtr(level)},
+			Aggregations: []Aggregation{{Op: OpStats}},
+		}}})
+		if qerr != nil {
+			t.Fatalf("Execute group_by %d: %v", level, qerr)
+		}
+		return resp.Results[0]
+	}
+	labels := func(r Result) []string {
+		var out []string
+		for _, g := range r.Groups {
+			out = append(out, g.Group)
+		}
+		return out
+	}
+	for level, want := range [][]string{{"a", "a-b", "b", "c"}, {"", "w", "x", "y", "z"}} {
+		r := groupBy(oe, level)
+		if r.Error != nil {
+			t.Fatalf("group_by %d: %v", level, r.Error)
+		}
+		if got := labels(r); !reflect.DeepEqual(got, want) {
+			t.Errorf("group_by %d labels = %q, want %q", level, got, want)
+		}
+	}
+
+	// Level 2 of a.b, a.b., a.c.x: the two-segment a.b has no third
+	// segment and groups under "" with a.b. (whose third segment is "").
+	r := groupBy(e, 2)
+	if r.Error != nil {
+		t.Fatalf("group_by 2: %v", r.Error)
+	}
+	if got, want := labels(r), []string{"", "x"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("group_by 2 labels = %q, want %q", got, want)
+	}
+	if r.Groups[0].Keys != 2 || r.Groups[0].Count != 2 || r.Groups[1].Keys != 1 {
+		t.Errorf("group_by 2 groups = %+v, want \"\" with 2 keys and 2 obs, x with 1 key", r.Groups)
+	}
+
+	// The deepest matched key has 3 segments, so level 3 is out of range.
+	r = groupBy(e, 3)
+	if r.Error == nil || r.Error.Code != CodeInvalid ||
+		r.Error.Message != "group_by must be a key-segment index in [0,3)" {
+		t.Errorf("group_by 3 error = %+v, want %s \"group_by must be a key-segment index in [0,3)\"", r.Error, CodeInvalid)
 	}
 }
 

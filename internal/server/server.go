@@ -170,12 +170,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// writeJSON encodes v before committing to a status, so a value that cannot
+// be encoded (a non-finite float in an aggregate) answers the typed 500
+// internal envelope instead of a 2xx with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		// A failed Encode writes nothing, and the envelope always encodes.
+		_ = enc.Encode(map[string]any{
+			"error": &query.Error{Code: query.CodeInternal, Message: fmt.Sprintf("encoding response: %v", err)},
+		})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError emits the structured {code, message} error envelope shared by

@@ -202,6 +202,28 @@ func TestQuantileErrors(t *testing.T) {
 	wantQueryError(t, queryOne(t, ts, query.Selection{Key: "x"}, quantiles(1.5)), query.CodeInvalid)
 }
 
+// TestUnencodableResponseAnswersInternal: a key holding MaxFloat64 (and 1)
+// makes stats and quantiles non-finite, which JSON cannot carry. The
+// response must be the typed 500 internal envelope, never a 2xx with an
+// empty body.
+func TestUnencodableResponseAnswersInternal(t *testing.T) {
+	ts, _ := newTestServer(t)
+	wantStatus(t, postJSON(t, ts.URL+"/ingest",
+		`{"observations":[{"key":"huge","value":1.7976931348623157e308},{"key":"huge","value":1}]}`), http.StatusOK)
+	for _, agg := range []string{`{"op":"stats"}`, `{"op":"quantiles"}`} {
+		resp := postJSON(t, ts.URL+"/v1/query",
+			`{"queries":[{"select":{"key":"huge"},"aggregations":[`+agg+`]}]}`)
+		m := wantStatus(t, resp, http.StatusInternalServerError)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type = %q, want application/json", agg, ct)
+		}
+		env, _ := m["error"].(map[string]any)
+		if env == nil || env["code"] != query.CodeInternal || env["message"] == "" {
+			t.Errorf("%s: body = %v, want an %q error envelope", agg, m, query.CodeInternal)
+		}
+	}
+}
+
 func seedRegions(t *testing.T, ts *httptest.Server) map[string][]float64 {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(7, 8))
