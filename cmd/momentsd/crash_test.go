@@ -313,7 +313,6 @@ func crashLineage(t *testing.T, rounds int, seed int64, extraArgs []string, torn
 	args := append([]string{
 		"-snapshot", filepath.Join(dir, "snap"),
 		"-wal-dir", filepath.Join(dir, "wal"),
-		"-wal-sync-interval", "1ms",
 	}, extraArgs...)
 	rng := rand.New(rand.NewSource(seed))
 	t.Logf("lineage seed %d, args %v", seed, args)
@@ -454,7 +453,6 @@ func TestCleanShutdownThenCrash(t *testing.T) {
 	args := []string{
 		"-snapshot", filepath.Join(dir, "snap"),
 		"-wal-dir", walDir,
-		"-wal-sync-interval", "1ms",
 	}
 	count := func(t *testing.T, base string) int {
 		t.Helper()
@@ -525,17 +523,14 @@ func TestWALFlagValidation(t *testing.T) {
 			[]string{"-wal-dir", filepath.Join(dir, "w1")},
 			"-wal-dir requires -snapshot"},
 		{"wal-opts-require-wal-dir",
-			[]string{"-wal-sync-interval", "5ms"},
-			"require -wal-dir"},
-		{"non-positive-sync-interval",
-			[]string{"-snapshot", snap, "-wal-dir", filepath.Join(dir, "w2"), "-wal-sync-interval", "0s"},
-			"-wal-sync-interval must be positive"},
+			[]string{"-wal-segment-size", "1048576"},
+			"-wal-segment-size requires -wal-dir"},
+		{"wal-opts-at-default-require-wal-dir",
+			[]string{"-wal-segment-size", "67108864"},
+			"-wal-segment-size requires -wal-dir"},
 		{"non-positive-segment-size",
 			[]string{"-snapshot", snap, "-wal-dir", filepath.Join(dir, "w3"), "-wal-segment-size", "-1"},
 			"-wal-segment-size must be positive"},
-		{"unknown-policy",
-			[]string{"-snapshot", snap, "-wal-dir", filepath.Join(dir, "w4"), "-wal-on-error", "retry"},
-			"unknown on-error policy"},
 		{"coordinator-excludes-wal",
 			[]string{"-coordinator", "-nodes", "127.0.0.1:1", "-wal-dir", filepath.Join(dir, "w5")},
 			"a coordinator has none"},
@@ -576,6 +571,8 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		{"-locked-reads"},
 		{"-k", "12"},               // say -backend moments:12
 		{"-hedge-quantile", "0.9"}, // a constant of internal/cluster now
+		{"-wal-on-error", "drop"},  // an ack always means fsynced
+		{"-wal-sync-interval", "1ms"},
 	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			wantRefusal(t, args, "flag provided but not defined")

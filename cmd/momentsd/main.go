@@ -9,8 +9,7 @@
 //	momentsd [-addr :7607] [-backend moments[:K]] [-shards N] [-sep .]
 //	         [-workers N] [-solve-cache N] [-pane-width DUR] [-panes N]
 //	         [-snapshot FILE] [-snapshot-interval DUR]
-//	         [-wal-dir DIR] [-wal-sync-interval DUR] [-wal-segment-size N]
-//	         [-wal-on-error fail|drop] [-pprof-addr ADDR]
+//	         [-wal-dir DIR] [-wal-segment-size N] [-pprof-addr ADDR]
 //	momentsd -coordinator -nodes host1:7607,host2:7607[,...]
 //	         [-addr :7607] [-backend moments[:K]] [-node-timeout DUR]
 //	         [-hedge-after DUR] [-pprof-addr ADDR]
@@ -73,14 +72,11 @@
 // acknowledged observation. At startup the log is replayed on top of the
 // restored snapshot (tolerating a torn tail from the crash itself), and
 // each successful snapshot doubles as a checkpoint that truncates the
-// covered segments. -wal-sync-interval bounds how long a commit can wait
-// for the fsync ticker (the syncer also fsyncs eagerly whenever writers
-// block), -wal-segment-size bounds segment files before rotation, and
-// -wal-on-error picks the degraded mode after a log write failure: "fail"
-// turns every ingest into a typed 503 until restart, "drop" keeps
-// acknowledging without durability and counts what it dropped. Log health
-// appears under "wal" on /v1/stats. Requires -snapshot. See
-// ARCHITECTURE.md "Durability & crash recovery".
+// covered segments. -wal-segment-size bounds segment files before
+// rotation. A log write or fsync failure wedges the log: every later
+// ingest answers a typed 503 until restart, so an acknowledgement always
+// means fsynced. Log health appears under "wal" on /v1/stats. Requires
+// -snapshot. See ARCHITECTURE.md "Durability & crash recovery".
 //
 // The query surface is the batched typed endpoint POST /v1/query (see
 // internal/query): one request carries any number of subqueries —
@@ -136,9 +132,7 @@ func main() {
 		snapshotPath = flag.String("snapshot", "", "snapshot file: restored at startup, saved on shutdown")
 		snapInterval = flag.Duration("snapshot-interval", 0, "additionally save the snapshot this often (0 = only on shutdown)")
 		walDir       = flag.String("wal-dir", "", "write-ahead log directory: every acknowledged observation is fsynced here before the ack and replayed after a crash (requires -snapshot)")
-		walSync      = flag.Duration("wal-sync-interval", wal.DefaultSyncInterval, "backstop period of the log's group-commit fsync ticker; the syncer fsyncs eagerly whenever writers wait (with -wal-dir)")
 		walSegSize   = flag.Int64("wal-segment-size", wal.DefaultSegmentSize, "bytes per log segment before rotating to a new one (with -wal-dir)")
-		walOnError   = flag.String("wal-on-error", "fail", "degraded mode after a log write/fsync failure: fail = 503 every ingest, drop = acknowledge without durability (with -wal-dir)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
 		coordinator = flag.Bool("coordinator", false, "scatter-gather mode: route to the -nodes shard list instead of serving a local store")
@@ -194,26 +188,20 @@ func main() {
 		}
 		opts = append(opts, shard.WithWindow(*paneWidth, *panes))
 	}
-	walPolicy := wal.PolicyFail
 	if *walDir == "" {
-		if *walSync != wal.DefaultSyncInterval || *walSegSize != wal.DefaultSegmentSize || *walOnError != "fail" {
-			log.Fatalf("momentsd: -wal-sync-interval, -wal-segment-size and -wal-on-error require -wal-dir")
-		}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "wal-segment-size" {
+				log.Fatalf("momentsd: -wal-segment-size requires -wal-dir")
+			}
+		})
 	} else {
 		if *snapshotPath == "" {
 			// The log is truncated against snapshots; without one it would
 			// grow forever and replay from the beginning of time.
 			log.Fatalf("momentsd: -wal-dir requires -snapshot")
 		}
-		if *walSync <= 0 {
-			log.Fatalf("momentsd: -wal-sync-interval must be positive")
-		}
 		if *walSegSize <= 0 {
 			log.Fatalf("momentsd: -wal-segment-size must be positive")
-		}
-		var err error
-		if walPolicy, err = wal.ParsePolicy(*walOnError); err != nil {
-			log.Fatalf("momentsd: -wal-on-error: %v", err)
 		}
 	}
 
@@ -258,13 +246,11 @@ func main() {
 				rs.Observations, rs.Records, rs.Segments, rs.TornSegments, *walDir)
 		}
 		walLog, err = wal.Open(wal.Options{
-			Dir:          *walDir,
-			SyncInterval: *walSync,
-			SegmentSize:  *walSegSize,
-			Policy:       walPolicy,
-			Fingerprint:  fp,
-			SeqFloor:     cuts,
-			Logf:         log.Printf,
+			Dir:         *walDir,
+			SegmentSize: *walSegSize,
+			Fingerprint: fp,
+			SeqFloor:    cuts,
+			Logf:        log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("momentsd: opening write-ahead log: %v", err)

@@ -38,6 +38,20 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Varint reads one signed (zig-zag) varint.
+func (r *Reader) Varint() int64 {
+	if r.Err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.Data)
+	if n <= 0 {
+		r.Fail()
+		return 0
+	}
+	r.Data = r.Data[n:]
+	return v
+}
+
 // Count reads a collection length, rejecting claims that exceed the
 // remaining input (every counted item occupies at least one byte).
 func (r *Reader) Count() int {

@@ -116,12 +116,11 @@ type Store struct {
 
 // Journal is the durability seam between ingest and a write-ahead log
 // (internal/wal implements it). Append logs one batch and blocks until it
-// is durable per the journal's policy, returning a release func the
-// caller MUST invoke — typically deferred — after applying the batch to
-// the store. The journal may hold a checkpoint guard from Append
-// to release, so a snapshot can never fall between a logged record and
-// its application and the snapshot ∪ retained-log always covers exactly
-// the acknowledged observations.
+// is durable, returning a release func the caller MUST invoke — typically
+// deferred — after applying the batch to the store. The journal may hold
+// a checkpoint guard from Append to release, so a snapshot can never fall
+// between a logged record and its application and the snapshot ∪
+// retained-log always covers exactly the acknowledged observations.
 type Journal interface {
 	Append(obs []Observation) (release func(), err error)
 }
@@ -425,8 +424,8 @@ func (b *Batch) Flush() int {
 // Commit applies the batch write-ahead: when the store has a journal the
 // buffered observations are logged and made durable first, then applied,
 // then the journal's checkpoint guard is released — so an acknowledged
-// batch is always recoverable and a failed one (journal wedged under its
-// fail policy) is never partially applied; the caller may retry or
+// batch is always recoverable and a failed one (journal wedged by a disk
+// failure) is never partially applied; the caller may retry or
 // Discard it. Without a journal Commit is exactly Flush. Zero timestamps
 // are resolved against the store clock before logging, so the log record
 // and the store agree on every observation's instant.

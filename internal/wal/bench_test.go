@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/shard"
 	"repro/internal/sketch"
@@ -85,10 +84,9 @@ func newBenchStore(b *testing.B, withWAL bool) *shard.Store {
 	s := shard.New(shard.WithShards(16), shard.WithBackend(sketch.MomentsBackend(10)))
 	if withWAL {
 		l, err := Open(Options{
-			Dir:          b.TempDir(),
-			Stripes:      4,
-			SyncInterval: 2 * time.Millisecond,
-			Fingerprint:  s.Backend().Fingerprint(),
+			Dir:         b.TempDir(),
+			Stripes:     4,
+			Fingerprint: s.Backend().Fingerprint(),
 		})
 		if err != nil {
 			b.Fatal(err)

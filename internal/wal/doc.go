@@ -51,10 +51,11 @@
 // on the next stripe. Stripes are a commit pipeline, not a key partition
 // — any batch may land on any stripe, and under concurrency durability
 // costs one fsync per pile of batches, not per request. A per-stripe
-// syncer goroutine backstops piles that never reach the threshold: a lone
-// appender waits one goroutine kick plus one fsync, not a sync interval —
-// the interval's ticker only bounds how long stray buffered bytes sit
-// unsynced.
+// syncer goroutine, kicked by every appender, commits piles that never
+// reach the threshold: a lone appender waits one goroutine kick plus one
+// fsync. A new segment's header is written through to the file when the
+// segment is created, so no buffered byte is ever left without a waiter
+// to commit it.
 //
 // # Checkpoints, truncation and replay
 //
@@ -65,15 +66,17 @@
 // them as a watermark footer on the snapshot file), so replay after a
 // crash — whenever it happened — applies exactly the records the loaded
 // snapshot does not already contain. Replay tolerates a torn tail: it
-// stops a segment at the first short or checksum-failing record, logs
-// the offset, and keeps serving; only a backend fingerprint mismatch is
-// a hard error.
+// stops a segment at the first short, checksum-failing or undecodable
+// record (a NaN or infinite value, which ingest never admits, counts as
+// undecodable), logs the offset, and keeps serving; only a backend
+// fingerprint mismatch is a hard error. Headers, records and watermark
+// footers all decode through internal/encoding's Reader.
 //
 // # Failure policy
 //
-// A write or fsync failure (disk full, I/O error) wedges the log. Under
-// PolicyFail every subsequent append returns ErrWedged and the server
-// surfaces 503s; under PolicyDrop appends are acknowledged without
-// durability and counted as dropped. Either way the next successful
-// checkpoint makes the store durable again through the snapshot itself.
+// A write or fsync failure (disk full, I/O error) wedges the log: every
+// subsequent append returns ErrWedged and the server answers ingest with
+// 503s, so an acknowledged batch is always an fsynced one. The wedge stays
+// latched until the process restarts; checkpoints still snapshot the
+// store but do not clear it.
 package wal

@@ -1,13 +1,13 @@
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/shard"
 )
@@ -54,7 +54,7 @@ func openFailing() (open func(string) (segFile, error), failWrite, failSync *boo
 
 func TestWriteFailureWedgesUnderPolicyFail(t *testing.T) {
 	open, failWrite, _ := openFailing()
-	l := openTest(t, Options{Dir: t.TempDir(), Stripes: 1, Policy: PolicyFail, openFile: open})
+	l := openTest(t, Options{Dir: t.TempDir(), Stripes: 1, openFile: open})
 
 	mustAppend(t, l, obsBatch(1, 3))
 
@@ -79,7 +79,7 @@ func TestWriteFailureWedgesUnderPolicyFail(t *testing.T) {
 
 func TestSyncFailureFailsBlockedAppend(t *testing.T) {
 	open, _, failSync := openFailing()
-	l := openTest(t, Options{Dir: t.TempDir(), Stripes: 1, Policy: PolicyFail, openFile: open})
+	l := openTest(t, Options{Dir: t.TempDir(), Stripes: 1, openFile: open})
 	mustAppend(t, l, obsBatch(1, 3))
 
 	*failSync = true
@@ -88,28 +88,6 @@ func TestSyncFailureFailsBlockedAppend(t *testing.T) {
 	}
 	if !l.Wedged() {
 		t.Fatal("log not wedged after fsync failure")
-	}
-}
-
-func TestPolicyDropAcknowledgesAndCounts(t *testing.T) {
-	open, failWrite, _ := openFailing()
-	l := openTest(t, Options{Dir: t.TempDir(), Stripes: 1, Policy: PolicyDrop, openFile: open})
-	mustAppend(t, l, obsBatch(1, 3))
-
-	*failWrite = true
-	for i := 0; i < 3; i++ {
-		release, err := l.Append(obsBatch(10+i, 4))
-		if err != nil {
-			t.Fatalf("PolicyDrop append %d = %v, want acknowledged", i, err)
-		}
-		release()
-	}
-	st := l.Stats()
-	if st.DroppedObs != 12 {
-		t.Errorf("DroppedObs = %d, want 12", st.DroppedObs)
-	}
-	if !st.Wedged {
-		t.Error("drop policy should still report the wedge on stats")
 	}
 }
 
@@ -357,31 +335,24 @@ func TestSegNameRoundTrip(t *testing.T) {
 	}
 }
 
-// The backstop ticker syncs stray buffered bytes (header of a fresh
-// segment) even with no writer waiting, so a crash shortly after rotation
-// cannot tear more than the unsynced tail.
-func TestBackstopTickerFlushesHeader(t *testing.T) {
+// Open writes every stripe's segment header through to its file, so a
+// fresh segment holds no bytes that only an append's group commit would
+// flush: right after Open, with no sleep, each file decodes as a header.
+func TestOpenWritesHeadersToDisk(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Stripes: 1, SyncInterval: time.Millisecond})
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		entries, err := os.ReadDir(dir)
+	openTest(t, Options{Dir: dir, Stripes: 3})
+	for stripe := 0; stripe < 3; stripe++ {
+		f, err := os.Open(filepath.Join(dir, segName(stripe, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) == 1 {
-			info, err := entries[0].Info()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Size() > 0 {
-				break
-			}
+		hdr, err := readHeader(bufio.NewReader(f))
+		f.Close()
+		if err != nil {
+			t.Fatalf("stripe %d: segment header not on disk after Open: %v", stripe, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("segment header never flushed by the backstop ticker")
+		if hdr.stripe != stripe || hdr.seq != 1 || hdr.fingerprint != testFP {
+			t.Errorf("stripe %d: header %+v", stripe, hdr)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	l.Close()
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/encoding"
 	"repro/internal/shard"
 )
 
@@ -117,74 +118,38 @@ type segHeader struct {
 	size        int64 // encoded header length in bytes
 }
 
-// readHeader decodes and checks a segment header from br.
+// maxHeaderBytes bounds an encoded segment header: magic, version, two
+// maximal uvarints, a two-byte fingerprint length, the longest
+// fingerprint and the CRC.
+const maxHeaderBytes = len(segMagic) + 1 + 2*binary.MaxVarintLen64 + 2 + maxFingerprint + 4
+
+// readHeader decodes and checks a segment header from br, consuming it.
 func readHeader(br *bufio.Reader) (segHeader, error) {
 	var h segHeader
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return h, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+	// A short file peeks fewer bytes; the parse below then fails short.
+	buf, _ := br.Peek(maxHeaderBytes)
+	if len(buf) < len(segMagic) || string(buf[:len(segMagic)]) != segMagic {
+		return h, fmt.Errorf("%w: short header or bad magic", ErrCorrupt)
 	}
-	if string(magic) != segMagic {
-		return h, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	// Everything after the magic is CRC'd; accumulate the raw bytes as we
-	// decode them.
-	var raw []byte
-	readByte := func() (byte, error) {
-		b, err := br.ReadByte()
-		if err == nil {
-			raw = append(raw, b)
-		}
-		return b, err
-	}
-	version, err := readByte()
-	if err != nil {
-		return h, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if version != segVersion {
+	// Everything after the magic, up to the CRC, is checksummed.
+	r := encoding.Reader{Data: buf[len(segMagic):]}
+	if version := r.Byte(); r.Err == nil && version != segVersion {
 		return h, fmt.Errorf("wal: unsupported segment version %d", version)
 	}
-	readUvarint := func() (uint64, error) {
-		return binary.ReadUvarint(byteReaderFunc(readByte))
+	stripe := r.Uvarint()
+	seq := r.Uvarint()
+	fp := r.Str()
+	if r.Err != nil || len(fp) > maxFingerprint || len(r.Data) < 4 {
+		return h, fmt.Errorf("%w: short or malformed header", ErrCorrupt)
 	}
-	stripe, err := readUvarint()
-	if err != nil {
-		return h, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	seq, err := readUvarint()
-	if err != nil {
-		return h, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	fpLen, err := readUvarint()
-	if err != nil {
-		return h, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if fpLen > maxFingerprint {
-		return h, fmt.Errorf("%w: implausible fingerprint length %d", ErrCorrupt, fpLen)
-	}
-	fp := make([]byte, fpLen)
-	if _, err := io.ReadFull(br, fp); err != nil {
-		return h, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	raw = append(raw, fp...)
-	var crcBytes [4]byte
-	if _, err := io.ReadFull(br, crcBytes[:]); err != nil {
-		return h, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if crc32.Checksum(raw, castagnoli) != binary.LittleEndian.Uint32(crcBytes[:]) {
+	body := buf[len(segMagic) : len(buf)-len(r.Data)]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(r.Data) {
 		return h, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
-	h.stripe = int(stripe)
-	h.seq = seq
-	h.fingerprint = string(fp)
-	h.size = int64(len(segMagic) + len(raw) + 4)
-	return h, nil
+	size := len(segMagic) + len(body) + 4
+	_, _ = br.Discard(size) // cannot fail: Peek returned these bytes
+	return segHeader{stripe: int(stripe), seq: seq, fingerprint: fp, size: int64(size)}, nil
 }
-
-// byteReaderFunc adapts a readByte closure to io.ByteReader.
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }
 
 // dictBits sizes the encoder's key-dictionary table: 1024 slots, far more
 // than the distinct keys of an ingest-shaped batch, so probe chains stay
@@ -339,76 +304,47 @@ func appendObsPayload(dst []byte, obs []shard.Observation, tab *dictTab, uniform
 // dst, which may be nil). It validates every bound before allocating, so
 // hostile payloads cannot pin implausible memory, and it rejects trailing
 // bytes — a checksum-valid payload that does not decode exactly is
-// corruption, not data.
+// corruption, not data. So is a NaN or infinite value: ingest never admits
+// one, and replaying it would poison the key's sketch.
 func decodePayload(payload []byte, dst []shard.Observation) ([]shard.Observation, error) {
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return dst, fmt.Errorf("%w: bad record count", ErrCorrupt)
+	r := encoding.Reader{Data: payload}
+	count := r.Uvarint()
+	if count > uint64(len(r.Data)/minObsBytes)+1 {
+		r.Fail()
 	}
-	rest := payload[n:]
-	if count > uint64(len(rest)/minObsBytes)+1 {
-		return dst, fmt.Errorf("%w: implausible record count %d", ErrCorrupt, count)
-	}
-	if count == 0 {
-		if len(rest) != 0 {
-			return dst, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupt, len(rest))
+	if count > 0 {
+		base := r.Varint()
+		uniform := r.Byte()
+		if uniform > 1 {
+			r.Fail()
 		}
-		return dst, nil
-	}
-	base, n := binary.Varint(rest)
-	if n <= 0 {
-		return dst, fmt.Errorf("%w: bad base timestamp", ErrCorrupt)
-	}
-	rest = rest[n:]
-	if len(rest) < 1 || rest[0] > 1 {
-		return dst, fmt.Errorf("%w: bad uniform-timestamp flag", ErrCorrupt)
-	}
-	uniform := rest[0] == 1
-	rest = rest[1:]
-	var dict []string
-	for i := uint64(0); i < count; i++ {
-		token, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return dst, fmt.Errorf("%w: bad key token", ErrCorrupt)
-		}
-		rest = rest[n:]
-		var key string
-		if token == 0 {
-			keyLen, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return dst, fmt.Errorf("%w: bad key length", ErrCorrupt)
+		var dict []string
+		for i := uint64(0); i < count && r.Err == nil; i++ {
+			var key string
+			if token := r.Uvarint(); token == 0 {
+				key = r.Str()
+				dict = append(dict, key)
+				if len(key) > shard.MaxKeyLen {
+					r.Fail()
+				}
+			} else if token <= uint64(len(dict)) {
+				key = dict[token-1]
+			} else {
+				r.Fail()
 			}
-			rest = rest[n:]
-			if keyLen > shard.MaxKeyLen || keyLen > uint64(len(rest)) {
-				return dst, fmt.Errorf("%w: implausible key length %d", ErrCorrupt, keyLen)
+			value := math.Float64frombits(bits.ReverseBytes64(r.Uvarint()))
+			if math.IsNaN(value) || math.IsInf(value, 0) {
+				r.Fail()
 			}
-			key = string(rest[:keyLen])
-			rest = rest[keyLen:]
-			dict = append(dict, key)
-		} else {
-			if token > uint64(len(dict)) {
-				return dst, fmt.Errorf("%w: key token %d beyond dictionary of %d", ErrCorrupt, token, len(dict))
+			var delta int64
+			if uniform == 0 {
+				delta = r.Varint()
 			}
-			key = dict[token-1]
+			dst = append(dst, shard.Observation{Key: key, Value: value, At: time.Unix(0, base+delta)})
 		}
-		vbits, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return dst, fmt.Errorf("%w: bad value", ErrCorrupt)
-		}
-		rest = rest[n:]
-		value := math.Float64frombits(bits.ReverseBytes64(vbits))
-		delta := int64(0)
-		if !uniform {
-			delta, n = binary.Varint(rest)
-			if n <= 0 {
-				return dst, fmt.Errorf("%w: bad timestamp delta", ErrCorrupt)
-			}
-			rest = rest[n:]
-		}
-		dst = append(dst, shard.Observation{Key: key, Value: value, At: time.Unix(0, base+delta)})
 	}
-	if len(rest) != 0 {
-		return dst, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupt, len(rest))
+	if err := r.Done(); err != nil {
+		return dst, fmt.Errorf("%w: undecodable record payload", ErrCorrupt)
 	}
 	return dst, nil
 }
@@ -506,22 +442,12 @@ func ReadWatermark(path string) ([]uint64, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(payload[payloadLen-4:]) {
 		return nil, nil
 	}
-	rest := body[len(wmMagic):]
-	n, sz := binary.Uvarint(rest)
-	if sz <= 0 || n > maxWatermarkStripes {
-		return nil, nil
-	}
-	rest = rest[sz:]
-	cuts := make([]uint64, n)
+	r := encoding.Reader{Data: body[len(wmMagic):]}
+	cuts := make([]uint64, r.Count())
 	for i := range cuts {
-		c, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return nil, nil
-		}
-		cuts[i] = c
-		rest = rest[sz:]
+		cuts[i] = r.Uvarint()
 	}
-	if len(rest) != 0 {
+	if r.Done() != nil {
 		return nil, nil
 	}
 	return cuts, nil

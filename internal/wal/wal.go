@@ -8,16 +8,14 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/shard"
 )
 
 // Defaults for Options fields left zero.
 const (
-	DefaultStripes      = 4
-	DefaultSyncInterval = 2 * time.Millisecond
-	DefaultSegmentSize  = 64 << 20
+	DefaultStripes     = 4
+	DefaultSegmentSize = 64 << 20
 )
 
 // pileTarget is the group-commit leader threshold: the appender whose
@@ -28,44 +26,12 @@ const (
 // and fsync pipeline instead of alternating.
 const pileTarget = 12
 
-// ErrWedged is returned (under PolicyFail) by every append after a write
-// or sync failure wedged the log. The log stays wedged — serving reads
-// continues, durability does not — until the process restarts against a
-// healthy disk.
+// ErrWedged is returned by every append after a write or sync failure
+// wedged the log, so the server answers ingest with a 503 and never
+// acknowledges a batch it has not fsynced. The log stays wedged — serving
+// reads continues, durability does not — until the process restarts
+// against a healthy disk.
 var ErrWedged = errors.New("wal: log wedged by an earlier write or sync failure")
-
-// Policy selects how appends degrade once the log is wedged by a write or
-// sync failure.
-type Policy int
-
-const (
-	// PolicyFail makes appends return ErrWedged, so the server 503s
-	// ingest until the operator intervenes: no acknowledged observation
-	// is ever non-durable.
-	PolicyFail Policy = iota
-	// PolicyDrop acknowledges appends without durability, counting the
-	// observations dropped: availability over durability.
-	PolicyDrop
-)
-
-// ParsePolicy parses the -wal-on-error flag value.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "fail":
-		return PolicyFail, nil
-	case "drop":
-		return PolicyDrop, nil
-	}
-	return 0, fmt.Errorf("wal: unknown on-error policy %q (want fail or drop)", s)
-}
-
-// String returns the flag spelling of the policy.
-func (p Policy) String() string {
-	if p == PolicyDrop {
-		return "drop"
-	}
-	return "fail"
-}
 
 // Options configures a Log.
 type Options struct {
@@ -75,17 +41,9 @@ type Options struct {
 	// over (default DefaultStripes). More stripes let fsyncs proceed in
 	// parallel on hardware that benefits from it.
 	Stripes int
-	// SyncInterval is the backstop period of each stripe's syncer ticker
-	// (default DefaultSyncInterval). The syncer fsyncs eagerly whenever
-	// writers are waiting; the ticker only bounds how long stray buffered
-	// bytes can sit unsynced.
-	SyncInterval time.Duration
 	// SegmentSize is the byte threshold past which a stripe seals its
 	// active segment and rotates to a new one (default DefaultSegmentSize).
 	SegmentSize int64
-	// Policy selects the degraded mode after a write/sync failure
-	// (default PolicyFail).
-	Policy Policy
 	// Fingerprint is the store backend's fingerprint, stamped into every
 	// segment header and checked by Replay.
 	Fingerprint string
@@ -110,22 +68,19 @@ type Options struct {
 // Stats is a point-in-time snapshot of the log's counters, surfaced under
 // "wal" on /v1/stats.
 type Stats struct {
-	Dir                 string       `json:"dir"`
-	Stripes             int          `json:"stripes"`
-	Policy              string       `json:"policy"`
-	SyncIntervalSeconds float64      `json:"sync_interval_seconds"`
-	SegmentSize         int64        `json:"segment_size"`
-	Segments            int64        `json:"segments"`
-	ActiveBytes         int64        `json:"active_bytes"`
-	Appends             uint64       `json:"appends"`
-	AppendedObs         uint64       `json:"appended_obs"`
-	Syncs               uint64       `json:"syncs"`
-	SyncFailures        uint64       `json:"sync_failures"`
-	DroppedObs          uint64       `json:"dropped_obs"`
-	Wedged              bool         `json:"wedged"`
-	Checkpoints         uint64       `json:"checkpoints"`
-	TruncatedSegments   uint64       `json:"truncated_segments"`
-	Replay              *ReplayStats `json:"replay,omitempty"`
+	Dir               string       `json:"dir"`
+	Stripes           int          `json:"stripes"`
+	SegmentSize       int64        `json:"segment_size"`
+	Segments          int64        `json:"segments"`
+	ActiveBytes       int64        `json:"active_bytes"`
+	Appends           uint64       `json:"appends"`
+	AppendedObs       uint64       `json:"appended_obs"`
+	Syncs             uint64       `json:"syncs"`
+	SyncFailures      uint64       `json:"sync_failures"`
+	Wedged            bool         `json:"wedged"`
+	Checkpoints       uint64       `json:"checkpoints"`
+	TruncatedSegments uint64       `json:"truncated_segments"`
+	Replay            *ReplayStats `json:"replay,omitempty"`
 }
 
 // Log is a per-stripe group-commit observation log. All methods are safe
@@ -162,7 +117,6 @@ type Log struct {
 	obs       atomic.Uint64
 	syncs     atomic.Uint64
 	syncFails atomic.Uint64
-	dropped   atomic.Uint64
 	chkpts    atomic.Uint64
 	truncated atomic.Uint64
 	segments  atomic.Int64
@@ -190,7 +144,6 @@ type stripeLog struct {
 	seq     uint64 // sequence of the active (or last sealed) segment
 	size    int64  // bytes written to the active segment
 	gen     uint64 // bumped on every seal; lets the syncer detect races
-	dirty   bool   // bytes flushed into w (or the file) since the last sync
 	waiters []*waiter
 	err     error    // sticky stripe failure
 	buf     []byte   // record encode scratch
@@ -213,9 +166,6 @@ func Open(opts Options) (*Log, error) {
 	}
 	if opts.Stripes <= 0 {
 		opts.Stripes = DefaultStripes
-	}
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = DefaultSyncInterval
 	}
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
@@ -299,55 +249,40 @@ func (l *Log) logf(format string, args ...any) {
 func (l *Log) NoteReplay(rs *ReplayStats) { l.replay.Store(rs) }
 
 // Append implements shard.Journal: it logs the batch to one stripe,
-// blocks until the record is durable (or the policy degrades), and
-// returns a release func the committer must call after applying the batch
-// to the store. Append and release bracket the store apply inside the
-// checkpoint guard; see Log.cp.
+// blocks until the record is fsynced, and returns a release func the
+// committer must call after applying the batch to the store. A wedged log
+// fails every append (ErrWedged, or the failure that wedged it), so a nil
+// error always means durable. Append and release bracket the store apply
+// inside the checkpoint guard; see Log.cp.
 func (l *Log) Append(obs []shard.Observation) (func(), error) {
 	if len(obs) == 0 {
 		return func() {}, nil
 	}
 	l.cp.RLock()
 	l.appends.Add(1)
-	if l.wedged.Load() {
-		if err := l.degrade(len(obs), ErrWedged); err != nil {
-			l.cp.RUnlock()
-			return nil, err
-		}
-		return l.cp.RUnlock, nil
+	err := ErrWedged
+	if !l.wedged.Load() {
+		err = l.stripes[l.active.Load()%uint64(len(l.stripes))].append(obs)
 	}
-	sl := &l.stripes[l.active.Load()%uint64(len(l.stripes))]
-	if err := sl.append(obs); err != nil {
-		if err = l.degrade(len(obs), err); err != nil {
-			l.cp.RUnlock()
-			return nil, err
-		}
-		return l.cp.RUnlock, nil
+	if err != nil {
+		l.cp.RUnlock()
+		return nil, err
 	}
 	l.obs.Add(uint64(len(obs)))
 	return l.cp.RUnlock, nil
 }
 
-// degrade resolves a failed append per policy: PolicyDrop counts the
-// observations and acknowledges (returns nil), PolicyFail propagates.
-func (l *Log) degrade(n int, err error) error {
-	if l.opts.Policy == PolicyDrop {
-		l.dropped.Add(uint64(n))
-		return nil
-	}
-	return err
-}
-
 // wedge latches a stripe failure into the log-wide wedged state.
 func (l *Log) wedge(stripe int, err error) {
 	if l.wedged.CompareAndSwap(false, true) {
-		l.logf("wal: stripe %d wedged (policy %s): %v", stripe, l.opts.Policy, err)
+		l.logf("wal: stripe %d wedged: %v", stripe, err)
 	}
 }
 
 // append encodes the batch into the stripe's active segment, rotating
 // first if the record would overflow it, then blocks on the next group
-// commit. It returns the underlying failure; the caller applies policy.
+// commit. It returns the failure, if any, that kept the record from
+// becoming durable.
 func (sl *stripeLog) append(obs []shard.Observation) error {
 	sl.mu.Lock()
 	if sl.err != nil {
@@ -377,7 +312,6 @@ func (sl *stripeLog) append(obs []shard.Observation) error {
 		return err
 	}
 	sl.size += int64(len(sl.buf))
-	sl.dirty = true
 	w := &waiter{ch: make(chan error, 1)}
 	sl.waiters = append(sl.waiters, w)
 	lead := len(sl.waiters) == pileTarget
@@ -393,9 +327,8 @@ func (sl *stripeLog) append(obs []shard.Observation) error {
 	// moment the in-flight fsync retires the next one starts, taking
 	// whatever pile accumulated in the meantime (the pile self-clocks to
 	// the device's latency). Everyone else just parks. The syncer
-	// goroutine's kick path remains as the backstop for piles that never
-	// reach the target — a lone committer waits one goroutine handoff plus
-	// one fsync, not a sync interval.
+	// goroutine's kick path serves piles that never reach the target — a
+	// lone committer waits one goroutine handoff plus one fsync.
 	if lead {
 		sl.syncNow()
 	} else {
@@ -421,10 +354,11 @@ func (sl *stripeLog) failLocked(err error) {
 	sl.waiters = nil
 }
 
-// createLocked opens a fresh segment (seq+1) and writes its header. When
-// syncDir is true the directory is fsynced so the new entry survives a
-// crash — Open batches that sync across stripes instead. sl.mu held (or
-// the stripe not yet published).
+// createLocked opens a fresh segment (seq+1) and writes its header
+// through to the file, so no bytes sit in the buffer without a waiter to
+// sync them. When syncDir is true the directory is fsynced so the new
+// entry survives a crash — Open batches that sync across stripes instead.
+// sl.mu held (or the stripe not yet published).
 func (sl *stripeLog) createLocked(syncDir bool) error {
 	seq := sl.seq + 1
 	path := filepath.Join(sl.l.opts.Dir, segName(sl.id, seq))
@@ -448,10 +382,13 @@ func (sl *stripeLog) createLocked(syncDir bool) error {
 		f.Close()
 		return err
 	}
+	if err := sl.w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
 	sl.f = f
 	sl.seq = seq
 	sl.size = int64(len(hdr))
-	sl.dirty = true
 	sl.l.segments.Add(1)
 	return nil
 }
@@ -476,7 +413,6 @@ func (sl *stripeLog) sealLocked() error {
 	}
 	sl.f = nil
 	sl.size = 0
-	sl.dirty = false
 	sl.gen++
 	if err != nil {
 		sl.failLocked(err)
@@ -502,30 +438,35 @@ func (sl *stripeLog) rotateLocked() error {
 }
 
 // run is the stripe's syncer goroutine: fsync as soon as writers are
-// waiting (kick), with the interval ticker as a backstop for stray
-// buffered bytes (e.g. a freshly written segment header).
+// waiting (kick).
 func (sl *stripeLog) run() {
-	//lint:allow stripelock l, kick, stop and done are immutable after Open publishes the stripe
+	//lint:allow stripelock kick, stop and done are immutable after Open publishes the stripe
 	defer close(sl.done)
-	t := time.NewTicker(sl.l.opts.SyncInterval)
-	defer t.Stop()
 	for {
 		select {
 		case <-sl.stop:
 			return
 		case <-sl.kick:
-		case <-t.C:
 		}
 		sl.syncNow()
 	}
 }
 
+// idleLocked reports whether the stripe has no group commit to run: it is
+// failed, sealed, or has no waiters. sl.mu held.
+func (sl *stripeLog) idleLocked() bool {
+	return sl.err != nil || sl.f == nil || len(sl.waiters) == 0
+}
+
 // syncNow is one group commit: flush the buffered writer under the lock,
 // fsync outside it (appenders keep encoding meanwhile), then release
-// every waiter the fsync covered.
+// every waiter the fsync covered. A stripe with no waiters has nothing to
+// commit: every buffered record has one, and createLocked writes segment
+// headers through to the file.
 func (sl *stripeLog) syncNow() {
+	l := sl.l
 	sl.mu.Lock()
-	idle := sl.err != nil || sl.f == nil || (!sl.dirty && len(sl.waiters) == 0)
+	idle := sl.idleLocked()
 	sl.mu.Unlock()
 	if idle {
 		return
@@ -536,17 +477,9 @@ func (sl *stripeLog) syncNow() {
 	// grabbed below covers the entire arrival stream of that fsync's
 	// duration — grabbing first and then queueing would freeze a small
 	// pile and split the group commit.
-	sl.l.syncTok.Lock()
-	sl.syncHoldingToken()
-}
-
-// syncHoldingToken is one group commit with the device token already
-// held: grab the pile, flush, fsync, release the token, deliver. It
-// releases the token on every path.
-func (sl *stripeLog) syncHoldingToken() {
-	l := sl.l
+	l.syncTok.Lock()
 	sl.mu.Lock()
-	if sl.err != nil || sl.f == nil || (!sl.dirty && len(sl.waiters) == 0) {
+	if sl.idleLocked() {
 		sl.mu.Unlock()
 		l.syncTok.Unlock()
 		return
@@ -559,9 +492,6 @@ func (sl *stripeLog) syncHoldingToken() {
 	// syncer from double-advancing past piles that never got to fill.
 	l.active.CompareAndSwap(uint64(sl.id), uint64(sl.id+1)%uint64(len(l.stripes)))
 	err := sl.w.Flush()
-	if err == nil {
-		sl.dirty = false
-	}
 	sl.mu.Unlock()
 
 	if err == nil {
@@ -578,14 +508,15 @@ func (sl *stripeLog) syncHoldingToken() {
 		err = nil
 	}
 	if err != nil {
-		// Deliver the failure to the waiters we took, then latch it.
+		// Latch the failure (wedging the log) before any waiter we took
+		// sees it, so an appender holding the error finds the log wedged.
+		sl.failLocked(err)
 		for _, w := range waiters {
 			w.ch <- err
 		}
 		waiters = nil
-		sl.failLocked(err)
-	} else if len(waiters) > 0 {
-		sl.l.syncs.Add(1)
+	} else {
+		l.syncs.Add(1)
 	}
 	sl.mu.Unlock()
 	for _, w := range waiters {
@@ -682,21 +613,18 @@ func (l *Log) Wedged() bool { return l.wedged.Load() }
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
 	st := Stats{
-		Dir:                 l.opts.Dir,
-		Stripes:             len(l.stripes),
-		Policy:              l.opts.Policy.String(),
-		SyncIntervalSeconds: l.opts.SyncInterval.Seconds(),
-		SegmentSize:         l.opts.SegmentSize,
-		Segments:            l.segments.Load(),
-		Appends:             l.appends.Load(),
-		AppendedObs:         l.obs.Load(),
-		Syncs:               l.syncs.Load(),
-		SyncFailures:        l.syncFails.Load(),
-		DroppedObs:          l.dropped.Load(),
-		Wedged:              l.wedged.Load(),
-		Checkpoints:         l.chkpts.Load(),
-		TruncatedSegments:   l.truncated.Load(),
-		Replay:              l.replay.Load(),
+		Dir:               l.opts.Dir,
+		Stripes:           len(l.stripes),
+		SegmentSize:       l.opts.SegmentSize,
+		Segments:          l.segments.Load(),
+		Appends:           l.appends.Load(),
+		AppendedObs:       l.obs.Load(),
+		Syncs:             l.syncs.Load(),
+		SyncFailures:      l.syncFails.Load(),
+		Wedged:            l.wedged.Load(),
+		Checkpoints:       l.chkpts.Load(),
+		TruncatedSegments: l.truncated.Load(),
+		Replay:            l.replay.Load(),
 	}
 	for i := range l.stripes {
 		sl := &l.stripes[i]

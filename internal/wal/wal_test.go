@@ -15,15 +15,12 @@ import (
 
 const testFP = "moments:k=10"
 
-// openTest opens a log in a fresh temp directory with fast ticker and
-// small defaults suitable for tests.
+// openTest opens a log, in a fresh temp directory unless opts names one,
+// stamped with the test fingerprint.
 func openTest(t *testing.T, opts Options) *Log {
 	t.Helper()
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
-	}
-	if opts.SyncInterval == 0 {
-		opts.SyncInterval = time.Millisecond
 	}
 	if opts.Fingerprint == "" {
 		opts.Fingerprint = testFP
@@ -421,25 +418,13 @@ func TestOpenFailsOnUnwritableDir(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	if p, err := ParsePolicy("fail"); err != nil || p != PolicyFail {
-		t.Errorf("ParsePolicy(fail) = %v, %v", p, err)
-	}
-	if p, err := ParsePolicy("drop"); err != nil || p != PolicyDrop {
-		t.Errorf("ParsePolicy(drop) = %v, %v", p, err)
-	}
-	if _, err := ParsePolicy("retry"); err == nil {
-		t.Error("ParsePolicy(retry) succeeded")
-	}
-}
-
 func TestStatsShape(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Stripes: 2, Policy: PolicyDrop})
+	l := openTest(t, Options{Dir: dir, Stripes: 2})
 	mustAppend(t, l, obsBatch(1, 4))
 	l.NoteReplay(&ReplayStats{Records: 7})
 	st := l.Stats()
-	if st.Dir != dir || st.Stripes != 2 || st.Policy != "drop" {
+	if st.Dir != dir || st.Stripes != 2 {
 		t.Errorf("stats identity fields: %+v", st)
 	}
 	if st.Appends != 1 || st.AppendedObs != 4 {
