@@ -28,9 +28,9 @@ const MaxK = 25
 
 // Sketch is the moments sketch of a multiset of real values.
 //
-// The zero value is not usable; construct with New. All fields are exported
-// so encodings and engines can access the raw statistics; mutate them only
-// through the methods.
+// The zero value is not usable until filled by CopyFrom; construct with New
+// or Clone. All fields are exported so encodings and engines can access the
+// raw statistics; mutate them only through the methods.
 type Sketch struct {
 	// K is the highest moment order tracked.
 	K int
@@ -43,7 +43,10 @@ type Sketch struct {
 	// Pow[i-1] holds Σ xⁱ for i = 1..K.
 	Pow []float64
 	// LogPow[i-1] holds Σ logⁱ(x) over the strictly positive values,
-	// for i = 1..K.
+	// for i = 1..K. Sketches from New, Clone and CopyFrom carve Pow and
+	// LogPow from one backing array of 2K floats, Pow capped at K, so the
+	// 2K sums are one contiguous load and appending to Pow never writes
+	// into LogPow.
 	LogPow []float64
 	// LogCount is the number of strictly positive values contributing to
 	// LogPow.
@@ -56,13 +59,16 @@ func New(k int) *Sketch {
 	if k < 1 || k > MaxK {
 		panic(fmt.Sprintf("core: sketch order %d outside [1,%d]", k, MaxK))
 	}
-	return &Sketch{
-		K:      k,
-		Min:    math.Inf(1),
-		Max:    math.Inf(-1),
-		Pow:    make([]float64, k),
-		LogPow: make([]float64, k),
-	}
+	s := &Sketch{K: k, Min: math.Inf(1), Max: math.Inf(-1)}
+	s.Pow, s.LogPow = powerSums(k)
+	return s
+}
+
+// powerSums carves zeroed Pow and LogPow slices of length k from one
+// backing array.
+func powerSums(k int) (pow, logPow []float64) {
+	buf := make([]float64, 2*k)
+	return buf[:k:k], buf[k:]
 }
 
 // Reset restores the sketch to its freshly constructed empty state.
@@ -203,12 +209,25 @@ func (s *Sketch) TightenRange(lo, hi float64) {
 
 // Clone returns a deep copy.
 func (s *Sketch) Clone() *Sketch {
-	c := New(s.K)
-	c.Min, c.Max = s.Min, s.Max
-	c.Count, c.LogCount = s.Count, s.LogCount
-	copy(c.Pow, s.Pow)
-	copy(c.LogPow, s.LogPow)
+	c := new(Sketch)
+	c.CopyFrom(s)
 	return c
+}
+
+// CopyFrom overwrites s with a deep copy of o. The power sums go into s's
+// own arrays when they already have o's order, and into freshly carved
+// ones otherwise, so the zero Sketch is a valid destination: a record that
+// embeds a Sketch by value holds a full copy in one allocation fewer than
+// a Clone.
+func (s *Sketch) CopyFrom(o *Sketch) {
+	if s.K != o.K || len(s.Pow) != o.K || len(s.LogPow) != o.K {
+		s.Pow, s.LogPow = powerSums(o.K)
+	}
+	s.K = o.K
+	s.Min, s.Max = o.Min, o.Max
+	s.Count, s.LogCount = o.Count, o.LogCount
+	copy(s.Pow, o.Pow)
+	copy(s.LogPow, o.LogPow)
 }
 
 // IsEmpty reports whether no values have been accumulated.

@@ -18,8 +18,9 @@
 // independent clones (Summary, Match) or merged rollups (MergePrefix), so
 // no solve ever runs under a stripe lock. On backends with
 // sketch.Caps.FastClone (moments) the timeless reads never take a stripe
-// lock at all: every commit publishes an immutable clone of each touched
-// entry, and reads traverse atomic loads (see published.go). Other backends
+// lock at all: every commit publishes an immutable flat copy of each
+// touched entry's moment vector, and reads traverse atomic loads (see
+// published.go). Other backends
 // clone under the lock. The choice follows the backend's capability flag
 // alone; there is no option. Sketch returns the raw moments view and
 // reports false on non-moments backends.
@@ -27,7 +28,8 @@
 // There is one write path: Add/AddAt, or a Batch whose observations become
 // visible, ordered and versioned at Flush (Commit when a journal is
 // attached). There is one key order: every store keeps a sorted key index
-// per stripe, and every prefix or key walk — rollups, matches, key
+// per stripe, merged with each commit's new keys rather than re-sorted, and
+// every prefix or key walk — rollups, matches, key
 // listings, pane series, retained rollups and snapshots — follows it, so
 // every read is a pure function of the data.
 //

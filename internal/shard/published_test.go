@@ -405,7 +405,7 @@ func TestPublishedInvariant(t *testing.T) {
 				st.mu.Unlock()
 				t.Fatalf("stripe %d: %q published version %d != live version %d", i, k, p.version, e.version)
 			}
-			pb, err := s.backend.Marshal(p.sum)
+			pb, err := s.backend.Marshal(s.servingOf(p))
 			if err != nil {
 				st.mu.Unlock()
 				t.Fatal(err)

@@ -45,10 +45,11 @@ type Observation struct {
 // same key — can never falsely match.
 //
 // pub is the entry's published read snapshot (see published.go): an
-// immutable, version-stamped clone of the all-time summary, republished on
-// every commit while the stripe lock is still held. It is nil on stores
-// whose backend lacks FastClone. The guardedby directive covers the mutable
-// fields; pub is its own synchronization and is read lock-free.
+// immutable, version-stamped copy of the all-time moment vector,
+// republished on every commit while the stripe lock is still held. It is
+// nil on stores whose backend lacks FastClone. The guardedby directive
+// covers the mutable fields; pub is its own synchronization and is read
+// lock-free.
 //
 //lint:guardedby stripe.mu
 type entry struct {
@@ -68,19 +69,22 @@ type entry struct {
 // contend with ingest.
 //
 // index is the stripe's published key index (see published.go): a sorted,
-// immutable (keys, entries) snapshot rebuilt copy-on-write — while the
-// stripe lock is held, marked by indexStale — whenever the key set changes,
-// on every store. Every prefix or key walk follows it: lock-free on the
-// wait-free paths, under the lock on the others. It is nil only until the
-// stripe's first write.
+// immutable (keys, entries) snapshot republished copy-on-write, while the
+// stripe lock is held, whenever the key set changes, on every store. added,
+// removed and rebase record the current critical section's key-set changes
+// for that republish to merge in. Every prefix or key walk follows the
+// index: lock-free on the wait-free paths, under the lock on the others. It
+// is nil only until the stripe's first write.
 type stripe struct {
-	mu         sync.Mutex
-	entries    map[string]*entry
-	count      float64       // observations ingested into this stripe
-	version    atomic.Uint64 // monotonic mutation counter
-	index      atomic.Pointer[stripeIndex]
-	indexStale bool     // key set changed; republish before unlocking
-	_          [23]byte // mutex(8) + map(8) + count(8) + version(8) + index(8) + bool(1) + 23 = one 64-byte line
+	mu      sync.Mutex
+	entries map[string]*entry
+	count   float64       // observations ingested into this stripe
+	version atomic.Uint64 // monotonic mutation counter
+	index   atomic.Pointer[stripeIndex]
+	added   []indexAdd // keys created since the last index publish
+	removed []string   // keys deleted since the last index publish
+	rebase  bool       // Reset/Restore: merge into an empty index, not the published one
+	_       [39]byte   // mutex(8) + map(8) + count(8) + version(8) + index(8) + added(24) + removed(24) + bool(1) + 39 = two 64-byte lines
 }
 
 // Store is a sharded map from string keys to quantile summaries of one
@@ -189,6 +193,9 @@ func New(opts ...Option) *Store {
 	}
 	if cfg.backend.IsZero() {
 		cfg.backend = sketch.MomentsBackend(cfg.k)
+	} else if cfg.backend.Caps.FastClone && sketch.RawMoments(cfg.backend.New()) == nil {
+		// Published snapshots are flat moment vectors (see published.go).
+		panic(fmt.Sprintf("shard: FastClone backend %s does not carry moments", cfg.backend.Fingerprint()))
 	} else if o := cfg.backend.Order(); o > 0 {
 		// An explicitly supplied moments backend carries its own order; the
 		// store's k (snapshot headers, Order()) must agree with the sketches
@@ -265,7 +272,7 @@ func (s *Store) stripeFor(key string) *stripe {
 }
 
 // entryLocked returns the entry for key, creating it if absent. Creation
-// marks the stripe's published index stale and bumps the key gauge; the
+// records the key for the stripe's index and bumps the key gauge; the
 // caller's commit path republishes the index before releasing the lock.
 // The stripe lock must be held.
 func (s *Store) entryLocked(st *stripe, key string) *entry {
@@ -276,7 +283,7 @@ func (s *Store) entryLocked(st *stripe, key string) *entry {
 			e.ring = s.newPaneRing()
 		}
 		st.entries[key] = e
-		st.indexStale = true
+		st.added = append(st.added, indexAdd{key: key, e: e})
 		s.keyGauge.Add(1)
 	}
 	return e
@@ -482,7 +489,7 @@ func (s *Store) Summary(key string) (sketch.Serving, bool) {
 		}
 		if p != nil {
 			s.pubReads.Add(1)
-			return p.sum.Clone(), true
+			return s.servingOf(p), true
 		}
 	}
 	s.lockReads.Add(1)
@@ -520,7 +527,7 @@ func (s *Store) Count(key string) float64 {
 		}
 		if p != nil {
 			s.pubReads.Add(1)
-			return p.sum.Count()
+			return p.sk.Count
 		}
 	}
 	s.lockReads.Add(1)
@@ -654,7 +661,7 @@ func (s *Store) Delete(key string) bool {
 		st.version.Add(1)
 		s.keyGauge.Add(-1)
 		s.obsGauge.Add(-e.all.Count())
-		st.indexStale = true
+		st.removed = append(st.removed, key)
 		s.publishIndexLocked(st)
 	}
 	return ok
@@ -670,7 +677,7 @@ func (s *Store) Reset() {
 		st.entries = make(map[string]*entry)
 		st.count = 0
 		st.version.Add(1)
-		st.indexStale = true
+		st.rebase = true
 		s.publishIndexLocked(st)
 		st.mu.Unlock()
 	}
@@ -1077,15 +1084,16 @@ func (s *Store) Restore(r io.Reader) error {
 		// entry — whatever the snapshot holds — can never falsely match
 		// again.
 		st.version.Add(1)
-		for _, e := range entries {
+		for key, e := range entries {
 			e.version = st.version.Add(1)
 			s.publishEntryLocked(e)
+			st.added = append(st.added, indexAdd{key: key, e: e})
 		}
 		s.keyGauge.Add(int64(len(entries) - len(st.entries)))
 		s.obsGauge.Add(count - st.count)
 		st.entries = entries
 		st.count = count
-		st.indexStale = true
+		st.rebase = true
 		s.publishIndexLocked(st)
 		st.mu.Unlock()
 	}

@@ -24,15 +24,15 @@ import (
 //     window's θ. Meaningless without Cascade.
 //   - Snapshot: the backend has a binary codec, so stores built on it can
 //     write and restore snapshots.
-//   - FastClone: Clone is a cheap O(k) flat copy whose result is a pure
-//     value — reading it (Count, Merge-as-source, Marshal) never mutates
-//     internal state. Stores on such backends publish an immutable clone of
-//     every entry on each write commit, so queries read the published
-//     snapshots wait-free instead of taking stripe locks. Backends whose
-//     clone is proportional to retained data (reservoirs, centroid sets) or
-//     whose reads compact lazily buffered state keep locked reads. The flag
-//     gates only those per-entry clones: every store keeps its sorted key
-//     index, whatever the backend.
+//   - FastClone: the summary is a MomentsCarrier whose state is its flat
+//     O(k) moment vector — reading it (Count, Merge-as-source, Marshal)
+//     never mutates internal state. Stores on such backends publish an
+//     immutable copy of every touched entry's moment vector on each write
+//     commit, so queries read the published snapshots wait-free instead of
+//     taking stripe locks. Backends whose clone is proportional to retained
+//     data (reservoirs, centroid sets) or whose reads compact lazily
+//     buffered state keep locked reads. The flag gates only those per-entry
+//     copies: every store keeps its sorted key index, whatever the backend.
 type Caps struct {
 	Sub       bool `json:"sub"`
 	Cascade   bool `json:"cascade"`
