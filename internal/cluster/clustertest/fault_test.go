@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/query"
 	"repro/internal/shard"
@@ -241,6 +242,37 @@ func hostilePartialsPayloads(fingerprint string) map[string][]byte {
 		"empty":             {},
 		"huge-set-claim":    hugeClaim,
 		"wrong-fingerprint": encoding.MarshalPartials("bogus(k=1)", []encoding.PartialSet{{}}),
+		"low-precision":     prefixPartialsFrame(fingerprint, encoding.MarshalLowPrecision),
+	}
+}
+
+// prefixPartialsFrame is a well-formed partials frame answering
+// prefixQuery with one order-6 moments group, its payload encoded by enc.
+func prefixPartialsFrame(fingerprint string, enc func(*core.Sketch, int) []byte) []byte {
+	sk := core.New(6)
+	for i := 1; i <= 50; i++ {
+		sk.Add(float64(i))
+	}
+	group := encoding.PartialGroup{Keys: 1, Payload: enc(sk, 20)}
+	return encoding.MarshalPartials(fingerprint, []encoding.PartialSet{{Groups: []encoding.PartialGroup{group}}})
+}
+
+// TestFullPrecisionPartialsFrameMerges is the control for the
+// low-precision hostile frame: the same frame with the full-precision
+// payload every node writes is merged into a whole answer, so the
+// low-precision one degrades for its encoding alone.
+func TestFullPrecisionPartialsFrameMerges(t *testing.T) {
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	seedGrid(t, c, gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 6), 20, nil)
+	full := func(sk *core.Sketch, _ int) []byte { return encoding.Marshal(sk) }
+	c.Nodes[3].FaultCorrupt(prefixPartialsFrame(c.Coord.Backend().Fingerprint(), full), 0)
+	defer c.Nodes[3].FaultNormal()
+	resp, qerr := c.Coord.Execute(t.Context(), prefixQuery())
+	if qerr != nil {
+		t.Fatalf("execute: %v", qerr)
+	}
+	if r := &resp.Results[0]; r.Error != nil || len(r.Groups) != 1 {
+		t.Fatalf("full-precision frame did not merge: %+v", r)
 	}
 }
 

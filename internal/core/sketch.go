@@ -26,6 +26,41 @@ const DefaultK = 10
 // only waste space.
 const MaxK = 25
 
+// MaxCount is the count bound behind MaxAbs: 2⁵³, the largest count a
+// float64 Count holds exactly.
+const MaxCount = 1 << 53
+
+// MaxAbs returns the largest |x| an order-k sketch is built for: the
+// largest value whose k-th power, accumulated as Add does and times
+// MaxCount, stays finite. Below it no power sum over up to MaxCount values
+// overflows (|x|ⁱ ≤ max(1, |x|ᵏ) for i ≤ k), so every moment vector, and
+// every rollup of them, stays finite; at k = 10 it is about 1.7e29. It
+// panics if k is outside [1, MaxK].
+func MaxAbs(k int) float64 {
+	if k < 1 || k > MaxK {
+		panic(fmt.Sprintf("core: sketch order %d outside [1,%d]", k, MaxK))
+	}
+	// math.Pow lands within a few ulps; step to the exact largest.
+	x := math.Pow(math.MaxFloat64/MaxCount, 1/float64(k))
+	for !overflows(math.Nextafter(x, math.Inf(1)), k) {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for overflows(x, k) {
+		x = math.Nextafter(x, 0)
+	}
+	return x
+}
+
+// overflows reports whether MaxCount times x's k-th power, by Add's
+// repeated multiplication, is infinite.
+func overflows(x float64, k int) bool {
+	p := x
+	for i := 1; i < k; i++ {
+		p *= x
+	}
+	return math.IsInf(p*MaxCount, 0)
+}
+
 // Sketch is the moments sketch of a multiset of real values.
 //
 // The zero value is not usable until filled by CopyFrom; construct with New

@@ -448,28 +448,8 @@ func (e *Engine) resolveSelection(ctx context.Context, sel *Selection) ([]*group
 		}
 		return []*group{newGroup(sum, 1)}, nil
 
-	case sel.GroupBy == nil:
-		merged, merges, err := e.store.MergePrefixContext(ctx, *sel.Prefix)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctxError(ctx.Err())
-			}
-			return nil, mergeError(fmt.Sprintf("merging prefix %q", *sel.Prefix), err)
-		}
-		if merges == 0 || merged.IsEmpty() {
-			return nil, Errorf(CodeNotFound, "no keys with prefix %q", *sel.Prefix)
-		}
-		return []*group{newGroup(merged, merges)}, nil
-
 	default:
-		matches, err := e.store.MatchContext(ctx, *sel.Prefix)
-		if err != nil {
-			return nil, ctxError(err)
-		}
-		if len(matches) == 0 {
-			return nil, Errorf(CodeNotFound, "no keys with prefix %q", *sel.Prefix)
-		}
-		return e.groupBySegment(matches, *sel.GroupBy)
+		return e.resolvePrefix(ctx, *sel.Prefix, sel.GroupBy)
 	}
 }
 

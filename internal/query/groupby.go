@@ -1,54 +1,70 @@
 package query
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strings"
-
-	"repro/internal/shard"
-	"repro/internal/sketch"
 )
 
-// groupBySegment rolls the matched summaries up by one separator-delimited
-// key segment: one group per distinct segment value at level, keys with
-// fewer segments grouping under "". matches are sorted, independent clones
-// (MatchContext), so a label's first clone becomes its accumulator and the
-// later ones merge into it in key order. Each group's Keys counts the
-// matched keys folded into it, and groups come back in ascending byte
-// order of their label — the order a coordinator's partial merge restores
-// too. The fold is summary-agnostic, so the same path serves every backend.
-func (e *Engine) groupBySegment(matches []shard.Keyed, level int) ([]*group, *Error) {
-	type acc struct {
-		sum  sketch.Serving
-		keys int
-	}
-	byLabel := make(map[string]*acc)
-	depth := 0
-	for _, m := range matches {
-		segs := strings.Split(m.Key, e.sep)
-		depth = max(depth, len(segs))
-		label := ""
-		if level < len(segs) {
-			label = segs[level]
+// resolvePrefix rolls up the keys under prefix: into one group, or with
+// groupBy into one group per distinct value of that separator-delimited key
+// segment (0-based), keys with fewer segments grouping under "". The fold
+// is the store's (shard.Store.MergeGroups): each group's keys merge from an
+// empty summary in the store's fold order, so a group covering exactly a
+// prefix's keys answers with that prefix's bits, and groups come back in
+// ascending byte order of their label — the order a coordinator's partial
+// merge restores too. What stays here is the label and the level check.
+// Each group's Keys counts the keys folded into it; the fold is
+// summary-agnostic, so the same path serves every backend.
+func (e *Engine) resolvePrefix(ctx context.Context, prefix string, groupBy *int) ([]*group, *Error) {
+	// depth is the most segments any key has, tracked only until some key
+	// reaches the level: the error below needs it only when none does.
+	depth, reached := 0, groupBy == nil
+	label := func(key string) string {
+		if groupBy == nil {
+			return ""
 		}
-		a, ok := byLabel[label]
-		if !ok {
-			a = &acc{sum: m.Summary}
-			byLabel[label] = a
-		} else if err := a.sum.Merge(m.Summary); err != nil {
-			return nil, mergeError(fmt.Sprintf("merging group %q", label), err)
+		seg, ok := segment(key, e.sep, *groupBy)
+		if !ok && !reached {
+			depth = max(depth, strings.Count(key, e.sep)+1)
 		}
-		a.keys++
+		reached = reached || ok
+		return seg
 	}
-	if level >= depth {
+	groups, err := e.store.MergeGroups(ctx, prefix, label)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctxError(ctx.Err())
+		}
+		return nil, mergeError(fmt.Sprintf("merging prefix %q", prefix), err)
+	}
+	if len(groups) == 0 || groupBy == nil && groups[0].Summary.IsEmpty() {
+		return nil, Errorf(CodeNotFound, "no keys with prefix %q", prefix)
+	}
+	if !reached {
 		return nil, Errorf(CodeInvalid, "group_by must be a key-segment index in [0,%d)", depth)
 	}
-	out := make([]*group, 0, len(byLabel))
-	for label, a := range byLabel {
-		g := newGroup(a.sum, a.keys)
-		g.label = label
-		out = append(out, g)
+	out := make([]*group, len(groups))
+	for i, g := range groups {
+		out[i] = newGroup(g.Summary, g.Keys)
+		out[i].label = g.Label
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
 	return out, nil
+}
+
+// segment returns key's level-th sep-delimited segment — what
+// strings.Split(key, sep)[level] would be — without splitting. ok is false
+// when key has no segment at level.
+func segment(key, sep string, level int) (seg string, ok bool) {
+	for ; level > 0; level-- {
+		i := strings.Index(key, sep)
+		if i < 0 {
+			return "", false
+		}
+		key = key[i+len(sep):]
+	}
+	if i := strings.Index(key, sep); i >= 0 {
+		key = key[:i]
+	}
+	return key, true
 }

@@ -49,6 +49,7 @@ func (k *routedSink) discard() {
 func NewCoordinator(coord *cluster.Coordinator) *Server {
 	s := newServer()
 	s.exec = coord
+	s.maxAbs = ingestDomain(coord.Backend())
 	s.sinks.New = func() any { return &routedSink{coord: coord} }
 
 	// mode and backend mirror a shard node's fields; the coordinator section

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -40,8 +41,9 @@ func (r *recordingSink) add(key string, value float64, ts *float64) {
 //   - on error, the store sink discards cleanly and the store stays
 //     untouched;
 //   - on success, every accepted observation has a non-empty bounded key, a
-//     finite value and an in-range ts, the flush count matches the store's
-//     total, and the store's per-key counts match the sequence.
+//     value inside the store backend's ingest domain (finite, |value| ≤
+//     core.MaxAbs(k)) and an in-range ts, the flush count matches the
+//     store's total, and the store's per-key counts match the sequence.
 //
 // Seed corpus lives in testdata/fuzz/FuzzDecodeNDJSON; CI runs a short
 // fuzz pass on top of the corpus replay that plain `go test` performs.
@@ -73,14 +75,21 @@ func FuzzDecodeNDJSON(f *testing.F) {
 	f.Add([]byte("{\"observations\":null}"))
 	f.Add([]byte("  \n\t["))
 
+	// Domain edges, after the framings so earlier indices stay put.
+	f.Add([]byte("{\"key\":\"a\",\"value\":1.7976931348623157e308}\n")) // MaxFloat64
+	f.Add([]byte("{\"key\":\"a\",\"value\":7e30}\n"))                   // overflows Pow[10]
+	f.Add([]byte("{\"key\":\"a\",\"value\":-7e30}\n"))
+	f.Add([]byte("{\"key\":\"a\",\"value\":5e-324}\n")) // smallest subnormal
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, ndjson := range []bool{true, false} {
 			store := shard.New(shard.WithShards(2))
+			maxAbs := ingestDomain(store.Backend())
 			node := &recordingSink{sink: &storeSink{batch: store.NewBatch()}}
 			routed := &routedSink{}
 			coord := &recordingSink{sink: routed}
-			err := decodeIngest(bytes.NewReader(data), ndjson, node)
-			coordErr := decodeIngest(bytes.NewReader(data), ndjson, coord)
+			err := decodeIngest(bytes.NewReader(data), ndjson, maxAbs, node)
+			coordErr := decodeIngest(bytes.NewReader(data), ndjson, maxAbs, coord)
 			if (err == nil) != (coordErr == nil) || (err != nil && err.Error() != coordErr.Error()) {
 				t.Fatalf("ndjson=%v: node sink got %v, coordinator sink got %v", ndjson, err, coordErr)
 			}
@@ -100,8 +109,8 @@ func FuzzDecodeNDJSON(f *testing.F) {
 				if o.key == "" || len(o.key) > shard.MaxKeyLen {
 					t.Fatalf("accepted out-of-bounds key %q (len %d)", o.key, len(o.key))
 				}
-				if math.IsNaN(o.value) || math.IsInf(o.value, 0) {
-					t.Fatalf("accepted non-finite value %v", o.value)
+				if !(math.Abs(o.value) <= core.MaxAbs(core.DefaultK)) {
+					t.Fatalf("accepted value %v outside the ingest domain", o.value)
 				}
 				if o.ts != nil && !(*o.ts >= 0 && *o.ts <= maxIngestTS) {
 					t.Fatalf("accepted out-of-range ts %v", *o.ts)

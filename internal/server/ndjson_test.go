@@ -145,7 +145,7 @@ func TestNDJSONDecodeAllocations(t *testing.T) {
 		perLine float64
 	}{{"plain", plain.Bytes(), 1}, {"ts", stamped.Bytes(), 2}} {
 		n := testing.AllocsPerRun(20, func() {
-			if err := decodeIngest(bytes.NewReader(c.body), true, nopSink{}); err != nil {
+			if err := decodeIngest(bytes.NewReader(c.body), true, math.MaxFloat64, nopSink{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -165,7 +165,7 @@ func TestRoutedSinkKeepsEachLinesTS(t *testing.T) {
 		`{"key":"b\u0062","value":2,"ts":1700000002}` + "\n" + // escape: json.Unmarshal
 		`{"ts":1700000003,"value":3,"key":"c"}` + "\n"
 	routed := &routedSink{}
-	if err := decodeIngest(strings.NewReader(body), true, routed); err != nil {
+	if err := decodeIngest(strings.NewReader(body), true, math.MaxFloat64, routed); err != nil {
 		t.Fatal(err)
 	}
 	want := []struct {

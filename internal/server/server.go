@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"repro/internal/cascade"
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 	"repro/internal/wal"
 )
 
@@ -63,6 +65,9 @@ type Server struct {
 	mux     *http.ServeMux
 	maxBody int64
 	start   time.Time
+	// maxAbs bounds |value| at /ingest: the serving backend's numeric
+	// domain (see ingestDomain).
+	maxAbs float64
 
 	// Shard-node state; nil and zero on a coordinator.
 	store      *shard.Store
@@ -128,6 +133,7 @@ func newServer() *Server {
 		mux:     http.NewServeMux(),
 		maxBody: DefaultMaxBodyBytes,
 		start:   time.Now(),
+		maxAbs:  math.MaxFloat64,
 	}
 	s.mux.HandleFunc("POST /ingest", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/query", s.handleQueryV1)
@@ -138,6 +144,7 @@ func newServer() *Server {
 func New(store *shard.Store, opts ...ServerOption) *Server {
 	s := newServer()
 	s.store = store
+	s.maxAbs = ingestDomain(store.Backend())
 	s.sep = "."
 	s.solveCache = query.DefaultSolveCacheSize
 	for _, o := range opts {
@@ -246,7 +253,19 @@ type wireObservation struct {
 	TS    *float64 `json:"ts,omitempty"`
 }
 
-func (o wireObservation) check() error {
+// ingestDomain is the largest |value| /ingest accepts for a backend: on
+// moments, core.MaxAbs of the order, so no moment vector or rollup of up
+// to core.MaxCount observations overflows; on the other families every
+// finite value.
+func ingestDomain(b sketch.Backend) float64 {
+	if k := b.Order(); k > 0 {
+		return core.MaxAbs(k)
+	}
+	return math.MaxFloat64
+}
+
+// check validates one observation; maxAbs bounds |value| (ingestDomain).
+func (o wireObservation) check(maxAbs float64) error {
 	if o.Key == "" {
 		return errors.New("missing key")
 	}
@@ -258,6 +277,9 @@ func (o wireObservation) check() error {
 	}
 	if math.IsNaN(*o.Value) || math.IsInf(*o.Value, 0) {
 		return errors.New("value must be finite")
+	}
+	if math.Abs(*o.Value) > maxAbs {
+		return fmt.Errorf("value %g outside the ingest domain |value| <= %g", *o.Value, maxAbs)
 	}
 	if o.TS != nil && !(*o.TS >= 0 && *o.TS <= maxIngestTS) {
 		return errors.New("ts must be a unix timestamp in seconds (is it in milliseconds?)")
@@ -319,7 +341,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	ct := r.Header.Get("Content-Type")
 	ndjson := strings.HasPrefix(ct, "application/x-ndjson") || strings.HasPrefix(ct, "text/plain")
-	if !s.decodeRequest(w, r, func(body io.Reader) error { return decodeIngest(body, ndjson, to) }) {
+	if !s.decodeRequest(w, r, func(body io.Reader) error { return decodeIngest(body, ndjson, s.maxAbs, to) }) {
 		return
 	}
 	n, qerr := to.commit(r.Context())
@@ -357,8 +379,9 @@ const maxLineBytes = 6*shard.MaxKeyLen + 64*1024
 // coordinator alike. It reads one of three framings — NDJSON (one
 // {"key":...,"value":...} object per line) when ndjson is set, else a bare
 // [...] array or an {"observations":[...]} envelope — validates every
-// observation with check, and hands each to the sink in body order. On
-// error the sink may hold a prefix of the body; the caller discards it.
+// observation with check against maxAbs, and hands each to the sink in
+// body order. On error the sink may hold a prefix of the body; the caller
+// discards it.
 //
 // The NDJSON loop is the ingest hot path and decodes each line in one of
 // two tiers. parseLine takes the canonical shape {"key":"…","value":N
@@ -370,7 +393,7 @@ const maxLineBytes = 6*shard.MaxKeyLen + 64*1024
 // FuzzNDJSONLineMatchesJSON holds the two tiers to the same result bit for
 // bit. The line buffer admits maxLineBytes, so a key is judged by the same
 // key-length check as in the JSON framings, not by an opaque scanner error.
-func decodeIngest(r io.Reader, ndjson bool, to sink) error {
+func decodeIngest(r io.Reader, ndjson bool, maxAbs float64, to sink) error {
 	if ndjson {
 		sc := bufio.NewScanner(r)
 		bufp := lineBufPool.Get().(*[]byte)
@@ -406,7 +429,7 @@ func decodeIngest(r io.Reader, ndjson bool, to sink) error {
 					return fmt.Errorf("line %d: %w", line, err)
 				}
 			}
-			if err := o.check(); err != nil {
+			if err := o.check(maxAbs); err != nil {
 				return fmt.Errorf("line %d: %w", line, err)
 			}
 			to.add(o.Key, *o.Value, o.TS)
@@ -433,7 +456,7 @@ func decodeIngest(r io.Reader, ndjson bool, to sink) error {
 		obs = req.Observations
 	}
 	for i, o := range obs {
-		if err := o.check(); err != nil {
+		if err := o.check(maxAbs); err != nil {
 			return fmt.Errorf("observation %d: %w", i, err)
 		}
 		to.add(o.Key, *o.Value, o.TS)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/sketch"
@@ -205,11 +206,12 @@ func TestQuantileErrors(t *testing.T) {
 // TestUnencodableResponseAnswersInternal: a key holding MaxFloat64 (and 1)
 // makes stats and quantiles non-finite, which JSON cannot carry. The
 // response must be the typed 500 internal envelope, never a 2xx with an
-// empty body.
+// empty body. /ingest refuses such a value (TestIngestDomain), so the key
+// is written to the store directly, as a restored snapshot still can.
 func TestUnencodableResponseAnswersInternal(t *testing.T) {
-	ts, _ := newTestServer(t)
-	wantStatus(t, postJSON(t, ts.URL+"/ingest",
-		`{"observations":[{"key":"huge","value":1.7976931348623157e308},{"key":"huge","value":1}]}`), http.StatusOK)
+	ts, store := newTestServer(t)
+	store.Add("huge", math.MaxFloat64)
+	store.Add("huge", 1)
 	for _, agg := range []string{`{"op":"stats"}`, `{"op":"quantiles"}`} {
 		resp := postJSON(t, ts.URL+"/v1/query",
 			`{"queries":[{"select":{"key":"huge"},"aggregations":[`+agg+`]}]}`)
@@ -220,6 +222,67 @@ func TestUnencodableResponseAnswersInternal(t *testing.T) {
 		env, _ := m["error"].(map[string]any)
 		if env == nil || env["code"] != query.CodeInternal || env["message"] == "" {
 			t.Errorf("%s: body = %v, want an %q error envelope", agg, m, query.CodeInternal)
+		}
+	}
+}
+
+// TestIngestDomain closes the poison door: at k = 10, 7e30 overflows the
+// tenth power sum, and one such value would turn every answer covering it
+// non-finite. A shard node and a coordinator both refuse it with a 400
+// that names the bound, in every framing, and ingest nothing of the body;
+// a whole-store rollup then still answers 200 with finite values.
+func TestIngestDomain(t *testing.T) {
+	node, _ := newTestServer(t)
+	coord, err := cluster.New(cluster.Config{Nodes: []string{node.URL}, Backend: sketch.MomentsBackend(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(NewCoordinator(coord))
+	t.Cleanup(coordTS.Close)
+	bound := fmt.Sprint(core.MaxAbs(10))
+
+	// The coordinator forwards to the same node, so the clean data doubles.
+	for i, edge := range []*httptest.Server{node, coordTS} {
+		var lines strings.Builder
+		for i := 1; i <= 100; i++ {
+			fmt.Fprintf(&lines, "{\"key\":\"dom.a\",\"value\":%d}\n", i)
+		}
+		resp, err := http.Post(edge.URL+"/ingest", "application/x-ndjson", strings.NewReader(lines.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStatus(t, resp, http.StatusOK)
+		for _, body := range []struct{ ctype, body string }{
+			{"application/x-ndjson", "{\"key\":\"dom.b\",\"value\":1}\n{\"key\":\"dom.b\",\"value\":7e30}\n"},
+			{"application/x-ndjson", "{\"key\":\"dom.b\",\"value\":-7e30}\n"},
+			{"application/json", `{"observations":[{"key":"dom.b","value":1},{"key":"dom.b","value":7e30}]}`},
+			{"application/json", `[{"key":"dom.b","value":-7e30}]`},
+		} {
+			resp, err := http.Post(edge.URL+"/ingest", body.ctype, strings.NewReader(body.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := wantStatus(t, resp, http.StatusBadRequest)
+			env, _ := m["error"].(map[string]any)
+			if msg, _ := env["message"].(string); env["code"] != query.CodeInvalid || !strings.Contains(msg, bound) {
+				t.Fatalf("%s %q: error %v, want invalid_request naming %s", body.ctype, body.body, m, bound)
+			}
+		}
+		res := queryOne(t, edge, prefixSel(""), quantiles(0.5, 0.99), query.Aggregation{Op: query.OpStats}, threshold(50, 0.5))
+		if res.Error != nil || len(res.Groups) != 1 {
+			t.Fatalf("rollup after refused poison: %+v", res)
+		}
+		g := res.Groups[0]
+		if want := float64(100 * (i + 1)); g.Count != want || g.Keys != 1 {
+			t.Fatalf("rollup holds %v observations over %d keys, want the %v clean ones on 1 key", g.Count, g.Keys, want)
+		}
+		for _, q := range g.Aggregations[0].Quantiles {
+			if q.Value < 1 || q.Value > 100 {
+				t.Fatalf("q%g = %v outside the data", q.Q, q.Value)
+			}
+		}
+		if st := g.Aggregations[1].Stats; st == nil || st.Mean != 50.5 || st.Max != 100 {
+			t.Fatalf("stats = %+v, want mean 50.5 and max 100", st)
 		}
 	}
 }

@@ -267,12 +267,7 @@ func TestFlatPublishMatchesServingFold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Match sorts globally; rollups fold stripe by stripe, keys
-			// ascending within a stripe. Fold the clones in that order.
 			matched := s.Match(prefix)
-			sort.SliceStable(matched, func(i, j int) bool {
-				return fnv64a(matched[i].Key)&s.mask < fnv64a(matched[j].Key)&s.mask
-			})
 			want := s.backend.New()
 			for _, m := range matched {
 				if err := want.Merge(m.Summary); err != nil {

@@ -15,23 +15,24 @@
 // a store with a million keys is a million ~200-byte summaries.
 //
 // The store stores; estimation belongs to internal/query. Reads hand out
-// independent clones (Summary, Match) or merged rollups (MergePrefix), so
-// no solve ever runs under a stripe lock. On backends with
+// independent clones (Summary, Match) or merged rollups (MergePrefix,
+// MergeGroups), so no solve ever runs under a stripe lock. On backends with
 // sketch.Caps.FastClone (moments) the timeless reads never take a stripe
 // lock at all: every commit publishes an immutable flat copy of each
 // touched entry's moment vector, and reads traverse atomic loads (see
-// published.go). Other backends
-// clone under the lock. The choice follows the backend's capability flag
-// alone; there is no option. Sketch returns the raw moments view and
-// reports false on non-moments backends.
+// published.go). Other backends read under the lock. The choice follows
+// the backend's capability flag alone; there is no option. Sketch returns
+// the raw moments view and reports false on non-moments backends.
 //
 // There is one write path: Add/AddAt, or a Batch whose observations become
 // visible, ordered and versioned at Flush (Commit when a journal is
-// attached). There is one key order: every store keeps a sorted key index
-// per stripe, merged with each commit's new keys rather than re-sorted, and
-// every prefix or key walk — rollups, matches, key
-// listings, pane series, retained rollups and snapshots — follows it, so
-// every read is a pure function of the data.
+// attached). There is one key order and one walk: every store keeps a
+// sorted key index per stripe, merged with each commit's new keys rather
+// than re-sorted, and every multi-key read — rollups, grouped rollups,
+// matches, pane series and retained rollups — visits it stripe by stripe
+// through one walker, so every read is a pure function of the data and a
+// group_by group over exactly a prefix's keys is that prefix's rollup, bit
+// for bit.
 //
 // Every key also carries a mutation version stamped from its stripe's
 // monotonic counter (KeyVersion); Version sums the stripe counters into a

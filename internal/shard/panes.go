@@ -197,6 +197,13 @@ func (r *paneRing) retainedClone() sketch.Serving {
 	return c
 }
 
+// retained advances e's ring to now and returns a clone of its rolling
+// retained summary. The stripe lock must be held.
+func (e *entry) retained(now int64) sketch.Serving {
+	e.ring.advance(now)
+	return e.ring.retainedClone()
+}
+
 // WindowConfig reports the store's pane configuration. enabled is false for
 // stores built without WithWindow.
 func (s *Store) WindowConfig() (paneWidth time.Duration, retention int, enabled bool) {
@@ -299,16 +306,17 @@ func (s *Store) emptySeries(start, end int64) *PaneSeries {
 	return ps
 }
 
-// fillLocked merges a ring's live panes into the series (the ring is advanced to
+// fillLocked merges an entry's live panes into the series (the ring is advanced to
 // the series end first, expiring anything stale). Slots outside the series
 // are skipped: below Start when the ring had already advanced past the
 // series end, above the end when observations carried future timestamps
 // (clock skew) — those panes become visible once the clock catches up.
 // Must hold the stripe lock.
-func (ps *PaneSeries) fillLocked(r *paneRing) {
+func (ps *PaneSeries) fillLocked(e *entry) {
 	if len(ps.Panes) == 0 {
 		return
 	}
+	r := e.ring
 	end := ps.Start + int64(len(ps.Panes))
 	r.advance(end - 1)
 	for i := range r.slots {
@@ -359,7 +367,7 @@ func (s *Store) PanesRange(key string, start, end int64) (*PaneSeries, error) {
 	if !ok {
 		return nil, ErrNoKey
 	}
-	ps.fillLocked(e.ring)
+	ps.fillLocked(e)
 	ps.Keys = 1
 	return ps, nil
 }
@@ -381,45 +389,39 @@ func (s *Store) PanesPrefix(ctx context.Context, prefix string) (*PaneSeries, er
 // [start, end), clipped to the retained ring. Locked on every store — see
 // PanesRange.
 func (s *Store) PanesRangePrefix(ctx context.Context, prefix string, start, end int64) (*PaneSeries, error) {
-	s.lockReads.Add(1)
 	if s.paneWidth <= 0 {
 		return nil, ErrNoWindow
 	}
 	start, end = s.clipToRing(start, end)
-	// Cheap existence probe — a binary search per published key index —
+	// Cheap existence probe — a published walk that stops at the first key —
 	// before allocating the dense series: a request for a prefix matching
 	// nothing (attacker-reachable over HTTP) must not cost a retention-sized
 	// allocation, and allocating mid-sweep would hold a stripe lock across it.
-	found := false
-	for i := 0; i < len(s.stripes) && !found; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	if err := s.walk(ctx, prefix, false, stopWalk); !errors.Is(err, errStopWalk) {
+		if err == nil {
+			err = ErrNoKey
 		}
-		keys, _ := s.stripes[i].keyRange(prefix)
-		found = len(keys) > 0
-	}
-	if !found {
-		return nil, ErrNoKey
+		return nil, err
 	}
 	ps := s.emptySeries(start, end)
-	for i := range s.stripes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		st := &s.stripes[i]
-		st.mu.Lock()
-		_, entries := st.keyRange(prefix)
-		for _, e := range entries {
-			ps.fillLocked(e.ring)
-		}
-		ps.Keys += len(entries)
-		st.mu.Unlock()
+	err := s.walk(ctx, prefix, true, func(_ string, e *entry) error {
+		ps.fillLocked(e)
+		ps.Keys++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if ps.Keys == 0 {
 		return nil, ErrNoKey
 	}
 	return ps, nil
 }
+
+// errStopWalk ends a walk at its first key; walk hands it back.
+var errStopWalk = errors.New("shard: walk stopped")
+
+func stopWalk(string, *entry) error { return errStopWalk }
 
 // Retained returns a clone of the rolling retained summary for key — the
 // sum of every live pane. On the moments backend it is maintained
@@ -440,39 +442,30 @@ func (s *Store) Retained(key string) (sketch.Serving, error) {
 	if !ok {
 		return nil, ErrNoKey
 	}
-	e.ring.advance(now)
-	return e.ring.retainedClone(), nil
+	return e.retained(now), nil
 }
 
 // RetainedPrefix merges the rolling retained summaries of every key with
 // the given prefix — the windowed analogue of MergePrefixContext, costing
-// one merge per matched key rather than one per (key × pane), in
-// MergePrefix's key order. It returns the merged summary and the number of
+// one merge per matched key rather than one per (key × pane), in the
+// store's one key order. It returns the merged summary and the number of
 // keys merged.
 func (s *Store) RetainedPrefix(ctx context.Context, prefix string) (sketch.Serving, int, error) {
-	s.lockReads.Add(1)
 	if s.paneWidth <= 0 {
 		return nil, 0, ErrNoWindow
 	}
 	now := s.nowPane()
 	out := s.backend.New()
 	keys := 0
-	for i := range s.stripes {
-		if err := ctx.Err(); err != nil {
-			return nil, keys, err
+	err := s.walk(ctx, prefix, true, func(_ string, e *entry) error {
+		if err := out.Merge(e.retained(now)); err != nil {
+			return err
 		}
-		st := &s.stripes[i]
-		st.mu.Lock()
-		_, entries := st.keyRange(prefix)
-		for _, e := range entries {
-			e.ring.advance(now)
-			if err := out.Merge(e.ring.retainedClone()); err != nil {
-				st.mu.Unlock()
-				return nil, keys, err
-			}
-			keys++
-		}
-		st.mu.Unlock()
+		keys++
+		return nil
+	})
+	if err != nil {
+		return nil, keys, err
 	}
 	return out, keys, nil
 }

@@ -20,10 +20,11 @@ import (
 // and the 2k power sums, in two allocations. Every store, whatever its
 // backend, also republishes a sorted per-stripe key index the same way
 // whenever its key set changes. Timeless read paths (Summary, Count,
-// KeyVersion, MatchContext, MergePrefixContext and everything layered on
-// them) then traverse only atomic loads: they never take a stripe lock, so
-// a rollup scan cannot stall ingest and a flush cannot stall queries. Keys
-// reads only the index, so it is lock-free on every store.
+// KeyVersion, Match, MergePrefixContext, MergeGroups and everything
+// layered on them) then traverse only atomic loads: they never take a
+// stripe lock, so a rollup scan cannot stall ingest and a flush cannot
+// stall queries. Keys reads only the index, so it is lock-free on every
+// store.
 //
 // The protocol, and why it is correct:
 //
@@ -45,20 +46,16 @@ import (
 //     O(n + a log a) for n indexed keys and a additions, not a map walk and
 //     a full sort. Reset and Restore merge into an empty index with every
 //     key added, so there is one build path.
-//   - One key order: the index holds each stripe's keys sorted, and every
-//     prefix or key walk — wait-free or under the stripe lock, where the
-//     index is the live key set — goes through keyRange, stripes in order.
-//     Each published record is bit-identical to the entry it was copied
-//     from, and a wait-free rollup folds the records with the same
-//     core.(*Sketch).Merge, from the same backend.New() start, as the
-//     locked rollup, so every rollup, pane series and snapshot is a pure
-//     function of the data, and a wait-free rollup reproduces the locked
-//     rollup's floating-point rounding exactly (pinned by the equivalence
-//     suites).
-//
-// Backends without FastClone publish no entry snapshots and keep the locked
-// read bodies, which clone the live summary; the same bodies serve windowed
-// pane reads on every store.
+//   - One walk: every multi-key read is a visitor of walk, which follows
+//     keyRange, stripes in order — wait-free, or under the stripe lock
+//     (where the index is the live key set) on backends without FastClone
+//     and for pane reads, which advance rings in place. A published record
+//     is bit-identical to the entry it was copied from, and mergeInto folds
+//     it with the same core.(*Sketch).Merge, from the same backend.New()
+//     start, as the locked fold, so every rollup, group, pane series and
+//     snapshot is a pure function of the data, and a wait-free fold
+//     reproduces the locked fold's rounding exactly (pinned by the
+//     equivalence suites).
 
 // published is one entry's immutable read snapshot: the all-time moment
 // vector as of mutation version, copied at commit. Readers may copy it,
@@ -203,62 +200,68 @@ func (s *Store) publishIndexLocked(st *stripe) {
 	st.added, st.removed = st.added[:0], st.removed[:0]
 }
 
-// mergePrefixPublished is MergePrefixContext's wait-free body: it walks the
-// published per-stripe indexes and folds the immutable published moment
-// vectors straight into the raw sketch behind backend.New(), in the locked
-// body's order and with the same core merge the locked body reaches
-// through the Serving interface, so the result is byte-identical for any
-// state the locked store passes through.
-func (s *Store) mergePrefixPublished(ctx context.Context, prefix string) (sketch.Serving, int, error) {
-	s.pubReads.Add(1)
-	out := s.backend.New()
-	raw := sketch.RawMoments(out)
-	merges := 0
+// walk visits every key carrying prefix, with its entry, in the store's
+// one key order: stripes in order, keys ascending within each stripe. With
+// locked set it holds each stripe's lock across that stripe's visits, so
+// visit may use the entries' live state; otherwise visit may read only the
+// published records. It checks ctx between stripes, counts one locked or
+// published read, and stops at the first error visit returns.
+func (s *Store) walk(ctx context.Context, prefix string, locked bool, visit func(key string, e *entry) error) error {
+	if locked {
+		s.lockReads.Add(1)
+	} else {
+		s.pubReads.Add(1)
+	}
 	for i := range s.stripes {
 		if err := ctx.Err(); err != nil {
-			return nil, merges, err
+			return err
 		}
-		_, entries := s.stripes[i].keyRange(prefix)
-		for _, e := range entries {
-			p := e.pub.Load()
-			if p == nil {
-				continue // unpublished indexed entry: impossible by construction
-			}
-			if err := raw.Merge(&p.sk); err != nil {
-				return nil, merges, err
-			}
-			merges++
+		st := &s.stripes[i]
+		if locked {
+			st.mu.Lock()
 		}
-	}
-	return out, merges, nil
-}
-
-// matchPublished is MatchContext's wait-free body: clones of every published
-// (key, summary) under prefix, assembled from the per-stripe indexes.
-func (s *Store) matchPublished(ctx context.Context, prefix string) ([]Keyed, error) {
-	s.pubReads.Add(1)
-	var out []Keyed
-	for i := range s.stripes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		keys, entries := st.keyRange(prefix)
+		var err error
+		for j := 0; j < len(entries) && err == nil; j++ {
+			err = visit(keys[j], entries[j])
 		}
-		keys, entries := s.stripes[i].keyRange(prefix)
-		for j, e := range entries {
-			p := e.pub.Load()
-			if p == nil {
-				continue // unpublished indexed entry: impossible by construction
-			}
-			out = append(out, Keyed{Key: keys[j], Summary: s.servingOf(p)})
+		if locked {
+			st.mu.Unlock()
+		}
+		if err != nil {
+			return err
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	return nil
 }
 
-// servingOf returns an independent serving summary holding a copy of p's
+// mergeInto merges e's all-time summary into acc: the live summary when
+// the caller holds the stripe lock (locked), else the published record —
+// which every indexed entry of a wait-free store has, entries publishing
+// before the index that names them — folded straight into the raw sketch
+// behind acc with the same core merge the live summary reaches through the
+// Serving interface, so a wait-free fold is byte-identical to the locked
+// fold of the same state.
+func (e *entry) mergeInto(acc sketch.Serving, locked bool) error {
+	if locked {
+		return acc.Merge(e.all)
+	}
+	return sketch.RawMoments(acc).Merge(&e.pub.Load().sk)
+}
+
+// clone returns an independent copy of e's all-time summary, read as
+// mergeInto reads it.
+func (e *entry) clone(backend sketch.Backend, locked bool) sketch.Serving {
+	if locked {
+		return e.all.Clone()
+	}
+	return e.pub.Load().serving(backend)
+}
+
+// serving returns an independent serving summary holding a copy of p's
 // moment vector: backend.New() with its raw sketch overwritten.
-func (s *Store) servingOf(p *published) sketch.Serving {
-	out := s.backend.New()
+func (p *published) serving(backend sketch.Backend) sketch.Serving {
+	out := backend.New()
 	sketch.RawMoments(out).CopyFrom(&p.sk)
 	return out
 }
@@ -294,7 +297,8 @@ type ReadStats struct {
 	WaitFree bool `json:"wait_free"`
 	// PublishedReads counts read operations answered entirely from
 	// published snapshots or key indexes, without taking any stripe lock
-	// (Keys counts here on every store).
+	// (Keys, and the existence probe before a prefix pane read, count
+	// here on every store).
 	PublishedReads uint64 `json:"published_reads"`
 	// LockedReads counts read operations that took stripe locks: every read
 	// but Keys on a backend without FastClone, plus the windowed pane reads

@@ -77,14 +77,7 @@ func assertReadEquivalence(t *testing.T, label string, a, b *Store, compareVersi
 		}
 	}
 	for _, prefix := range []string{"", "svc.", "svc.a", "other.", "absent."} {
-		ma, err := a.MatchContext(context.Background(), prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mb, err := b.MatchContext(context.Background(), prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ma, mb := a.Match(prefix), b.Match(prefix)
 		if len(ma) != len(mb) {
 			t.Fatalf("%s: Match(%q) len %d, locked twin %d", label, prefix, len(ma), len(mb))
 		}
@@ -405,7 +398,7 @@ func TestPublishedInvariant(t *testing.T) {
 				st.mu.Unlock()
 				t.Fatalf("stripe %d: %q published version %d != live version %d", i, k, p.version, e.version)
 			}
-			pb, err := s.backend.Marshal(s.servingOf(p))
+			pb, err := s.backend.Marshal(p.serving(s.backend))
 			if err != nil {
 				st.mu.Unlock()
 				t.Fatal(err)

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -489,7 +491,7 @@ func (s *Store) Summary(key string) (sketch.Serving, bool) {
 		}
 		if p != nil {
 			s.pubReads.Add(1)
-			return s.servingOf(p), true
+			return p.serving(s.backend), true
 		}
 	}
 	s.lockReads.Add(1)
@@ -575,78 +577,77 @@ type Keyed struct {
 }
 
 // Match returns a clone of every (key, summary) whose key has the given
-// prefix, sorted by key. An empty prefix matches all keys.
+// prefix, in the store's key order: stripes in order, keys ascending within
+// each stripe — the order every rollup folds in. An empty prefix matches
+// all keys.
 func (s *Store) Match(prefix string) []Keyed {
-	out, _ := s.MatchContext(context.Background(), prefix)
-	return out
-}
-
-// MatchContext is Match with cancellation: the scan checks ctx between
-// stripes and returns ctx.Err() when the deadline passes or the caller
-// gives up, so a query over a huge store cannot outlive its request.
-func (s *Store) MatchContext(ctx context.Context, prefix string) ([]Keyed, error) {
-	if s.waitFree() {
-		return s.matchPublished(ctx, prefix)
-	}
-	s.lockReads.Add(1)
+	locked := !s.waitFree()
 	var out []Keyed
-	for i := range s.stripes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		st := &s.stripes[i]
-		st.mu.Lock()
-		keys, entries := st.keyRange(prefix)
-		for j, e := range entries {
-			out = append(out, Keyed{Key: keys[j], Summary: e.all.Clone()})
-		}
-		st.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	_ = s.walk(context.Background(), prefix, locked, func(key string, e *entry) error {
+		out = append(out, Keyed{Key: key, Summary: e.clone(s.backend, locked)})
+		return nil
+	})
+	return out
 }
 
 // MergePrefix rolls up every key with the given prefix into one summary —
 // the cube-style aggregation the moments sketch is built for. It returns
-// the merged summary and the number of per-key summaries merged. Merging
-// happens under each stripe lock without cloning, so a rollup over n keys
-// costs n summary merges (vector additions for the moments backend).
+// the merged summary and the number of per-key summaries merged. Nothing is
+// cloned, so a rollup over n keys costs n summary merges (vector additions
+// for the moments backend).
 func (s *Store) MergePrefix(prefix string) (sketch.Serving, int, error) {
 	return s.MergePrefixContext(context.Background(), prefix)
 }
 
 // MergePrefixContext is MergePrefix with cancellation: the rollup checks
-// ctx between stripes and returns ctx.Err() when the deadline passes.
-//
-// Within each stripe keys merge in sorted order (stripes themselves merge
-// in index order), so for a quiescent store the rollup — including its
-// floating-point rounding — is deterministic, not subject to map iteration
-// order. Query layers rely on this to return bit-identical answers for
-// repeated queries.
+// ctx between stripes and returns ctx.Err() when the deadline passes. It is
+// MergeGroups with one label for every key, so for a quiescent store the
+// rollup — rounding included — is a pure function of the data, equal to
+// any group over the same keys; repeated queries answer bit-identically.
 func (s *Store) MergePrefixContext(ctx context.Context, prefix string) (sketch.Serving, int, error) {
-	if s.waitFree() {
-		return s.mergePrefixPublished(ctx, prefix)
+	groups, err := s.MergeGroups(ctx, prefix, func(string) string { return "" })
+	if err != nil || len(groups) == 0 {
+		return s.backend.New(), 0, err
 	}
-	s.lockReads.Add(1)
-	out := s.backend.New()
-	merges := 0
-	for i := range s.stripes {
-		if err := ctx.Err(); err != nil {
-			return nil, merges, err
+	return groups[0].Summary, groups[0].Keys, nil
+}
+
+// Group is one label's rollup from MergeGroups: the merged summary of the
+// Keys keys that label maps to Label.
+type Group struct {
+	Label   string
+	Summary sketch.Serving
+	Keys    int
+}
+
+// MergeGroups rolls up every key with the given prefix into one summary per
+// label(key), returned in ascending byte order of the label. Each label's
+// accumulator starts from backend.New() and merges its keys in the store's
+// one key order, so a group whose keys are exactly some prefix's keys is
+// bit-identical to that prefix's rollup. Nothing is cloned: a grouped
+// rollup over n keys in g groups costs n merges and O(g) allocations.
+// label runs once per key, possibly under a stripe lock, and must not call
+// back into the store.
+func (s *Store) MergeGroups(ctx context.Context, prefix string, label func(key string) string) ([]Group, error) {
+	locked := !s.waitFree()
+	var groups []Group
+	at := make(map[string]int)
+	err := s.walk(ctx, prefix, locked, func(key string, e *entry) error {
+		l := label(key)
+		i, ok := at[l]
+		if !ok {
+			i = len(groups)
+			at[l] = i
+			groups = append(groups, Group{Label: l, Summary: s.backend.New()})
 		}
-		st := &s.stripes[i]
-		st.mu.Lock()
-		_, entries := st.keyRange(prefix)
-		for _, e := range entries {
-			if err := out.Merge(e.all); err != nil {
-				st.mu.Unlock()
-				return nil, merges, err
-			}
-			merges++
-		}
-		st.mu.Unlock()
+		groups[i].Keys++
+		return e.mergeInto(groups[i].Summary, locked)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, merges, nil
+	slices.SortFunc(groups, func(a, b Group) int { return strings.Compare(a.Label, b.Label) })
+	return groups, nil
 }
 
 // Delete removes a key, reporting whether it was present.

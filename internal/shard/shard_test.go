@@ -22,9 +22,10 @@ func TestContextHelpers(t *testing.T) {
 	}
 
 	// Background context behaves exactly like the context-free methods.
-	got, err := s.MatchContext(context.Background(), "svc.")
-	if err != nil || len(got) != 64 {
-		t.Fatalf("MatchContext = %d keys, err %v", len(got), err)
+	one := func(string) string { return "" }
+	got, err := s.MergeGroups(context.Background(), "svc.", one)
+	if err != nil || len(got) != 1 || got[0].Keys != 64 {
+		t.Fatalf("MergeGroups = %+v, err %v", got, err)
 	}
 	merged, merges, err := s.MergePrefixContext(context.Background(), "svc.")
 	if err != nil || merges != 64 || merged.Count() != 64 {
@@ -34,8 +35,8 @@ func TestContextHelpers(t *testing.T) {
 	// A canceled context aborts both scans with ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.MatchContext(ctx, "svc."); !errors.Is(err, context.Canceled) {
-		t.Errorf("MatchContext on canceled ctx: err = %v", err)
+	if _, err := s.MergeGroups(ctx, "svc.", one); !errors.Is(err, context.Canceled) {
+		t.Errorf("MergeGroups on canceled ctx: err = %v", err)
 	}
 	if _, _, err := s.MergePrefixContext(ctx, "svc."); !errors.Is(err, context.Canceled) {
 		t.Errorf("MergePrefixContext on canceled ctx: err = %v", err)
@@ -193,9 +194,15 @@ func TestKeysAndMatch(t *testing.T) {
 	if len(all) != 4 || !sort.StringsAreSorted(all) {
 		t.Errorf("Keys(\"\") = %v, want 4 sorted keys", all)
 	}
+	// Match walks the store's key order — stripes in order, keys ascending
+	// within each — not the global sort Keys returns.
 	m := s.Match("eu.")
-	if len(m) != 2 || m[0].Key != "eu.api" || m[1].Key != "eu.web" {
-		t.Errorf("Match(eu.) keys = %v", m)
+	wantM := []string{"eu.api", "eu.web"}
+	if fnv64a(wantM[0])&s.mask > fnv64a(wantM[1])&s.mask {
+		wantM[0], wantM[1] = wantM[1], wantM[0]
+	}
+	if len(m) != 2 || m[0].Key != wantM[0] || m[1].Key != wantM[1] {
+		t.Errorf("Match(eu.) keys = %v, want %v", m, wantM)
 	}
 }
 

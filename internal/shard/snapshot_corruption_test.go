@@ -2,9 +2,12 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/encoding"
 	"repro/internal/sketch"
 )
 
@@ -127,6 +130,30 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 			_ = want
 		}
 	})
+}
+
+// TestRestoreRejectsLowPrecisionPayload: a moments record in the
+// low-precision "ML" layout, which no serving path writes, is refused at
+// Restore, while the same record in the full-precision layout restores.
+func TestRestoreRejectsLowPrecisionPayload(t *testing.T) {
+	sk := core.New(6)
+	for i := 1; i <= 10; i++ {
+		sk.Add(float64(i))
+	}
+	snapshotWith := func(payload []byte) []byte {
+		data := append([]byte(nil), snapshotBytes(t, New(WithShards(4), WithOrder(6)))[:snapshotHeaderLen(t)]...)
+		data = binary.AppendUvarint(data, uint64(len("lp.key")))
+		data = append(data, "lp.key"...)
+		data = binary.AppendUvarint(data, uint64(len(payload)))
+		data = append(data, payload...)
+		data = binary.AppendUvarint(data, snapEndMarker)
+		return binary.AppendUvarint(data, 1)
+	}
+	st := New(WithShards(4), WithOrder(6))
+	if err := st.Restore(bytes.NewReader(snapshotWith(encoding.Marshal(sk)))); err != nil || st.Count("lp.key") != 10 {
+		t.Fatalf("full-precision record: err %v, count %v", err, st.Count("lp.key"))
+	}
+	requireRestoreRejects(t, snapshotWith(encoding.MarshalLowPrecision(sk, 20)), "decoding snapshot sketch")
 }
 
 // TestRestoreTruncatedAtEveryByte drives Restore over every prefix of a

@@ -10,7 +10,7 @@ import (
 )
 
 // Envelope tags, one per serializable backend family. The moments sketch's
-// own layouts (internal/encoding's "MS"/"ML" magics) are self-describing,
+// own layout (internal/encoding's "MS" magic) is self-describing,
 // so moments payloads travel bare — byte-identical to every earlier release
 // — and only the other families wrap in internal/encoding's tagged
 // envelope.
@@ -63,8 +63,9 @@ func (b Backend) Marshal(s Serving) ([]byte, error) {
 }
 
 // Unmarshal decodes a summary previously produced by Marshal on the same
-// backend family. Moments accepts both the full- and low-precision bare
-// layouts; other families require the envelope and reject payloads tagged
+// backend family. Moments accepts only the full-precision bare layout
+// Marshal writes — not the low-precision "ML" one, which no serving path
+// emits; other families require the envelope and reject payloads tagged
 // for a different family with ErrTypeMismatch.
 func (b Backend) Unmarshal(data []byte) (Serving, error) {
 	if !b.Caps.Snapshot {
@@ -74,11 +75,11 @@ func (b Backend) Unmarshal(data []byte) (Serving, error) {
 		if encoding.IsEnveloped(data) {
 			return nil, ErrTypeMismatch
 		}
-		var s moments.Sketch
-		if err := s.UnmarshalBinary(data); err != nil {
+		raw, err := encoding.Unmarshal(data)
+		if err != nil {
 			return nil, err
 		}
-		return &MSketch{S: &s}, nil
+		return &MSketch{S: moments.FromRaw(raw)}, nil
 	}
 	tag, payload, err := encoding.UnmarshalEnvelope(data)
 	if err != nil {
