@@ -81,8 +81,8 @@
 // The query surface is the batched typed endpoint POST /v1/query (see
 // internal/query): one request carries any number of subqueries —
 // exact keys, prefix rollups, group-bys — each with its own aggregation
-// list, executed by a parallel planner/executor (-workers bounds its
-// concurrency):
+// list, executed by a parallel planner/executor (-workers bounds how many
+// rollups one request resolves or evaluates at once):
 //
 //	curl -XPOST localhost:7607/ingest -d '{"observations":[{"key":"us.web","value":12.5}]}'
 //	curl -XPOST localhost:7607/v1/query -d '{"queries":[
@@ -125,7 +125,7 @@ func main() {
 		backendSpec  = flag.String("backend", "moments", "serving summary backend: moments, merge12, tdigest or sampling, optionally with a size parameter as name:param (e.g. moments:12 for sketch order 12, tdigest:200)")
 		shards       = flag.Int("shards", 0, "lock stripes (0 = 8×GOMAXPROCS, rounded to a power of two)")
 		sep          = flag.String("sep", ".", "key segment separator for group-by selections")
-		workers      = flag.Int("workers", 0, "query executor worker pool size (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "rollups one query request resolves or evaluates at once (0 = GOMAXPROCS)")
 		solveCache   = flag.Int("solve-cache", query.DefaultSolveCacheSize, "cross-request solve cache capacity in cached rollups (group-by selections charge one per group; 0 disables)")
 		paneWidth    = flag.Duration("pane-width", 0, "time pane width; > 0 enables windowed queries (/v1/query window selections, /v1/windows)")
 		panes        = flag.Int("panes", 240, "time panes retained per key when -pane-width is set")

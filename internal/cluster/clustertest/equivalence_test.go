@@ -280,6 +280,86 @@ func TestScatterGatherEquivalenceMomentsWindowed(t *testing.T) {
 	}
 }
 
+// TestScatterGatherEquivalenceSchedulerBatch sends the batch shape the
+// per-request scheduler splits into the most units — two keys, a prefix,
+// an 8-label group_by asked twice (one deduplicated selection), and
+// windowed quantile/threshold series over a key and a prefix — through the
+// coordinator, whose gathers and per-rollup evaluations run on that
+// scheduler too, and holds it to the oracle exactly.
+func TestScatterGatherEquivalenceSchedulerBatch(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0)
+	opts := []shard.Option{
+		shard.WithOrder(6),
+		shard.WithWindow(time.Second, 8),
+		shard.WithClock(func() time.Time { return base }),
+	}
+	c := New(t, Config{StoreOpts: opts})
+	var regions []string
+	for r := 0; r < 8; r++ {
+		regions = append(regions, fmt.Sprintf("r%d", r))
+	}
+	keys := gridKeys(regions, []string{"web", "api"}, 2)
+	times := make([]time.Time, 8)
+	for i := range times {
+		times[i] = base.Add(-time.Duration(7-i) * time.Second)
+	}
+	seedGrid(t, c, keys, 5, times)
+
+	win := func(spec query.WindowSpec) *query.WindowSpec { return &spec }
+	series := []query.Aggregation{
+		{Op: query.OpQuantiles, Phis: []float64{0.5, 0.9}},
+		{Op: query.OpThreshold, T: f64p(-2), Phi: f64p(0.5)},
+	}
+	req := &query.Request{Queries: []query.Subquery{
+		{ID: "key", Select: query.Selection{Key: "r0.web.1"}, Aggregations: momentsAggs()},
+		{ID: "key2", Select: query.Selection{Key: "r5.api.0"}, Aggregations: series},
+		{ID: "prefix", Select: query.Selection{Prefix: strp("r2.")}, Aggregations: momentsAggs()},
+		{ID: "by-region", Select: query.Selection{Prefix: strp(""), GroupBy: intp(0)}, Aggregations: momentsAggs()},
+		{ID: "by-region-again", Select: query.Selection{Prefix: strp(""), GroupBy: intp(0)}, Aggregations: series},
+		{ID: "series", Select: query.Selection{Key: "r3.web.0", Window: win(query.WindowSpec{Last: 4, Step: 1})}, Aggregations: series},
+		{ID: "series-prefix", Select: query.Selection{Prefix: strp("r1."), Window: win(query.WindowSpec{Last: 3, Step: 2})}, Aggregations: series},
+	}}
+	resp := requireEquivalent(t, c, req, 0)
+	for _, r := range resp.Results {
+		if r.Error != nil {
+			t.Fatalf("%s: %v", r.ID, r.Error)
+		}
+	}
+	if n := len(resp.Results[3].Groups); n != 8 {
+		t.Fatalf("by-region groups = %d, want 8", n)
+	}
+	if n := len(resp.Results[5].Groups); n != 5 {
+		t.Fatalf("series positions = %d, want 5", n)
+	}
+}
+
+// TestScatterGatherOrderOneStats: on an order-1 moments cluster stats has
+// no second moment to read; the coordinator answers it with the typed
+// aggregation error a node gives, next to answered quantiles.
+func TestScatterGatherOrderOneStats(t *testing.T) {
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(1)}})
+	seedGrid(t, c, gridKeys([]string{"us", "eu"}, []string{"web"}, 3), 20, nil)
+	aggs := []query.Aggregation{{Op: query.OpStats}, {Op: query.OpQuantiles}}
+	req := &query.Request{Queries: []query.Subquery{
+		{ID: "key", Select: query.Selection{Key: "us.web.1"}, Aggregations: aggs},
+		{ID: "by-region", Select: query.Selection{Prefix: strp(""), GroupBy: intp(0)}, Aggregations: aggs},
+	}}
+	resp := requireEquivalent(t, c, req, 0)
+	for _, r := range resp.Results {
+		if r.Error != nil || len(r.Groups) == 0 {
+			t.Fatalf("%s: %+v", r.ID, r)
+		}
+		for _, g := range r.Groups {
+			if e := g.Aggregations[0].Error; e == nil || e.Code != query.CodeBackendUnsupported {
+				t.Fatalf("%s: stats at k=1 answered %+v, want %s", r.ID, g.Aggregations[0], query.CodeBackendUnsupported)
+			}
+			if g.Aggregations[1].Error != nil || len(g.Aggregations[1].Quantiles) == 0 {
+				t.Fatalf("%s: quantiles at k=1 answered %+v", r.ID, g.Aggregations[1])
+			}
+		}
+	}
+}
+
 // TestScatterGatherMergedMomentsBytesIdentical pins the strongest form of
 // the equivalence claim below the solver: decoding every node's raw
 // /v1/partials payloads and merging them yields byte-for-byte the codec

@@ -195,16 +195,20 @@ func (c *Coordinator) Execute(ctx context.Context, req *query.Request) (*query.R
 	}
 	wg.Wait()
 
-	// Gather: merge each task's partials across its nodes and evaluate.
-	for i := range tasks {
-		c.gatherTask(&tasks[i], replies, results, req)
-	}
+	// Gather and evaluate on the evaluator's per-request scheduler: each
+	// task's partials merge across its nodes as one unit, and each merged
+	// rollup evaluates as a unit of its own.
+	c.ev.Execute(ctx, req, planned, results, func(i int) ([]query.MergedGroup, *query.Error) {
+		return c.gatherTask(&tasks[i], replies)
+	})
 	return &query.Response{Results: results}, nil
 }
 
-// gatherTask merges one task's per-node partials in node order and
-// evaluates every referencing subquery over the merged rollups.
-func (c *Coordinator) gatherTask(t *task, replies []nodeReply, results []query.Result, req *query.Request) {
+// gatherTask merges one task's per-node partials in node order into its
+// rollups, in single-node result order. The error envelope applies to
+// every referencing subquery; rollups come back only when they are to be
+// evaluated — on success, or alongside a partial_result.
+func (c *Coordinator) gatherTask(t *task, replies []nodeReply) ([]query.MergedGroup, *query.Error) {
 	var (
 		order    []*query.MergedGroup
 		byKey    = map[string]*query.MergedGroup{}
@@ -271,25 +275,18 @@ func (c *Coordinator) gatherTask(t *task, replies []nodeReply, results []query.R
 	case len(missing) > 0:
 		outErr = partialError(missing)
 	}
-	if len(order) > 0 && (outErr == nil || outErr.Code == query.CodePartialResult) {
-		sortMerged(order)
-		merged := make([]query.MergedGroup, len(order))
-		for i, g := range order {
-			merged[i] = *g
-		}
-		prepared := c.ev.Prepare(merged)
-		for _, qi := range t.Subqueries {
-			results[qi].Groups = c.ev.Evaluate(prepared, &req.Queries[qi])
-			results[qi].Error = outErr
-		}
-	} else {
-		for _, qi := range t.Subqueries {
-			results[qi].Error = outErr
-		}
-	}
 	if outErr != nil && outErr.Code == query.CodePartialResult {
 		c.partialResults.Add(1)
 	}
+	if len(order) == 0 || outErr != nil && outErr.Code != query.CodePartialResult {
+		return nil, outErr
+	}
+	sortMerged(order)
+	merged := make([]query.MergedGroup, len(order))
+	for i, g := range order {
+		merged[i] = *g
+	}
+	return merged, outErr
 }
 
 // partialError builds the typed partial_result envelope naming the nodes

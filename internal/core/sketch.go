@@ -299,9 +299,10 @@ func (s *Sketch) LogMoment(i int) float64 {
 }
 
 // Variance returns the population variance derived from the first two
-// moments, clamped at zero against rounding.
+// moments, clamped at zero against rounding. It is NaN for an empty sketch
+// and for an order-1 sketch, which keeps no second moment.
 func (s *Sketch) Variance() float64 {
-	if s.Count <= 0 {
+	if s.Count <= 0 || s.K < 2 {
 		return math.NaN()
 	}
 	m := s.Mean()

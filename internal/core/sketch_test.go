@@ -280,3 +280,16 @@ func TestAddSubRoundTripQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOrderOneVariance: an order-1 sketch keeps no second power sum, so its
+// variance is NaN rather than an out-of-range read; its mean still answers.
+func TestOrderOneVariance(t *testing.T) {
+	s := New(1)
+	s.AddMany([]float64{1, 2, 3})
+	if got := s.Mean(); got != 2 {
+		t.Errorf("Mean = %v, want 2", got)
+	}
+	if !math.IsNaN(s.Variance()) || !math.IsNaN(s.StdDev()) {
+		t.Errorf("Variance, StdDev = %v, %v; want NaN at k = 1", s.Variance(), s.StdDev())
+	}
+}

@@ -1,7 +1,9 @@
 // Package linalg provides the small dense linear-algebra kernels the
 // moments-sketch estimation pipeline depends on: Cholesky and LU solves for
-// Newton steps, a symmetric Jacobi eigensolver for condition numbers and
-// Gram-matrix pseudo-inverses, and Vandermonde solves for quadrature weights.
+// Newton steps, symmetric eigensolvers — tridiagonal QL for the
+// eigenvalues-only condition numbers, Jacobi where eigenvectors are wanted
+// (Gram-matrix pseudo-inverses) — and Vandermonde solves for quadrature
+// weights.
 //
 // Matrices in this package are small (rarely larger than 25x25, bounded by
 // the sketch order), so the implementations favour numerical robustness and

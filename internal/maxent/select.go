@@ -28,6 +28,14 @@ func SelectBasis(sk *core.Sketch, opts Options) (Basis, error) {
 }
 
 func selectBasisWS(ws *Workspace, sk *core.Sketch, opts Options) (Basis, error) {
+	return screenBasis(ws, sk, opts, linalg.Cond2SymWork)
+}
+
+// screenBasis is selectBasisWS with its condition-number screen as a
+// parameter, so tests can hold the eigenvalues-only screen to the Jacobi one
+// it replaced: cond2 returns the 2-norm condition number of the symmetric
+// matrix a, using work (same shape) as scratch.
+func screenBasis(ws *Workspace, sk *core.Sketch, opts Options, cond2 func(a, work *linalg.Dense) float64) (Basis, error) {
 	opts.defaults()
 	kStd, kLog := sk.StableOrders()
 	if kStd < 1 {
@@ -70,7 +78,10 @@ func selectBasisWS(ws *Workspace, sk *core.Sketch, opts Options) (Basis, error) 
 	gram.Data[0] = g.gramEntry(0, 0)
 	accept := func(row int) bool {
 		m := len(rows)
-		trial := linalg.Dense{Rows: m + 1, Cols: m + 1, Data: ws.floats((m + 1) * (m + 1))}
+		// The trial and its scratch live in the workspace: handed to cond2
+		// through a function value, stack matrices would escape per probe.
+		trial, work := &ws.trial, &ws.condWork
+		*trial = linalg.Dense{Rows: m + 1, Cols: m + 1, Data: ws.floats((m + 1) * (m + 1))}
 		for a, ra := range rows {
 			copy(trial.Data[a*(m+1):], gram.Data[a*m:(a+1)*m])
 			v := g.gramEntry(ra, row)
@@ -78,11 +89,11 @@ func selectBasisWS(ws *Workspace, sk *core.Sketch, opts Options) (Basis, error) 
 			trial.Set(m, a, v)
 		}
 		trial.Set(m, m, g.gramEntry(row, row))
-		work := linalg.Dense{Rows: m + 1, Cols: m + 1, Data: ws.floats((m + 1) * (m + 1))}
-		if linalg.Cond2SymWork(&trial, &work) > opts.MaxCond {
+		*work = linalg.Dense{Rows: m + 1, Cols: m + 1, Data: ws.floats((m + 1) * (m + 1))}
+		if cond2(trial, work) > opts.MaxCond {
 			return false
 		}
-		rows, gram = append(rows, row), trial
+		rows, gram = append(rows, row), *trial
 		return true
 	}
 

@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/linalg"
 	"repro/internal/optimize"
 )
 
@@ -38,6 +39,10 @@ type Workspace struct {
 	crossKey crossKey
 
 	newton optimize.NewtonWorkspace
+
+	// trial and condWork are basis selection's bordered Gram matrix and its
+	// condition screen's scratch, headers over arena memory.
+	trial, condWork linalg.Dense
 }
 
 // NewWorkspace returns an empty workspace. Buffers are sized lazily: the

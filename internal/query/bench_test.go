@@ -149,21 +149,68 @@ func BenchmarkBatchSharedSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteWorkers sweeps the worker pool size on the 128-subquery
-// batch, pinning down the executor's scaling curve.
-func BenchmarkExecuteWorkers(b *testing.B) {
-	store := benchStore(b)
-	req := benchRequest()
-	for _, workers := range []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := NewEngine(store, Config{Workers: workers})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, qerr := e.Execute(context.Background(), req); qerr != nil {
-					b.Fatal(qerr)
+// coldStore holds keys shaped like the live benchmark's: svcNN.rR.azA.hH,
+// 4 services × 8 regions × 2 zones × 4 hosts of shifted lognormal data.
+func coldStore(b *testing.B) *shard.Store {
+	b.Helper()
+	store := shard.New(shard.WithShards(16))
+	rng := rand.New(rand.NewPCG(3, 4))
+	batch := store.NewBatch()
+	for svc := 0; svc < 4; svc++ {
+		for r := 0; r < 8; r++ {
+			for az := 0; az < 2; az++ {
+				for h := 0; h < 4; h++ {
+					key := fmt.Sprintf("svc%02d.r%d.az%d.h%d", svc, r, az, h)
+					for i := 0; i < 200; i++ {
+						batch.Add(key, math.Exp(rng.NormFloat64()*0.5)+float64(r))
+					}
 				}
 			}
-		})
+		}
+	}
+	batch.Flush()
+	return store
+}
+
+// coldRequest is one request shaped like the live benchmark's uncached
+// reads: 2 keys, a 3-segment prefix and an 8-label group_by, each asked for
+// quantiles and a threshold — eleven rollups to solve.
+func coldRequest() *Request {
+	aggs := []Aggregation{
+		{Op: OpQuantiles, Phis: []float64{0.5, 0.99}},
+		{Op: OpThreshold, T: f64Ptr(4), Phi: f64Ptr(0.99)},
+	}
+	return &Request{Queries: []Subquery{
+		{Select: Selection{Key: "svc00.r1.az0.h2"}, Aggregations: aggs},
+		{Select: Selection{Key: "svc03.r6.az1.h0"}, Aggregations: aggs},
+		{Select: Selection{Prefix: strPtr("svc01.r3.az1.")}, Aggregations: aggs},
+		{Select: Selection{Prefix: strPtr("svc02."), GroupBy: intPtr(1)}, Aggregations: aggs},
+	}}
+}
+
+// BenchmarkExecuteWorkers sweeps the worker bound on two requests: the
+// 128-subquery group-by batch, and one cold dashboard request whose
+// eleven rollups are the scheduler's units — the executor's scaling curve.
+func BenchmarkExecuteWorkers(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		store *shard.Store
+		req   *Request
+	}{
+		{"batch128", benchStore(b), benchRequest()},
+		{"cold", coldStore(b), coldRequest()},
+	} {
+		for _, workers := range []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				e := NewEngine(c.store, Config{Workers: workers})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, qerr := e.Execute(context.Background(), c.req); qerr != nil {
+						b.Fatal(qerr)
+					}
+				}
+			})
+		}
 	}
 }
 

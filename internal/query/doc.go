@@ -36,8 +36,12 @@
 //     any sketch is merged or any density solved.
 //   - Selections are deduplicated across the batch: ten subqueries over the
 //     same rollup merge its per-key sketches exactly once.
-//   - Unique selections fan out over a bounded worker pool (Config.Workers,
-//     default GOMAXPROCS).
+//   - One scheduler per request runs the work in units of one rollup: each
+//     unique selection resolves once, then every group it produced is
+//     evaluated as its own unit, into preallocated result slots, at most
+//     Config.Workers (default GOMAXPROCS) at a time. A windowed
+//     selection's positions stay one unit, evaluated oldest first. The
+//     coordinator's Evaluator runs its gathers on the same scheduler.
 //   - Each rollup's maximum-entropy density is solved lazily and memoized,
 //     so the quantiles, cdf and histogram aggregations of one selection and
 //     any threshold of it that falls through to the cascade's MaxEnt stage
@@ -48,9 +52,9 @@
 //     their solved densities — are kept in a sharded bounded LRU across
 //     Execute calls, keyed on the store's mutation version so any ingest
 //     into covered keys invalidates the entry (see Engine.CacheStats).
-//   - The request context is honored: when the deadline passes, remaining
-//     subqueries fail with deadline_exceeded instead of running to
-//     completion.
+//   - The request context is honored: it is checked before every unit, and
+//     when the deadline passes, the subqueries of every unit not yet
+//     started fail with deadline_exceeded instead of running to completion.
 //
 // Failures are isolated at two levels. A subquery that cannot be resolved
 // (bad selection, no matching keys, deadline) carries its own {code,

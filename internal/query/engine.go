@@ -25,7 +25,8 @@ type Config struct {
 	Separator string
 	// Solver configures the maximum-entropy solver used for estimates.
 	Solver maxent.Options
-	// Workers bounds the executor's concurrency (default GOMAXPROCS).
+	// Workers bounds how many rollups one request resolves or evaluates at
+	// once (default GOMAXPROCS).
 	Workers int
 	// SolveCache bounds the cross-request solve cache to this many cached
 	// rollups — a key or prefix selection weighs 1, a group-by or
@@ -246,45 +247,20 @@ func (g *group) solution(opts maxent.Options) (*maxent.Solution, error) {
 	return sol, err
 }
 
-// Execute plans (see Plan) and runs a batched request. Subqueries fan out
-// over a bounded worker pool; each failure is isolated to its own Result.
-// The returned *Error is non-nil only for request-envelope problems (an
-// empty or oversized batch) — per-subquery failures never fail the batch.
+// Execute plans (see Plan) and runs a batched request on the per-request
+// scheduler (run): each unique selection resolves once, then every rollup
+// it produced evaluates as its own unit, at most Config.Workers at a time.
+// Each failure is isolated to its own Result. The returned *Error is
+// non-nil only for request-envelope problems (an empty or oversized batch)
+// — per-subquery failures never fail the batch.
 func (e *Engine) Execute(ctx context.Context, req *Request) (*Response, *Error) {
 	tasks, results, err := Plan(req, e.backend)
 	if err != nil {
 		return nil, err
 	}
-
-	// Execute: fan tasks out over the worker pool. Each subquery index
-	// belongs to exactly one task, so tasks write disjoint entries of
-	// results and need no lock.
-	workers := e.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			e.runTask(ctx, t, req, results)
-		}
-		return &Response{Results: results}, nil
-	}
-	queue := make(chan *Task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range queue {
-				e.runTask(ctx, t, req, results)
-			}
-		}()
-	}
-	for _, t := range tasks {
-		queue <- t
-	}
-	close(queue)
-	wg.Wait()
+	e.run(ctx, req, tasks, results, func(i int) ([]*group, *Error) {
+		return e.resolveCached(ctx, &tasks[i].Sel)
+	})
 	return &Response{Results: results}, nil
 }
 
@@ -376,22 +352,6 @@ func (e *Engine) resolveCached(ctx context.Context, sel *Selection) ([]*group, *
 	return groups, err
 }
 
-func (e *Engine) runTask(ctx context.Context, t *Task, req *Request, results []Result) {
-	groups, selErr := e.resolveCached(ctx, &t.Sel)
-	for _, qi := range t.Subqueries {
-		if selErr == nil {
-			if err := ctx.Err(); err != nil {
-				selErr = ctxError(err)
-			}
-		}
-		if selErr != nil {
-			results[qi].Error = selErr
-			continue
-		}
-		results[qi].Groups = e.evalSubquery(groups, &req.Queries[qi])
-	}
-}
-
 // validateBackendOps rejects — before any data work — aggregations the
 // serving backend cannot answer: cdf, rank_bounds, histogram and stats all
 // read moment structure (solved densities, guaranteed moment bounds,
@@ -453,23 +413,20 @@ func (e *Engine) resolveSelection(ctx context.Context, sel *Selection) ([]*group
 	}
 }
 
-func (e *Engine) evalSubquery(groups []*group, sq *Subquery) []GroupResult {
-	out := make([]GroupResult, len(groups))
-	for gi, g := range groups {
-		aggs := make([]AggResult, len(sq.Aggregations))
-		for ai := range sq.Aggregations {
-			aggs[ai] = e.evalAgg(g, &sq.Aggregations[ai])
-		}
-		out[gi] = GroupResult{
-			Group:        g.label,
-			Backend:      e.backend.Name,
-			Window:       g.window,
-			Keys:         g.keys,
-			Count:        g.count(),
-			Aggregations: aggs,
-		}
+// evalGroup answers one subquery's aggregations on one rollup.
+func (e *Engine) evalGroup(g *group, sq *Subquery) GroupResult {
+	aggs := make([]AggResult, len(sq.Aggregations))
+	for ai := range sq.Aggregations {
+		aggs[ai] = e.evalAgg(g, &sq.Aggregations[ai])
 	}
-	return out
+	return GroupResult{
+		Group:        g.label,
+		Backend:      e.backend.Name,
+		Window:       g.window,
+		Keys:         g.keys,
+		Count:        g.count(),
+		Aggregations: aggs,
+	}
 }
 
 func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
@@ -546,6 +503,12 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 		res.Histogram = histogramOf(sol, a.Buckets)
 
 	case OpStats:
+		if g.sk.K < 2 {
+			// The variance needs the second power sum.
+			res.Error = Errorf(CodeBackendUnsupported,
+				"op %q needs moments of order 2; the %s backend keeps order %d", a.Op, e.backend.Fingerprint(), g.sk.K)
+			return res
+		}
 		res.Stats = &StatsResult{
 			Count:    g.sk.Count,
 			Min:      g.sk.Min,

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"runtime"
 
 	"repro/internal/cascade"
 	"repro/internal/encoding"
@@ -89,19 +90,19 @@ func (e *Engine) marshalGroup(g *group) ([]byte, *Error) {
 
 // Evaluator answers aggregations over externally merged rollups — the
 // coordinator side of scatter-gather serving. It is an Engine without a
-// store: the same solver, threshold cascade, degradation policy and
-// memoized max-ent solves, applied to summaries merged from shard partials
-// instead of resolved locally. Safe for concurrent use.
+// store: the same scheduler, solver, threshold cascade, degradation policy
+// and memoized max-ent solves, applied to summaries merged from shard
+// partials instead of resolved locally. Safe for concurrent use.
 type Evaluator struct {
 	e Engine
 }
 
 // NewEvaluator wires an Evaluator for the given serving backend, with the
-// default solver options a shard node's engine runs. The backend must match
-// the shard nodes' configuration — the fingerprint travels in the partials
-// frame so mismatches are caught on decode.
+// default solver options and worker bound a shard node's engine runs. The
+// backend must match the shard nodes' configuration — the fingerprint
+// travels in the partials frame so mismatches are caught on decode.
 func NewEvaluator(backend sketch.Backend) *Evaluator {
-	return &Evaluator{e: Engine{backend: backend, sep: "."}}
+	return &Evaluator{e: Engine{backend: backend, sep: ".", workers: runtime.GOMAXPROCS(0)}}
 }
 
 // Backend returns the serving backend the evaluator answers from.
@@ -120,17 +121,24 @@ type MergedGroup struct {
 	Sum    sketch.Serving
 }
 
-// Prepared holds merged rollups staged for evaluation: max-ent solves are
-// memoized per group, and consecutive window positions are chained so each
-// solve warm-starts from its neighbour's θ — exactly as on a single node.
-type Prepared struct {
-	groups []*group
+// Execute answers a planned request (Plan's tasks and results) over
+// rollups the caller gathers, on the scheduler Engine.Execute runs: each
+// gather(i) is one unit, and each rollup it returns evaluates as its own
+// unit. gather returns task i's merged groups in result order — window
+// positions oldest first, so each solve warm-starts from its neighbour's θ
+// exactly as on a single node — and an error envelope that lands on every
+// subquery of the task; when groups come back too (a partial_result), they
+// are evaluated and carry it alongside.
+func (ev *Evaluator) Execute(ctx context.Context, req *Request, tasks []*Task, results []Result, gather func(i int) ([]MergedGroup, *Error)) {
+	ev.e.run(ctx, req, tasks, results, func(i int) ([]*group, *Error) {
+		merged, err := gather(i)
+		return ev.prepare(merged), err
+	})
 }
 
-// Prepare stages merged rollups for evaluation. The input order is
-// preserved; for sliding-window selections pass positions oldest-first so
-// warm-start chaining follows the slide.
-func (ev *Evaluator) Prepare(merged []MergedGroup) *Prepared {
+// prepare stages merged rollups for evaluation, chaining consecutive
+// window positions for warm starts.
+func (ev *Evaluator) prepare(merged []MergedGroup) []*group {
 	groups := make([]*group, len(merged))
 	var prev *group
 	for i := range merged {
@@ -144,12 +152,5 @@ func (ev *Evaluator) Prepare(merged []MergedGroup) *Prepared {
 		groups[i] = g
 		prev = g
 	}
-	return &Prepared{groups: groups}
-}
-
-// Evaluate answers one subquery's aggregations over the prepared rollups,
-// one GroupResult per group in prepared order. Prepared groups may be
-// shared across concurrent Evaluate calls.
-func (ev *Evaluator) Evaluate(p *Prepared, sq *Subquery) []GroupResult {
-	return ev.e.evalSubquery(p.groups, sq)
+	return groups
 }

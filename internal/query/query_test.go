@@ -485,7 +485,8 @@ func TestSelectionDedup(t *testing.T) {
 }
 
 // TestContextDeadline: an already-expired context fails every subquery
-// with deadline_exceeded rather than running the batch.
+// with deadline_exceeded rather than running the batch, and a deadline
+// that passes mid-request stops the units not yet started.
 func TestContextDeadline(t *testing.T) {
 	store, _ := seedStore(t, 4, 4, 100)
 	e := NewEngine(store, Config{})
@@ -516,14 +517,47 @@ func TestContextDeadline(t *testing.T) {
 	if resp.Results[0].Error == nil || resp.Results[0].Error.Code != CodeCanceled {
 		t.Errorf("canceled ctx: error = %v, want %s", resp.Results[0].Error, CodeCanceled)
 	}
+
+	// A deadline passing mid-request: a 64-group group_by whose
+	// resolve succeeds stops at its remaining group units. countdownCtx
+	// lets exactly three units run — the scheduler consults the context
+	// once before the resolve, the resolve's walk some fixed number of
+	// times (probed below), then once before each unit.
+	many, _ := seedStore(t, 64, 2, 50)
+	grouped := Request{Queries: []Subquery{{
+		Select:       Selection{Prefix: &prefix, GroupBy: intPtr(0)},
+		Aggregations: []Aggregation{{Op: OpThreshold, T: f64Ptr(3), Phi: f64Ptr(0.5)}},
+	}}}
+	probe := newCountdownCtx(1 << 40)
+	if groups, qerr := NewEngine(many, Config{}).resolveSelection(probe, &grouped.Queries[0].Select); qerr != nil || len(groups) != 64 {
+		t.Fatalf("resolve: %d groups, err %v", len(groups), qerr)
+	}
+	walkChecks := 1<<40 - probe.left.Load()
+	for _, workers := range []int{1, 8} {
+		e := NewEngine(many, Config{Workers: workers})
+		resp, qerr := e.Execute(newCountdownCtx(1+walkChecks+3), &grouped)
+		if qerr != nil {
+			t.Fatalf("Execute: %v", qerr)
+		}
+		if r := resp.Results[0]; r.Error == nil || r.Error.Code != CodeDeadline || r.Groups != nil {
+			t.Fatalf("workers=%d: group_by past its deadline answered %d groups, error %v; want %s", workers, len(r.Groups), r.Error, CodeDeadline)
+		}
+		evaluated := e.CascadeStats().Queries
+		if workers == 1 && evaluated != 3 || evaluated >= 64 {
+			t.Errorf("workers=%d: %d of 64 group units ran past the deadline check", workers, evaluated)
+		}
+	}
 }
 
 // TestConcurrentExecuteStress runs many concurrent batched Executes (under
-// -race) and checks every result against a single-threaded oracle engine:
-// the parallel executor must return bit-identical results.
+// -race) and checks every result against a single-threaded, uncached oracle
+// engine: the parallel executor must return bit-identical results, also
+// when its solve cache hands one request's groups to another.
 func TestConcurrentExecuteStress(t *testing.T) {
 	store, _ := seedStore(t, 6, 5, 400)
-	parallel := NewEngine(store, Config{Workers: 8})
+	// The parallel engine's solve cache shares resolved groups, and their
+	// memoized solves, across the concurrent requests.
+	parallel := NewEngine(store, Config{Workers: 8, SolveCache: 64})
 	oracle := NewEngine(store, Config{Workers: 1})
 
 	mkReq := func(seed int) *Request {

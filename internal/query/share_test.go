@@ -121,12 +121,16 @@ func TestEvaluatorSharesRollupSolve(t *testing.T) {
 			aggs[0], aggs[1] = aggs[1], aggs[0]
 			wantSolves = 1
 		}
-		prepared := ev.Prepare([]MergedGroup{{Label: "g0.k1", Keys: 1, Sum: sum.Clone()}})
-		var out []GroupResult
+		req := &Request{Queries: []Subquery{{Select: Selection{Key: "g0.k1"}, Aggregations: aggs}}}
+		tasks, results, qerr := Plan(req, ev.Backend())
+		if qerr != nil {
+			t.Fatal(qerr)
+		}
+		merged := []MergedGroup{{Label: "g0.k1", Keys: 1, Sum: sum.Clone()}}
 		solves, shared, _ := solveDelta(ev.CascadeStats, func() {
-			out = ev.Evaluate(prepared, &Subquery{Aggregations: aggs})
+			ev.Execute(context.Background(), req, tasks, results, func(int) ([]MergedGroup, *Error) { return merged, nil })
 		})
-		checkShared(t, "evaluator/"+order, out[0], thresh)
+		checkShared(t, "evaluator/"+order, results[0].Groups[0], thresh)
 		if solves != wantSolves || shared != 1-wantSolves {
 			t.Errorf("evaluator/%s: cascade solved %d, shared %d; want %d and %d", order, solves, shared, wantSolves, 1-wantSolves)
 		}
@@ -146,7 +150,11 @@ func TestSlidingThresholdSolvesOnlyWhereMaxEntIsReached(t *testing.T) {
 	if qerr != nil {
 		t.Fatal(qerr)
 	}
-	out := e.evalSubquery(groups, &Subquery{Aggregations: []Aggregation{{Op: OpThreshold, T: &thresh, Phi: &phi}}})
+	sq := &Subquery{Aggregations: []Aggregation{{Op: OpThreshold, T: &thresh, Phi: &phi}}}
+	out := make([]GroupResult, len(groups))
+	for gi, g := range groups {
+		out[gi] = e.evalGroup(g, sq)
+	}
 	last := len(out) - 1
 	for gi, g := range out {
 		stage := g.Aggregations[0].Threshold.Stage

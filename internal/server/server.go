@@ -93,8 +93,8 @@ func WithKeySeparator(sep string) ServerOption {
 	return func(s *Server) { s.sep = sep }
 }
 
-// WithQueryWorkers bounds the query engine's executor concurrency
-// (default GOMAXPROCS).
+// WithQueryWorkers bounds how many rollups one query request resolves or
+// evaluates at once (default GOMAXPROCS).
 func WithQueryWorkers(n int) ServerOption {
 	return func(s *Server) { s.workers = n }
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sketch"
 )
 
 // TestGroupedFoldWhileFlush is the -race stress suite for the grouped fold:
@@ -142,5 +144,44 @@ func TestGroupedFoldWhileFlush(t *testing.T) {
 		if grp.Keys != keysPer || grp.Summary.Count() != n/groups {
 			t.Fatalf("final group %q: %d keys, count %v", grp.Label, grp.Keys, grp.Summary.Count())
 		}
+	}
+}
+
+// TestRandomizedRollupIsDeterministic: on the randomized backends a prefix
+// rollup is a function of the data too. Two back-to-back MergePrefix calls
+// on an unchanged store — with other summaries built in between — marshal
+// to the same bytes: every new summary starts from the same PRNG state, and
+// only its own operations advance it.
+func TestRandomizedRollupIsDeterministic(t *testing.T) {
+	for _, b := range []sketch.Backend{
+		sketch.Merge12Backend(sketch.DefaultMerge12K),
+		sketch.SamplingBackend(16),
+	} {
+		t.Run(b.Name, func(t *testing.T) {
+			s := New(WithShards(4), WithBackend(b))
+			batch := s.NewBatch()
+			for i := 0; i < 4000; i++ {
+				batch.Add(fmt.Sprintf("p.k%02d", i%40), float64(i*7919%4001)/4001)
+			}
+			batch.Flush()
+			rollup := func() []byte {
+				sum, keys, err := s.MergePrefix("p.")
+				if err != nil || keys != 40 {
+					t.Fatalf("MergePrefix: %d keys, err %v", keys, err)
+				}
+				out, err := b.Marshal(sum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			first := rollup()
+			for i := 0; i < 3; i++ {
+				b.New().Add(1) // summaries built elsewhere must not shift the next fold
+			}
+			if second := rollup(); !bytes.Equal(first, second) {
+				t.Fatal("two MergePrefix calls on an unchanged store marshal to different bytes")
+			}
+		})
 	}
 }

@@ -27,7 +27,7 @@ func NewMerge12(k int) *Merge12 {
 	if k%2 == 1 {
 		k++
 	}
-	return &Merge12{k: k, base: make([]float64, 0, 2*k), rng: nextSeed()}
+	return &Merge12{k: k, base: make([]float64, 0, 2*k), rng: seed}
 }
 
 // Name implements Summary.

@@ -37,7 +37,7 @@ func NewRandomW(s int) *RandomW {
 	if s%2 == 1 {
 		s++
 	}
-	return &RandomW{s: s, maxBufs: 8, fill: make([]float64, 0, s), rng: nextSeed()}
+	return &RandomW{s: s, maxBufs: 8, fill: make([]float64, 0, s), rng: seed}
 }
 
 // Name implements Summary.

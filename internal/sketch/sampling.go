@@ -21,7 +21,7 @@ func NewSampling(size int) *Sampling {
 	if size < 1 {
 		size = 1
 	}
-	return &Sampling{size: size, items: make([]float64, 0, size), rng: nextSeed()}
+	return &Sampling{size: size, items: make([]float64, 0, size), rng: seed}
 }
 
 // Name implements Summary.

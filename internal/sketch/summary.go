@@ -5,10 +5,7 @@
 // algorithm; see the per-file comments for provenance.
 package sketch
 
-import (
-	"errors"
-	"sync/atomic"
-)
+import "errors"
 
 // Summary is a mergeable quantile summary (paper §3.2): merging two
 // summaries must produce a summary of the combined data, and Quantile must
@@ -44,13 +41,12 @@ type Factory struct {
 	New func() Summary
 }
 
-// rngCounter seeds per-instance PRNGs deterministically in construction
-// order, so randomized summaries are reproducible within a run.
-var rngCounter atomic.Uint64
-
-func nextSeed() uint64 {
-	return rngCounter.Add(1) * 0x9E3779B97F4A7C15
-}
+// seed is every randomized summary's initial PRNG state. One constant, not a
+// per-process counter: an instance's random choices then depend only on its
+// own history of operations, so the same fold of the same data — a rollup
+// built into a fresh summary, on any goroutine, after any number of other
+// summaries — gives the same bytes every time.
+const seed uint64 = 0x9E3779B97F4A7C15
 
 // splitmix64 is the PRNG step shared by the randomized summaries.
 func splitmix64(state *uint64) uint64 {
