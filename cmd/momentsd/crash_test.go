@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 // momentsdBin is the momentsd binary under test, built once in TestMain.
@@ -298,7 +299,7 @@ func fetchStore(t *testing.T, base string, order int) *shard.Store {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /snapshot: %s", resp.Status)
 	}
-	st := shard.New(shard.WithOrder(order))
+	st := shard.New(shard.WithBackend(sketch.MomentsBackend(order)))
 	if err := st.Restore(resp.Body); err != nil {
 		t.Fatalf("restoring fetched snapshot: %v", err)
 	}

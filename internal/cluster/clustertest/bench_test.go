@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 // BenchmarkScatterGather measures a spanning prefix read end to end —
@@ -16,7 +17,7 @@ import (
 func BenchmarkScatterGather(b *testing.B) {
 	for _, nodes := range []int{1, 4} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			c := New(b, Config{Nodes: nodes, StoreOpts: []shard.Option{shard.WithOrder(6)}})
+			c := New(b, Config{Nodes: nodes, StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 			keys := gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 16)
 			seedGrid(b, c, keys, 50, nil)
 			req := &query.Request{Queries: []query.Subquery{{

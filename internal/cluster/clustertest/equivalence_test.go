@@ -170,7 +170,7 @@ func momentsAggs() []query.Aggregation {
 // the oracle exactly (tolerance zero — the merged moment vectors are
 // bit-identical by construction).
 func TestScatterGatherEquivalenceMoments(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	keys := gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 6)
 	seedGrid(t, c, keys, 40, nil)
 
@@ -213,7 +213,7 @@ func TestScatterGatherEquivalenceMoments(t *testing.T) {
 // level, and the coordinator (which merges partials by label) and a single
 // node must still list groups identically.
 func TestScatterGatherEquivalenceGroupOrder(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	// 37 observations per key (not a multiple of ExactValue's period of 10)
 	// give every key, and so every group, a different distribution.
 	seedGrid(t, c, []string{"a.z", "b.y", "a-b.x", "a.w"}, 37, nil)
@@ -237,7 +237,7 @@ func TestScatterGatherEquivalenceGroupOrder(t *testing.T) {
 func TestScatterGatherEquivalenceMomentsWindowed(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	opts := []shard.Option{
-		shard.WithOrder(6),
+		shard.WithBackend(sketch.MomentsBackend(6)),
 		shard.WithWindow(time.Second, 8),
 		shard.WithClock(func() time.Time { return base }),
 	}
@@ -289,7 +289,7 @@ func TestScatterGatherEquivalenceMomentsWindowed(t *testing.T) {
 func TestScatterGatherEquivalenceSchedulerBatch(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	opts := []shard.Option{
-		shard.WithOrder(6),
+		shard.WithBackend(sketch.MomentsBackend(6)),
 		shard.WithWindow(time.Second, 8),
 		shard.WithClock(func() time.Time { return base }),
 	}
@@ -337,7 +337,7 @@ func TestScatterGatherEquivalenceSchedulerBatch(t *testing.T) {
 // no second moment to read; the coordinator answers it with the typed
 // aggregation error a node gives, next to answered quantiles.
 func TestScatterGatherOrderOneStats(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(1)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(1))}})
 	seedGrid(t, c, gridKeys([]string{"us", "eu"}, []string{"web"}, 3), 20, nil)
 	aggs := []query.Aggregation{{Op: query.OpStats}, {Op: query.OpQuantiles}}
 	req := &query.Request{Queries: []query.Subquery{
@@ -365,7 +365,7 @@ func TestScatterGatherOrderOneStats(t *testing.T) {
 // /v1/partials payloads and merging them yields byte-for-byte the codec
 // frame the oracle's single-store merge produces.
 func TestScatterGatherMergedMomentsBytesIdentical(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	keys := gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 6)
 	seedGrid(t, c, keys, 40, nil)
 

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/query"
 	"repro/internal/shard"
+	"repro/internal/sketch"
 )
 
 // The fault battery: a node dying mid-query, stalling past the deadline, or
@@ -63,7 +65,7 @@ func requirePartialResult(t *testing.T, resp *query.Response, nodes ...string) *
 }
 
 func TestKillNodeMidQueryPartialResult(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	keys := gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 6)
 	seedGrid(t, c, keys, 20, nil)
 
@@ -151,7 +153,7 @@ func TestKillNodeMidQueryPartialResult(t *testing.T) {
 
 func TestStallPastDeadlinePartialResult(t *testing.T) {
 	c := New(t, Config{
-		StoreOpts: []shard.Option{shard.WithOrder(6)},
+		StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))},
 		Cluster:   cluster.Config{NodeTimeout: 250 * time.Millisecond},
 	})
 	keys := gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 6)
@@ -178,7 +180,7 @@ func TestStallPastDeadlinePartialResult(t *testing.T) {
 
 func TestHedgeFiresExactlyOnceAndSuppressesLoser(t *testing.T) {
 	c := New(t, Config{
-		StoreOpts: []shard.Option{shard.WithOrder(6)},
+		StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))},
 		Cluster: cluster.Config{
 			NodeTimeout: 10 * time.Second,
 			HedgeAfter:  150 * time.Millisecond,
@@ -233,7 +235,9 @@ func TestHedgeFiresExactlyOnceAndSuppressesLoser(t *testing.T) {
 
 // hostilePartialsPayloads builds the corrupt frames the decode path must
 // reject cleanly: garbage, truncated magic, a resource-exhaustion frame
-// claiming 2⁶² sets, and a well-formed frame for the wrong backend.
+// claiming 2⁶² sets, a well-formed frame for the wrong backend, and
+// well-formed frames whose moments payload is low-precision or holds a
+// vector no in-domain adds produce.
 func hostilePartialsPayloads(fingerprint string) map[string][]byte {
 	hugeClaim := encoding.MarshalPartials(fingerprint, nil)
 	hugeClaim = binary.AppendUvarint(hugeClaim[:len(hugeClaim)-1], 1<<62)
@@ -243,6 +247,10 @@ func hostilePartialsPayloads(fingerprint string) map[string][]byte {
 		"huge-set-claim":    hugeClaim,
 		"wrong-fingerprint": encoding.MarshalPartials("bogus(k=1)", []encoding.PartialSet{{}}),
 		"low-precision":     prefixPartialsFrame(fingerprint, encoding.MarshalLowPrecision),
+		"non-finite": prefixPartialsFrame(fingerprint, func(sk *core.Sketch, _ int) []byte {
+			sk.Pow[1] = math.Inf(1)
+			return encoding.Marshal(sk)
+		}),
 	}
 }
 
@@ -262,7 +270,7 @@ func prefixPartialsFrame(fingerprint string, enc func(*core.Sketch, int) []byte)
 // payload every node writes is merged into a whole answer, so the
 // low-precision one degrades for its encoding alone.
 func TestFullPrecisionPartialsFrameMerges(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	seedGrid(t, c, gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 6), 20, nil)
 	full := func(sk *core.Sketch, _ int) []byte { return encoding.Marshal(sk) }
 	c.Nodes[3].FaultCorrupt(prefixPartialsFrame(c.Coord.Backend().Fingerprint(), full), 0)
@@ -277,7 +285,7 @@ func TestFullPrecisionPartialsFrameMerges(t *testing.T) {
 }
 
 func TestCorruptPartialsDegradeToPartialResult(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	keys := gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 6)
 	seedGrid(t, c, keys, 20, nil)
 	const victim = 3
@@ -312,7 +320,7 @@ func TestCorruptPartialsDegradeToPartialResult(t *testing.T) {
 }
 
 func TestTruncatedPartialsDegradeToPartialResult(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	keys := gridKeys([]string{"us", "eu"}, []string{"web", "api"}, 6)
 	seedGrid(t, c, keys, 20, nil)
 
@@ -329,7 +337,7 @@ func TestTruncatedPartialsDegradeToPartialResult(t *testing.T) {
 }
 
 func TestIngestToUnreachableNodeReportsFailedNodes(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	const victim = 2
 	liveKey := keyOwnedBy(t, c, 0)
 	deadKey := keyOwnedBy(t, c, victim)
@@ -361,7 +369,7 @@ func TestIngestToUnreachableNodeReportsFailedNodes(t *testing.T) {
 // exhaust the budget and surface as a failed node without burning the
 // caller's deadline.
 func TestIngestRetriesTransientFaults(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	const victim = 1
 	key := keyOwnedBy(t, c, victim)
 	node := c.Nodes[victim]
@@ -434,7 +442,7 @@ func TestIngestRetriesTransientFaults(t *testing.T) {
 // in particular regressed once, decoding as an empty envelope and
 // answering {"ingested":0} without an error.
 func TestCoordinatorIngestBodyShapes(t *testing.T) {
-	c := New(t, Config{StoreOpts: []shard.Option{shard.WithOrder(6)}})
+	c := New(t, Config{StoreOpts: []shard.Option{shard.WithBackend(sketch.MomentsBackend(6))}})
 	bodies := []struct {
 		name, contentType, body string
 	}{

@@ -33,17 +33,10 @@ type Config struct {
 	// Transport issues the HTTP requests (default a plain http.Client;
 	// per-request contexts carry all timeouts).
 	Transport Doer
-	// IngestRetries is how many times a failed ingest delivery to a node
-	// is re-attempted (transport errors and 5xx answers only — a 4xx
-	// rejection will not become valid by repetition). Zero selects the
-	// default (2); negative disables retries. Re-attempts back off with
-	// capped jitter and never outlive the request deadline.
-	IngestRetries int
 }
 
 const (
-	defaultNodeTimeout   = 2 * time.Second
-	defaultIngestRetries = 2
+	defaultNodeTimeout = 2 * time.Second
 	// hedgeQuantile is the quantile of recently observed node latencies
 	// used as the adaptive hedge delay.
 	hedgeQuantile = 0.9
@@ -60,9 +53,8 @@ type Coordinator struct {
 	ev        *query.Evaluator
 	transport Doer
 
-	nodeTimeout   time.Duration
-	hedgeAfter    time.Duration
-	ingestRetries int
+	nodeTimeout time.Duration
+	hedgeAfter  time.Duration
 
 	lat latencyRing
 
@@ -102,21 +94,14 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = defaultTransport()
 	}
-	switch {
-	case cfg.IngestRetries == 0:
-		cfg.IngestRetries = defaultIngestRetries
-	case cfg.IngestRetries < 0:
-		cfg.IngestRetries = 0
-	}
 	return &Coordinator{
-		nodes:         nodes,
-		ev:            query.NewEvaluator(cfg.Backend),
-		transport:     cfg.Transport,
-		nodeTimeout:   cfg.NodeTimeout,
-		hedgeAfter:    cfg.HedgeAfter,
-		ingestRetries: cfg.IngestRetries,
-		nodeRequests:  make([]atomic.Uint64, len(nodes)),
-		nodeFailures:  make([]atomic.Uint64, len(nodes)),
+		nodes:        nodes,
+		ev:           query.NewEvaluator(cfg.Backend),
+		transport:    cfg.Transport,
+		nodeTimeout:  cfg.NodeTimeout,
+		hedgeAfter:   cfg.HedgeAfter,
+		nodeRequests: make([]atomic.Uint64, len(nodes)),
+		nodeFailures: make([]atomic.Uint64, len(nodes)),
 	}, nil
 }
 

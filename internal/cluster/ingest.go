@@ -72,10 +72,14 @@ func (c *Coordinator) Ingest(ctx context.Context, obs []Observation) (int, []str
 	return ingested, failed, firstErr
 }
 
-// Ingest retry backoff: starts small (a node riding out one group-commit
-// stall answers on the first retry), doubles per attempt, and caps so a
-// deep retry budget cannot turn into multi-second sleeps.
+// Ingest retries: a failed delivery to a node is re-attempted
+// ingestRetries times (transport errors and 5xx answers only — a 4xx
+// rejection will not become valid by repetition). The backoff starts small
+// (a node riding out one group-commit stall answers on the first retry),
+// doubles per attempt, caps so it cannot turn into multi-second sleeps,
+// and never outlives the request deadline.
 const (
+	ingestRetries     = 2
 	ingestBackoffBase = 5 * time.Millisecond
 	ingestBackoffCap  = 100 * time.Millisecond
 )
@@ -90,7 +94,7 @@ func (c *Coordinator) ingestNode(ctx context.Context, n int, batch []Observation
 	backoff := ingestBackoffBase
 	for attempt := 0; ; attempt++ {
 		count, retryable, err := c.postIngest(ctx, n, body)
-		if err == nil || !retryable || attempt >= c.ingestRetries || ctx.Err() != nil {
+		if err == nil || !retryable || attempt >= ingestRetries || ctx.Err() != nil {
 			return count, err
 		}
 		// Full jitter in [backoff/2, backoff]: concurrent per-node

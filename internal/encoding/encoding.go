@@ -48,7 +48,10 @@ func Marshal(s *core.Sketch) []byte {
 	return buf
 }
 
-// Unmarshal decodes a sketch produced by Marshal.
+// Unmarshal decodes a sketch produced by Marshal. A well-formed record
+// holding a vector that Add and Merge of values inside core.MaxAbs cannot
+// produce (see inDomain) is ErrCorrupt too: every decoded sketch is one the
+// estimators and bounds are built for.
 func Unmarshal(data []byte) (*core.Sketch, error) {
 	if len(data) < 4 || binary.LittleEndian.Uint16(data) != magicFull {
 		return nil, ErrCorrupt
@@ -77,5 +80,30 @@ func Unmarshal(data []byte) (*core.Sketch, error) {
 	for i := 0; i < k; i++ {
 		s.LogPow[i] = get()
 	}
+	if !inDomain(s) {
+		return nil, ErrCorrupt
+	}
 	return s, nil
 }
+
+// inDomain reports whether s is a vector in-domain adds and merges can
+// produce: no NaN anywhere, a Count in [0, core.MaxCount], finite LogCount
+// and power sums, and finite Min and Max once anything was added (an empty
+// sketch keeps Min = +Inf, Max = -Inf).
+func inDomain(s *core.Sketch) bool {
+	if !(s.Count >= 0 && s.Count <= core.MaxCount) || !finite(s.LogCount) ||
+		math.IsNaN(s.Min) || math.IsNaN(s.Max) {
+		return false
+	}
+	if s.Count > 0 && !(finite(s.Min) && finite(s.Max)) {
+		return false
+	}
+	for i := range s.Pow {
+		if !finite(s.Pow[i]) || !finite(s.LogPow[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

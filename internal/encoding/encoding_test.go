@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -75,6 +76,51 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	bad2[3] = 200 // k out of range
 	if _, err := Unmarshal(bad2); err == nil {
 		t.Error("bad k must error")
+	}
+}
+
+// TestUnmarshalRejectsOutOfDomain: a well-formed record whose vector no
+// sequence of in-domain adds and merges produces is ErrCorrupt, while the
+// largest in-domain vector, MaxCount copies of core.MaxAbs(k), decodes.
+func TestUnmarshalRejectsOutOfDomain(t *testing.T) {
+	const k = 4
+	base := core.New(k)
+	for _, x := range []float64{-2, 0.5, 3} {
+		base.Add(x)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		edit func(s *core.Sketch)
+	}{
+		{"nan-min", func(s *core.Sketch) { s.Min = nan }},
+		{"nan-count", func(s *core.Sketch) { s.Count = nan }},
+		{"nan-logpow", func(s *core.Sketch) { s.LogPow[2] = nan }},
+		{"inf-pow", func(s *core.Sketch) { s.Pow[1] = inf }},
+		{"inf-logpow", func(s *core.Sketch) { s.LogPow[0] = -inf }},
+		{"inf-count", func(s *core.Sketch) { s.Count = inf }},
+		{"inf-logcount", func(s *core.Sketch) { s.LogCount = inf }},
+		{"negative-count", func(s *core.Sketch) { s.Count = -1 }},
+		{"count-above-max", func(s *core.Sketch) { s.Count = 2 * core.MaxCount }},
+		{"nonempty-inf-min", func(s *core.Sketch) { s.Min = -inf }},
+		{"nonempty-inf-max", func(s *core.Sketch) { s.Max = inf }},
+	} {
+		s := base.Clone()
+		tc.edit(s)
+		if _, err := Unmarshal(Marshal(s)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+
+	top := core.New(k)
+	top.Add(core.MaxAbs(k))
+	top.Count, top.LogCount = core.MaxCount, core.MaxCount
+	for i := range top.Pow {
+		top.Pow[i] *= core.MaxCount
+		top.LogPow[i] *= core.MaxCount
+	}
+	if _, err := Unmarshal(Marshal(top)); err != nil {
+		t.Errorf("largest in-domain vector: %v", err)
 	}
 }
 

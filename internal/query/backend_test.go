@@ -348,26 +348,3 @@ func TestBackendCachedGroupConcurrentReads(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheKeyCarriesBackendFingerprint: engines over differently backed
-// stores must never share solve-cache keys for the same selection.
-func TestCacheKeyCarriesBackendFingerprint(t *testing.T) {
-	mk := func(b sketch.Backend) *Engine {
-		store := shard.New(shard.WithShards(2), shard.WithBackend(b))
-		store.Add("k", 1)
-		return NewEngine(store, Config{SolveCache: 16})
-	}
-	a := mk(sketch.TDigestBackend(100))
-	bb := mk(sketch.TDigestBackend(200))
-	if !strings.Contains(a.solverSig, "tdigest(c=100)") {
-		t.Errorf("solver signature %q lacks the backend fingerprint", a.solverSig)
-	}
-	sel := Selection{Key: "k"}
-	ka, kb := a.cacheKey(&sel), bb.cacheKey(&sel)
-	if ka == "" || kb == "" {
-		t.Fatal("cache keys not produced")
-	}
-	if ka == kb {
-		t.Errorf("cache keys collide across backend parameters: %q", ka)
-	}
-}

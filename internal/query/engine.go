@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -23,8 +22,6 @@ type Config struct {
 	// Separator splits keys into segments for group_by selections
 	// (default ".").
 	Separator string
-	// Solver configures the maximum-entropy solver used for estimates.
-	Solver maxent.Options
 	// Workers bounds how many rollups one request resolves or evaluates at
 	// once (default GOMAXPROCS).
 	Workers int
@@ -40,13 +37,11 @@ type Config struct {
 // Engine plans and executes batched query requests against a shard store.
 // All methods are safe for concurrent use.
 type Engine struct {
-	store     *shard.Store
-	backend   sketch.Backend
-	sep       string
-	solver    maxent.Options
-	workers   int
-	cache     *solveCache // nil when disabled
-	solverSig string      // backend + solver-options fingerprint in cache keys
+	store   *shard.Store
+	backend sketch.Backend
+	sep     string
+	workers int
+	cache   *solveCache // nil when disabled
 
 	cascadeStats cascadeCounters
 }
@@ -70,18 +65,10 @@ func NewEngine(store *shard.Store, cfg Config) *Engine {
 		store:   store,
 		backend: store.Backend(),
 		sep:     cfg.Separator,
-		solver:  cfg.Solver,
 		workers: cfg.Workers,
 	}
 	if cfg.SolveCache > 0 {
 		e.cache = newSolveCache(cfg.SolveCache)
-		// The engine's backend and solver options are fixed for its
-		// lifetime, but the fingerprint keeps entries from ever being
-		// confused across engines, serving backends, or future per-request
-		// option overrides.
-		o := cfg.Solver
-		e.solverSig = fmt.Sprintf("%s;%d;%d;%g;%g;%d;%d",
-			e.backend.Fingerprint(), o.GridSize, o.MaxGrid, o.GradTol, o.MaxCond, o.MaxIter, o.MaxRetries)
 	}
 	return e
 }
@@ -228,10 +215,11 @@ func (g *group) count() float64 {
 // position is already solved: positions are evaluated oldest-first, so a
 // quantile series still chains every solve, while a threshold that falls
 // through to MaxEnt never forces solves its neighbours' bounds had avoided.
-func (g *group) solve(opts maxent.Options) (sol *maxent.Solution, shared bool, err error) {
+func (g *group) solve() (sol *maxent.Solution, shared bool, err error) {
 	shared = true
 	g.once.Do(func() {
 		shared = false
+		var opts maxent.Options
 		if p := g.prev; p != nil && p.solved.Load() && p.solErr == nil && len(p.sol.Theta) > 0 {
 			opts.Theta0 = p.sol.Theta
 		}
@@ -242,8 +230,8 @@ func (g *group) solve(opts maxent.Options) (sol *maxent.Solution, shared bool, e
 }
 
 // solution is solve for callers that only need the density.
-func (g *group) solution(opts maxent.Options) (*maxent.Solution, error) {
-	sol, _, err := g.solve(opts)
+func (g *group) solution() (*maxent.Solution, error) {
+	sol, _, err := g.solve()
 	return sol, err
 }
 
@@ -294,10 +282,11 @@ func selectionKey(sel *Selection) string {
 // cacheKey builds the version-stamped cache key for a selection, or ""
 // when the selection is uncacheable (cache disabled, or a key selection
 // whose key is absent). The key concatenates the canonical selection key,
-// the covered data's mutation version, the current pane (windowed
-// selections read the ring relative to the clock), and the solver-options
-// fingerprint — so any ingest into covered data, pane turnover, or solver
-// reconfiguration produces a different key and the stale entry ages out.
+// the covered data's mutation version and the current pane (windowed
+// selections read the ring relative to the clock) — so any ingest into
+// covered data or pane turnover produces a different key and the stale
+// entry ages out. The cache belongs to one engine over one store, hence
+// one backend and one solver configuration, so neither is in the key.
 //
 // The version components MUST be read before the selection is resolved: a
 // mutation racing the resolve then leaves the result stamped with the older
@@ -328,11 +317,10 @@ func (e *Engine) cacheKey(sel *Selection) string {
 		pane, _ = e.store.CurrentPane()
 	}
 	// The suffix's leading NUL cannot collide with crafted key bytes: the
-	// remainder (hex digits, commas, the solver fingerprint) is NUL-free,
-	// while any suffix embedded in a key is followed by this NUL.
+	// remainder (hex digits and a comma) is NUL-free, while any suffix
+	// embedded in a key is followed by this NUL.
 	return selectionKey(sel) + "\x00" +
-		strconv.FormatUint(ver, 16) + "," +
-		strconv.FormatInt(pane, 16) + "," + e.solverSig
+		strconv.FormatUint(ver, 16) + "," + strconv.FormatInt(pane, 16)
 }
 
 // resolveCached fronts resolveSelection with the cross-request solve cache.
@@ -358,7 +346,7 @@ func (e *Engine) resolveCached(ctx context.Context, sel *Selection) ([]*group, *
 // closed-form statistics) that only the moments backend carries. Quantiles
 // and thresholds evaluate directly on every backend.
 func validateBackendOps(backend sketch.Backend, sq *Subquery) *Error {
-	if backend.Caps.Cascade {
+	if backend.HasMoments() {
 		return nil
 	}
 	for i := range sq.Aggregations {
@@ -437,7 +425,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 	switch a.Op {
 	case OpQuantiles:
 		phis := a.phis()
-		sol, err := g.solution(e.solver)
+		sol, err := g.solution()
 		points := make([]QuantilePoint, len(phis))
 		if err == nil {
 			for i, v := range sol.Quantiles(phis) {
@@ -454,7 +442,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 		res.Degraded = err != nil
 
 	case OpCDF:
-		sol, err := g.solution(e.solver)
+		sol, err := g.solution()
 		if err != nil {
 			res.Error = Errorf(CodeNotConverged, "%v", err)
 			return res
@@ -467,8 +455,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 
 	case OpThreshold:
 		cfg := cascade.Full()
-		cfg.Solver = e.solver
-		cfg.Solve = func() (*maxent.Solution, bool, error) { return g.solve(e.solver) }
+		cfg.Solve = g.solve
 		var st cascade.Stats
 		above, err := cascade.Threshold(g.sk, *a.T, a.thresholdPhi(), cfg, &st)
 		e.foldCascadeStats(&st)
@@ -495,7 +482,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 		res.RankBounds = points
 
 	case OpHistogram:
-		sol, err := g.solution(e.solver)
+		sol, err := g.solution()
 		if err != nil {
 			res.Error = Errorf(CodeNotConverged, "%v", err)
 			return res

@@ -78,7 +78,7 @@ func TestGroupByGroupEqualsCoveringPrefix(t *testing.T) {
 						t.Fatalf("group %q marshals to other bytes than prefix %q", g.label, prefix)
 					}
 				}
-				if !b.Caps.Cascade {
+				if !b.HasMoments() {
 					return
 				}
 				// The answers, not just the records: every group's stats and

@@ -98,9 +98,9 @@ type Evaluator struct {
 }
 
 // NewEvaluator wires an Evaluator for the given serving backend, with the
-// default solver options and worker bound a shard node's engine runs. The
-// backend must match the shard nodes' configuration — the fingerprint
-// travels in the partials frame so mismatches are caught on decode.
+// worker bound a shard node's engine runs. The backend must match the
+// shard nodes' configuration — the fingerprint travels in the partials
+// frame so mismatches are caught on decode.
 func NewEvaluator(backend sketch.Backend) *Evaluator {
 	return &Evaluator{e: Engine{backend: backend, sep: ".", workers: runtime.GOMAXPROCS(0)}}
 }
@@ -146,7 +146,7 @@ func (ev *Evaluator) prepare(merged []MergedGroup) []*group {
 		g := newGroup(mg.Sum, mg.Keys)
 		g.label = mg.Label
 		g.window = mg.Window
-		if mg.Window != nil && ev.e.backend.Caps.WarmStart && prev != nil && prev.window != nil {
+		if mg.Window != nil && ev.e.backend.HasMoments() && prev != nil && prev.window != nil {
 			g.prev = prev
 		}
 		groups[i] = g

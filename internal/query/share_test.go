@@ -19,7 +19,7 @@ func maxentOnlyThreshold(t *testing.T, e *Engine, key string) (float64, float64)
 	if qerr != nil {
 		t.Fatal(qerr)
 	}
-	sol, err := maxent.SolveSketch(groups[0].sk, e.solver)
+	sol, err := maxent.SolveSketch(groups[0].sk, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

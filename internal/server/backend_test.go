@@ -165,28 +165,25 @@ func sampleRankOf(sorted []float64, x float64) float64 {
 	return float64(sort.SearchFloat64s(sorted, x)) / float64(len(sorted))
 }
 
-// TestBackendStatsEcho: /v1/stats must name the serving backend and its
-// capability flags.
+// TestBackendStatsEcho: /v1/stats must name the serving backend by its
+// fingerprint, the one backend identity (there are no capability flags).
 func TestBackendStatsEcho(t *testing.T) {
 	_, srv := newBackendServer(t, sketch.TDigestBackend(200))
 	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		Backend string      `json:"backend"`
-		Caps    sketch.Caps `json:"backend_caps"`
-	}
+	var out map[string]any
 	err = json.NewDecoder(resp.Body).Decode(&out)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Backend != "tdigest(c=200)" {
-		t.Errorf("backend = %q, want tdigest(c=200)", out.Backend)
+	if out["backend"] != "tdigest(c=200)" {
+		t.Errorf("backend = %v, want tdigest(c=200)", out["backend"])
 	}
-	if out.Caps.Sub || out.Caps.Cascade || !out.Caps.Snapshot {
-		t.Errorf("backend_caps = %+v", out.Caps)
+	if caps, ok := out["backend_caps"]; ok {
+		t.Errorf("backend_caps = %v, want no such field", caps)
 	}
 }
 

@@ -60,7 +60,6 @@ func NewCoordinator(coord *cluster.Coordinator) *Server {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"mode":           "coordinator",
 			"backend":        b.Fingerprint(),
-			"backend_caps":   b.Caps,
 			"uptime_seconds": time.Since(s.start).Seconds(),
 			"coordinator":    coord.Stats(),
 		})

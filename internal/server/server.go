@@ -510,7 +510,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"shards":         s.store.NumShards(),
 		"order":          s.store.Order(),
 		"backend":        b.Fingerprint(),
-		"backend_caps":   b.Caps,
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"cascade": map[string]any{
 			"queries":       cs.Queries,

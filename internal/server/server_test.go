@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/encoding"
 	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/sketch"
@@ -206,8 +207,9 @@ func TestQuantileErrors(t *testing.T) {
 // TestUnencodableResponseAnswersInternal: a key holding MaxFloat64 (and 1)
 // makes stats and quantiles non-finite, which JSON cannot carry. The
 // response must be the typed 500 internal envelope, never a 2xx with an
-// empty body. /ingest refuses such a value (TestIngestDomain), so the key
-// is written to the store directly, as a restored snapshot still can.
+// empty body. /ingest refuses such a value (TestIngestDomain) and /restore
+// such a vector (TestSnapshotRestoreOverHTTP), so the key is written to the
+// store directly.
 func TestUnencodableResponseAnswersInternal(t *testing.T) {
 	ts, store := newTestServer(t)
 	store.Add("huge", math.MaxFloat64)
@@ -574,6 +576,30 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStatus(t, resp, http.StatusBadRequest)
+
+	// The same snapshot with one key's Pow[1] set to +Inf: a typed 400
+	// naming the corrupt record, and the store keeps what it held.
+	key := store.Keys("")[0]
+	sk, _ := store.Sketch(key)
+	at := bytes.Index(snap, encoding.Marshal(sk))
+	if at < 0 {
+		t.Fatalf("record of %q not found in the snapshot", key)
+	}
+	sk.Pow[1] = math.Inf(1)
+	poisoned := append([]byte(nil), snap...)
+	copy(poisoned[at:], encoding.Marshal(sk))
+	resp, err = http.Post(ts.URL+"/restore", "application/octet-stream", bytes.NewReader(poisoned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = wantStatus(t, resp, http.StatusBadRequest)
+	if env, _ := m["error"].(map[string]any); env == nil || env["code"] != query.CodeInvalid ||
+		!strings.Contains(fmt.Sprint(env["message"]), encoding.ErrCorrupt.Error()) {
+		t.Errorf("non-finite restore: body %v, want %q naming %q", m, query.CodeInvalid, encoding.ErrCorrupt)
+	}
+	if store.Len() != 4 || store.TotalCount() != 8000 {
+		t.Errorf("refused restore changed the store: %d keys, %v observations", store.Len(), store.TotalCount())
+	}
 }
 
 // TestConcurrentServerStress drives ingest and every query endpoint from

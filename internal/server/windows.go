@@ -94,7 +94,7 @@ func (s *Server) handleWindowsV1(w http.ResponseWriter, r *http.Request) {
 			"store has no time panes; start the server with a pane width to enable window scans"))
 		return
 	}
-	if !s.store.Backend().Caps.Cascade {
+	if !s.store.Backend().HasMoments() {
 		// The scan's cascade reads moment bounds only the moments backend
 		// carries; sliding-window thresholds on other backends go through
 		// /v1/query window selections instead.
@@ -137,14 +137,7 @@ func (s *Server) handleWindowsV1(w http.ResponseWriter, r *http.Request) {
 	if req.Phi != nil {
 		phi = *req.Phi
 	}
-	raws, ok := ps.MomentsPanes()
-	if !ok {
-		// Unreachable given the backend guard above; kept so a future
-		// backend with Cascade but non-moments panes fails loudly.
-		writeQueryError(w, query.Errorf(query.CodeBackendUnsupported,
-			"/v1/windows requires moments panes (serving %q)", s.store.Backend().Name))
-		return
-	}
+	raws, _ := ps.MomentsPanes() // a moments store's panes are moments
 	cfg := cascade.Full()
 	res, err := window.ScanMomentsContext(r.Context(), raws, req.Width, *req.T, phi, cfg, maxent.Options{})
 	if err != nil {

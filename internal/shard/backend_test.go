@@ -248,14 +248,12 @@ func TestSnapshotBackendMismatch(t *testing.T) {
 		t.Errorf("tdigest(c=100) snapshot into tdigest(c=200) store: %v", err)
 	}
 
-	// Legacy moments v1 and moments v3 into a non-moments store.
+	// Moments v3 into a non-moments store.
 	m := New(WithShards(2))
 	m.Add("k", 1)
-	for _, snap := range [][]byte{readGolden(t, "snapshot-v1.golden"), snapshotBytes(t, m)} {
-		if err := td.Restore(bytes.NewReader(snap)); err == nil ||
-			!strings.Contains(err.Error(), "does not match store backend") {
-			t.Errorf("moments snapshot (version %d) into tdigest store: %v", snap[len(snapMagic)], err)
-		}
+	if err := td.Restore(bytes.NewReader(snapshotBytes(t, m))); err == nil ||
+		!strings.Contains(err.Error(), "does not match store backend") {
+		t.Errorf("moments snapshot into tdigest store: %v", err)
 	}
 
 	// tdigest v3 into a moments store.

@@ -241,7 +241,7 @@ func TestPrefixRangeBinarySearch(t *testing.T) {
 func TestFlatPublishMatchesServingFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, core.DefaultK, core.MaxK} {
-		s := New(WithShards(4), WithOrder(k))
+		s := New(WithShards(4), WithBackend(sketch.MomentsBackend(k)))
 		b := s.NewBatch()
 		for i := 0; i < 3000; i++ {
 			key := fmt.Sprintf("svc%d.h%02d", rng.Intn(4), rng.Intn(30))

@@ -16,12 +16,12 @@
 //
 // The store stores; estimation belongs to internal/query. Reads hand out
 // independent clones (Summary, Match) or merged rollups (MergePrefix,
-// MergeGroups), so no solve ever runs under a stripe lock. On backends with
-// sketch.Caps.FastClone (moments) the timeless reads never take a stripe
-// lock at all: every commit publishes an immutable flat copy of each
-// touched entry's moment vector, and reads traverse atomic loads (see
-// published.go). Other backends read under the lock. The choice follows
-// the backend's capability flag alone; there is no option. Sketch returns
+// MergeGroups), so no solve ever runs under a stripe lock. On moments
+// stores the timeless reads never take a stripe lock at all: every commit
+// publishes an immutable flat copy of each touched entry's moment vector,
+// and reads traverse atomic loads (see published.go). Other backends read
+// under the lock. The choice follows the backend alone; there is no
+// option. Sketch returns
 // the raw moments view and reports false on non-moments backends.
 //
 // There is one write path: Add/AddAt, or a Batch whose observations become
@@ -43,9 +43,9 @@
 // With WithWindow the store gains a time dimension (§7.2.2): each key
 // keeps, alongside its all-time sketch, a ring of fixed-width time panes
 // plus a rolling "retained" sketch equal to the sum of the live panes.
-// Ingest stamps each observation's pane; on Sub-capable backends (moments)
-// expiry is turnstile — the expiring pane's power sums are subtracted from
-// the rolling sketch (two O(k) vector operations per pane transition,
+// Ingest stamps each observation's pane; on moments stores expiry is
+// turnstile — the expiring pane's power sums are subtracted from the
+// rolling sketch (two O(k) vector operations per pane transition,
 // amortized O(1) per observation) — while backends without Sub rebuild the
 // rolling summary by an exact re-merge of the surviving panes at each
 // expiry. Windowed reads come in two shapes: Panes/PanesPrefix return a
@@ -54,10 +54,11 @@
 //
 // The full store can be serialized to a length-prefixed snapshot stream
 // (see Snapshot/Restore) built on the per-backend codecs in internal/sketch
-// and internal/encoding. Every store writes the backend-tagged format v3
-// (with the pane configuration and each key's live panes when windowed),
-// records in key-index order; Restore also reads the moments formats v1/v2
-// earlier releases wrote, and rejects any snapshot whose backend
-// fingerprint differs from the store's. Restore re-expires against the
-// wall clock and rebuilds each rolling summary by exact re-merge.
+// and internal/encoding. Every store writes, and Restore reads, only the
+// backend-tagged format v3 (with the pane configuration and each key's
+// live panes when windowed), records in key-index order. Restore rejects a
+// snapshot whose backend fingerprint differs from the store's, and any
+// record the backend codec refuses, out-of-domain moment vectors included;
+// it re-expires against the wall clock and rebuilds each rolling summary
+// by exact re-merge.
 package shard

@@ -47,7 +47,6 @@ type paneRing struct {
 	slots    []paneSlot
 	retained sketch.Serving
 	newFn    func() sketch.Serving
-	sub      bool // backend supports turnstile Sub
 	// cur is the highest pane index the ring has advanced to; the live
 	// range is (cur-len(slots), cur]. -1 until the first observation.
 	cur int64
@@ -59,7 +58,6 @@ func (s *Store) newPaneRing() *paneRing {
 		slots:    make([]paneSlot, s.retention),
 		retained: s.backend.New(),
 		newFn:    s.backend.New,
-		sub:      s.backend.Caps.Sub,
 		cur:      -1,
 	}
 	for i := range r.slots {
@@ -69,11 +67,12 @@ func (s *Store) newPaneRing() *paneRing {
 }
 
 // advance expires every pane that falls out of the live range when the ring
-// moves forward to pane p. On Sub-capable backends expiry is the turnstile
-// subtraction: each expiring pane's power sums are removed from the rolling
-// retained summary, costing O(min(p-cur, retention)) pane transitions,
-// independent of how many observations the panes held. Other backends
-// rebuild retained by an exact re-merge of the surviving panes.
+// moves forward to pane p. When the summary is a sketch.Subber (moments)
+// expiry is the turnstile subtraction: each expiring pane's power sums are
+// removed from the rolling retained summary, costing O(min(p-cur,
+// retention)) pane transitions, independent of how many observations the
+// panes held. Other backends rebuild retained by an exact re-merge of the
+// surviving panes.
 func (r *paneRing) advance(p int64) {
 	if p <= r.cur {
 		return
@@ -93,15 +92,16 @@ func (r *paneRing) advance(p int64) {
 		r.cur = p
 		return
 	}
+	sub, canSub := r.retained.(sketch.Subber)
 	expired := false
 	for q := r.cur + 1; q <= p; q++ {
 		s := &r.slots[q%n]
 		if s.idx >= 0 {
-			if r.sub {
+			if canSub {
 				// s holds pane q-retention, the one sliding out of the live
 				// range. Sub cannot fail here: retained's count is the exact
 				// integer-arithmetic sum of the live panes' counts.
-				_ = r.retained.(sketch.Subber).Sub(s.sk)
+				_ = sub.Sub(s.sk)
 			}
 			s.sk.Reset()
 			s.idx = -1
@@ -109,7 +109,7 @@ func (r *paneRing) advance(p int64) {
 		}
 	}
 	r.cur = p
-	if expired && !r.sub {
+	if expired && !canSub {
 		// Exact re-merge fallback for backends without turnstile Sub.
 		r.retained.Reset()
 		for i := range r.slots {

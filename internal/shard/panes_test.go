@@ -449,53 +449,46 @@ func TestWindowedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionMismatches: a windowed snapshot — legacy v2 or v3 with
-// the panes flag — restores only into a store with the same pane
-// configuration, while a timeless one — legacy v1 or v3 — loads into a
-// windowed store with empty panes.
+// TestSnapshotVersionMismatches: a windowed snapshot (the panes flag set)
+// restores only into a store with the same pane configuration, while a
+// timeless one loads into a windowed store with empty panes.
 func TestSnapshotVersionMismatches(t *testing.T) {
 	clock := &fakeClock{t: goldenClock}
 	windowed := New(WithShards(2), WithWindow(time.Second, 8), WithClock(clock.now))
 	windowed.Add("k", 1)
 	timeless := New(WithShards(2))
 	timeless.Add("k", 42)
-	for _, tc := range []struct {
-		name            string
-		windowed, plain []byte
-	}{
-		{"legacy", readGolden(t, "snapshot-v2.golden"), readGolden(t, "snapshot-v1.golden")},
-		{"v3", snapshotBytes(t, windowed), snapshotBytes(t, timeless)},
-	} {
-		plain := New(WithShards(2))
-		if err := plain.Restore(bytes.NewReader(tc.windowed)); err == nil ||
-			!strings.Contains(err.Error(), "without time panes") {
-			t.Errorf("%s: windowed restore into timeless store: %v", tc.name, err)
-		}
-		other := New(WithShards(2), WithWindow(2*time.Second, 8), WithClock(clock.now))
-		if err := other.Restore(bytes.NewReader(tc.windowed)); err == nil ||
-			!strings.Contains(err.Error(), "pane config") {
-			t.Errorf("%s: windowed restore with mismatched pane config: %v", tc.name, err)
-		}
+	windowedSnap, plainSnap := snapshotBytes(t, windowed), snapshotBytes(t, timeless)
 
-		// Timeless into a windowed store: accepted, panes start empty.
-		if err := plain.Restore(bytes.NewReader(tc.plain)); err != nil {
+	plain := New(WithShards(2))
+	if err := plain.Restore(bytes.NewReader(windowedSnap)); err == nil ||
+		!strings.Contains(err.Error(), "without time panes") {
+		t.Errorf("windowed restore into timeless store: %v", err)
+	}
+	other := New(WithShards(2), WithWindow(2*time.Second, 8), WithClock(clock.now))
+	if err := other.Restore(bytes.NewReader(windowedSnap)); err == nil ||
+		!strings.Contains(err.Error(), "pane config") {
+		t.Errorf("windowed restore with mismatched pane config: %v", err)
+	}
+
+	// Timeless into a windowed store: accepted, panes start empty.
+	if err := plain.Restore(bytes.NewReader(plainSnap)); err != nil {
+		t.Fatal(err)
+	}
+	into := newWindowedStore(clock, time.Second, 4)
+	if err := into.Restore(bytes.NewReader(plainSnap)); err != nil {
+		t.Fatalf("timeless restore into windowed store: %v", err)
+	}
+	if got, want := into.TotalCount(), plain.TotalCount(); got != want || got == 0 {
+		t.Errorf("all-time count = %v, want %v", got, want)
+	}
+	for _, k := range into.Keys("") {
+		retained, err := into.Retained(k)
+		if err != nil {
 			t.Fatal(err)
 		}
-		into := newWindowedStore(clock, time.Second, 4)
-		if err := into.Restore(bytes.NewReader(tc.plain)); err != nil {
-			t.Fatalf("%s: timeless restore into windowed store: %v", tc.name, err)
-		}
-		if got, want := into.TotalCount(), plain.TotalCount(); got != want || got == 0 {
-			t.Errorf("%s: all-time count = %v, want %v", tc.name, got, want)
-		}
-		for _, k := range into.Keys("") {
-			retained, err := into.Retained(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !retained.IsEmpty() {
-				t.Errorf("%s: timeless restore produced non-empty panes for %s (count %v)", tc.name, k, retained.Count())
-			}
+		if !retained.IsEmpty() {
+			t.Errorf("timeless restore produced non-empty panes for %s (count %v)", k, retained.Count())
 		}
 	}
 }

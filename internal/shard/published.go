@@ -13,8 +13,7 @@ import (
 )
 
 // Wait-free snapshot reads (the Quancurrent idea, arXiv 2208.09265): on
-// backends whose Clone is a cheap flat copy (sketch.Caps.FastClone — the
-// moments vector), every write commit publishes an immutable, version-
+// moments stores, whose summary is a flat O(k) vector, every write commit publishes an immutable, version-
 // stamped copy of the touched entry's moment vector through an atomic
 // pointer: one flat record (published) holding min, max, count, log-count
 // and the 2k power sums, in two allocations. Every store, whatever its
@@ -48,8 +47,8 @@ import (
 //     key added, so there is one build path.
 //   - One walk: every multi-key read is a visitor of walk, which follows
 //     keyRange, stripes in order — wait-free, or under the stripe lock
-//     (where the index is the live key set) on backends without FastClone
-//     and for pane reads, which advance rings in place. A published record
+//     (where the index is the live key set) on non-moments backends and
+//     for pane reads, which advance rings in place. A published record
 //     is bit-identical to the entry it was copied from, and mergeInto folds
 //     it with the same core.(*Sketch).Merge, from the same backend.New()
 //     start, as the locked fold, so every rollup, group, pane series and
@@ -293,7 +292,7 @@ func (f *atomicFloat64) Load() float64 {
 // served on /v1/stats as the read_path section.
 type ReadStats struct {
 	// WaitFree reports whether the store publishes snapshots for wait-free
-	// reads (the backend has FastClone).
+	// reads (a moments store).
 	WaitFree bool `json:"wait_free"`
 	// PublishedReads counts read operations answered entirely from
 	// published snapshots or key indexes, without taking any stripe lock
@@ -301,7 +300,7 @@ type ReadStats struct {
 	// here on every store).
 	PublishedReads uint64 `json:"published_reads"`
 	// LockedReads counts read operations that took stripe locks: every read
-	// but Keys on a backend without FastClone, plus the windowed pane reads
+	// but Keys on a non-moments backend, plus the windowed pane reads
 	// (Panes, Retained and friends), which advance rings in place and stay
 	// locked on every store.
 	LockedReads uint64 `json:"locked_reads"`

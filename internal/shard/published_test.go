@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sketch"
 )
 
@@ -26,14 +25,10 @@ func marshalOf(t *testing.T, s *Store, sum sketch.Serving) []byte {
 	return b
 }
 
-// lockedMoments is the twin suites' locked reference: the moments backend
-// with FastClone cleared, so the store publishes nothing and every read
-// takes the stripe locks — the path backends without FastClone serve from.
-func lockedMoments() Option {
-	b := sketch.MomentsBackend(core.DefaultK)
-	b.Caps.FastClone = false
-	return WithBackend(b)
-}
+// lockedMoments is the twin suites' locked reference: a moments store that
+// publishes nothing, so every read takes the stripe locks — the path
+// non-moments backends serve from.
+func lockedMoments() Option { return func(c *storeConfig) { c.locked = true } }
 
 // assertReadEquivalence asserts every timeless read API of a (wait-free)
 // and b (locked twin) answers byte-identically: same keys, same counts,
@@ -162,7 +157,7 @@ func TestWaitFreeEquivalence(t *testing.T) {
 		assertReadEquivalence(t, fmt.Sprintf("round %d", round), a, b, true)
 	}
 	// The suite compares against a store that is really locked: the
-	// FastClone-cleared reference never published through all of the above.
+	// locked reference never published through all of the above.
 	if st := b.ReadStats(); st.WaitFree || st.Publishes != 0 {
 		t.Fatalf("locked reference store published: %+v", st)
 	}
@@ -498,10 +493,10 @@ func TestReadStatsCounters(t *testing.T) {
 		t.Fatalf("locked store Keys should count as one published read: %+v", st)
 	}
 
-	// Non-FastClone backends never publish.
+	// Non-moments backends never publish.
 	td := New(WithShards(2), WithBackend(sketch.TDigestBackend(50)))
 	if td.ReadStats().WaitFree {
-		t.Fatal("tdigest store must serve locked reads (no FastClone)")
+		t.Fatal("tdigest store must serve locked reads")
 	}
 
 	// Windowed reads are locked on every store.

@@ -49,9 +49,9 @@ type Observation struct {
 // pub is the entry's published read snapshot (see published.go): an
 // immutable, version-stamped copy of the all-time moment vector,
 // republished on every commit while the stripe lock is still held. It is
-// nil on stores whose backend lacks FastClone. The guardedby directive
-// covers the mutable fields; pub is its own synchronization and is read
-// lock-free.
+// nil on stores that do not publish (see waitFree). The guardedby
+// directive covers the mutable fields; pub is its own synchronization and
+// is read lock-free.
 //
 //lint:guardedby stripe.mu
 type entry struct {
@@ -93,8 +93,8 @@ type stripe struct {
 // serving backend (per-key moments sketches by default). All methods are
 // safe for concurrent use.
 type Store struct {
-	k         int
 	backend   sketch.Backend
+	locked    bool // moments without published reads (storeConfig.locked)
 	mask      uint64
 	stripes   []stripe
 	paneWidth int64 // pane width in nanoseconds; 0 = no time panes
@@ -135,12 +135,16 @@ type Journal interface {
 type Option func(*storeConfig)
 
 type storeConfig struct {
-	k         int
 	backend   sketch.Backend
 	shards    int
 	paneWidth time.Duration
 	retention int
 	now       func() time.Time
+	// locked serves a moments store from the stripe locks, the path every
+	// other backend reads through. No Option sets it: it exists for the
+	// wait-free suites' locked twin, which the published reads must match
+	// byte for byte.
+	locked bool
 }
 
 // WithShards sets the number of lock stripes (rounded up to a power of two,
@@ -148,19 +152,12 @@ type storeConfig struct {
 // contend.
 func WithShards(n int) Option { return func(c *storeConfig) { c.shards = n } }
 
-// WithOrder sets the moments-sketch order k for new keys (default
-// core.DefaultK). It only applies to the default moments backend; stores
-// built WithBackend carry their parameter in the backend itself.
-func WithOrder(k int) Option { return func(c *storeConfig) { c.k = k } }
-
 // WithBackend selects the serving summary backend for every key of the
-// store (default: the moments backend at the configured order; an explicit
-// moments backend overrides WithOrder with its own order). Non-moments
-// backends trade the moments sketch's moment structure — turnstile pane
-// expiry, threshold cascades, warm-started solves — for their own accuracy
-// profiles; the store degrades those paths per the backend's capability
-// flags (e.g. pane expiry falls back to exact re-merges when the backend
-// lacks Sub).
+// store (default: the moments backend at core.DefaultK; a moments backend
+// carries its own order k). Non-moments backends trade the moments
+// sketch's moment structure — turnstile pane expiry, threshold cascades,
+// warm-started solves, wait-free reads — for their own accuracy profiles;
+// the store serves them by exact pane re-merges and locked reads.
 func WithBackend(b sketch.Backend) Option { return func(c *storeConfig) { c.backend = b } }
 
 // WithWindow adds a time dimension to the store: alongside its all-time
@@ -182,27 +179,15 @@ func WithClock(now func() time.Time) Option {
 	return func(c *storeConfig) { c.now = now }
 }
 
-// New returns an empty store. Like core.New, it panics if the configured
-// order is outside [1, core.MaxK] — failing at construction rather than on
-// the first ingested observation.
+// New returns an empty store. It panics on a window retention outside
+// [2, MaxRetention].
 func New(opts ...Option) *Store {
-	cfg := storeConfig{k: core.DefaultK}
+	var cfg storeConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.k < 1 || cfg.k > core.MaxK {
-		panic(fmt.Sprintf("shard: sketch order %d outside [1,%d]", cfg.k, core.MaxK))
-	}
 	if cfg.backend.IsZero() {
-		cfg.backend = sketch.MomentsBackend(cfg.k)
-	} else if cfg.backend.Caps.FastClone && sketch.RawMoments(cfg.backend.New()) == nil {
-		// Published snapshots are flat moment vectors (see published.go).
-		panic(fmt.Sprintf("shard: FastClone backend %s does not carry moments", cfg.backend.Fingerprint()))
-	} else if o := cfg.backend.Order(); o > 0 {
-		// An explicitly supplied moments backend carries its own order; the
-		// store's k (snapshot headers, Order()) must agree with the sketches
-		// the backend actually constructs.
-		cfg.k = o
+		cfg.backend = sketch.MomentsBackend(core.DefaultK)
 	}
 	if cfg.paneWidth < 0 || (cfg.paneWidth > 0 && (cfg.retention < 2 || cfg.retention > MaxRetention)) {
 		panic(fmt.Sprintf("shard: window retention %d outside [2,%d]", cfg.retention, MaxRetention))
@@ -218,8 +203,8 @@ func New(opts ...Option) *Store {
 		n <<= 1
 	}
 	s := &Store{
-		k:       cfg.k,
 		backend: cfg.backend,
+		locked:  cfg.locked,
 		mask:    uint64(n - 1),
 		stripes: make([]stripe, n),
 		now:     cfg.now,
@@ -236,13 +221,12 @@ func New(opts ...Option) *Store {
 
 // waitFree reports whether commits publish immutable entry snapshots for
 // wait-free reads (see published.go; key indexes are published on every
-// store). It is the backend's capability and nothing else: no option
-// overrides it.
-func (s *Store) waitFree() bool { return s.backend.Caps.FastClone }
+// store): on moments stores, whose summaries are flat O(k) vectors.
+func (s *Store) waitFree() bool { return s.backend.HasMoments() && !s.locked }
 
-// Order returns the moments-sketch order used for new keys. It is only
-// meaningful on stores serving the default moments backend.
-func (s *Store) Order() int { return s.k }
+// Order returns the moments-sketch order k of a moments store, and 0 on
+// every other backend.
+func (s *Store) Order() int { return s.backend.Order() }
 
 // Backend returns the store's serving summary backend.
 func (s *Store) Backend() sketch.Backend { return s.backend }
@@ -725,43 +709,38 @@ func (s *Store) KeyVersion(key string) (uint64, bool) {
 	return e.version, true
 }
 
-// Snapshot format: a "MDSS" magic, a format version, a version-specific
-// header, then one length-prefixed record per key, terminated by a trailer
-// (an all-ones key-length sentinel followed by the record count) so
-// truncation — even at a record boundary — is always detectable. See
-// internal/encoding and internal/sketch's codecs for the payload formats.
+// Snapshot format: a "MDSS" magic, the format version, a header, then one
+// length-prefixed record per key, terminated by a trailer (an all-ones
+// key-length sentinel followed by the record count) so truncation — even
+// at a record boundary — is always detectable. See internal/encoding and
+// internal/sketch's codecs for the payload formats.
 //
-// Every store writes version 3. Its header carries the backend's
-// length-prefixed fingerprint (e.g. "moments(k=10)", "tdigest(c=100)") and a
-// flags byte whose bit 0 marks a windowed store, followed when set by the
-// pane configuration (width in nanoseconds, retention). Each record is the
-// key, its all-time payload in the backend's codec and, on windowed stores,
-// the key's live panes as a pane count followed by (absolute pane index,
-// payload) pairs. Records come in key-index order (stripes in order, keys
-// ascending within a stripe), so the same store state always gives the same
-// bytes. Restore rejects a snapshot whose backend fingerprint does not match
-// the store's, so summaries from different backends — or differently
-// parameterized ones — can never be mixed.
+// Every store writes version 3, the only version Restore reads (the
+// moments-only versions 1 and 2 of earlier releases are refused). Its
+// header carries the backend's length-prefixed fingerprint (e.g.
+// "moments(k=10)", "tdigest(c=100)") and a flags byte whose bit 0 marks a
+// windowed store, followed when set by the pane configuration (width in
+// nanoseconds, retention). Each record is the key, its all-time payload in
+// the backend's codec and, on windowed stores, the key's live panes as a
+// pane count followed by (absolute pane index, payload) pairs. Records
+// come in key-index order (stripes in order, keys ascending within a
+// stripe), so the same store state always gives the same bytes. Restore
+// rejects a snapshot whose backend fingerprint does not match the store's,
+// so summaries from different backends — or differently parameterized
+// ones — can never be mixed.
 //
 // Pane indices are absolute (unix nanoseconds / width), so a restored store
 // re-expires against the wall clock: panes that aged out while the snapshot
 // sat on disk are dropped during Restore, and each key's rolling retained
 // sketch is rebuilt by an exact re-merge of the live panes (clearing any
 // turnstile floating-point drift).
-//
-// Restore still reads the two moments-only formats earlier releases wrote:
-// version 1, whose header is a sketch-order byte in place of the
-// fingerprint and flags, and version 2, which adds the pane configuration
-// to that header and the live panes to each record.
 const (
 	snapMagic      = "MDSS"
-	snapVersion    = 1
-	snapVersionV2  = 2
-	snapVersionV3  = 3
+	snapVersion    = 3
 	snapEndMarker  = ^uint64(0) // key-length sentinel introducing the trailer
 	maxSnapPayload = 1 << 24    // per-sketch payload cap
-	maxFingerprint = 256        // backend fingerprint length cap (v3 header)
-	snapFlagPanes  = 1          // v3 flags bit: store has time panes
+	maxFingerprint = 256        // backend fingerprint length cap
+	snapFlagPanes  = 1          // flags bit: store has time panes
 )
 
 // MaxKeyLen is the longest key the snapshot format round-trips (1 MiB).
@@ -776,11 +755,8 @@ const MaxKeyLen = 1 << 20
 // internally consistent; keys ingested during the snapshot may or may not
 // appear.
 func (s *Store) Snapshot(w io.Writer) error {
-	if !s.backend.Caps.Snapshot {
-		return fmt.Errorf("shard: backend %s does not support snapshots", s.backend.Fingerprint())
-	}
 	fp := s.backend.Fingerprint()
-	hdr := append([]byte(snapMagic), snapVersionV3)
+	hdr := append([]byte(snapMagic), snapVersion)
 	hdr = binary.AppendUvarint(hdr, uint64(len(fp)))
 	hdr = append(hdr, fp...)
 	nowPane := int64(0)
@@ -862,10 +838,15 @@ func (s *Store) appendRecordLocked(buf []byte, key string, e *entry, nowPane int
 }
 
 // Restore replaces the store's contents with a snapshot previously written
-// by Snapshot. The snapshot's sketch order must match the store's. The
-// whole stream — including the truncation-detecting trailer — is decoded
-// and validated into a staging area first, so a bad or cut-short snapshot
-// leaves the store untouched.
+// by Snapshot. The snapshot's backend fingerprint must match the store's.
+// The whole stream — including the truncation-detecting trailer — is
+// decoded and validated into a staging area first, so a bad or cut-short
+// snapshot leaves the store untouched. That includes a record the
+// backend codec refuses as out of domain (a non-finite or impossible
+// moment vector, encoding.ErrCorrupt): the whole restore fails with that
+// error rather than dropping the key, because a snapshot holding such a
+// record was not written by Snapshot and nothing else in it can be
+// trusted either.
 func (s *Store) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(snapMagic)+1)
@@ -875,8 +856,29 @@ func (s *Store) Restore(r io.Reader) error {
 	if string(head[:len(snapMagic)]) != snapMagic {
 		return errors.New("shard: not a snapshot stream (bad magic)")
 	}
-	version := head[len(snapMagic)]
-	readPaneConfig := func() error {
+	if version := head[len(snapMagic)]; version != snapVersion {
+		return fmt.Errorf("shard: unsupported snapshot version %d", version)
+	}
+	fpLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return fmt.Errorf("shard: reading snapshot backend fingerprint: %w", err)
+	}
+	if fpLen > maxFingerprint {
+		return errors.New("shard: implausible backend fingerprint length in snapshot")
+	}
+	fp := make([]byte, fpLen)
+	if _, err := io.ReadFull(br, fp); err != nil {
+		return fmt.Errorf("shard: reading snapshot backend fingerprint: %w", err)
+	}
+	if string(fp) != s.backend.Fingerprint() {
+		return fmt.Errorf("shard: snapshot backend %s does not match store backend %s", fp, s.backend.Fingerprint())
+	}
+	flags, err := br.ReadByte()
+	if err != nil {
+		return fmt.Errorf("shard: reading snapshot header: %w", err)
+	}
+	snapPanes := flags&snapFlagPanes != 0
+	if snapPanes {
 		width, err := binary.ReadUvarint(br)
 		if err != nil {
 			return fmt.Errorf("shard: reading snapshot pane config: %w", err)
@@ -892,57 +894,6 @@ func (s *Store) Restore(r io.Reader) error {
 			return fmt.Errorf("shard: snapshot pane config (width=%s, retention=%d) does not match store (width=%s, retention=%d)",
 				time.Duration(width), retention, time.Duration(s.paneWidth), s.retention)
 		}
-		return nil
-	}
-	snapPanes := false
-	switch version {
-	case snapVersion, snapVersionV2:
-		// Implicitly a moments snapshot: the order byte is the whole
-		// backend identity.
-		kb, err := br.ReadByte()
-		if err != nil {
-			return fmt.Errorf("shard: reading snapshot header: %w", err)
-		}
-		k := int(kb)
-		if s.backend.Name != "moments" {
-			return fmt.Errorf("shard: snapshot backend moments(k=%d) does not match store backend %s", k, s.backend.Fingerprint())
-		}
-		if k != s.k {
-			return fmt.Errorf("shard: snapshot order k=%d does not match store order k=%d", k, s.k)
-		}
-		if version == snapVersionV2 {
-			if err := readPaneConfig(); err != nil {
-				return err
-			}
-			snapPanes = true
-		}
-	case snapVersionV3:
-		fpLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("shard: reading snapshot backend fingerprint: %w", err)
-		}
-		if fpLen > maxFingerprint {
-			return errors.New("shard: implausible backend fingerprint length in snapshot")
-		}
-		fp := make([]byte, fpLen)
-		if _, err := io.ReadFull(br, fp); err != nil {
-			return fmt.Errorf("shard: reading snapshot backend fingerprint: %w", err)
-		}
-		if string(fp) != s.backend.Fingerprint() {
-			return fmt.Errorf("shard: snapshot backend %s does not match store backend %s", fp, s.backend.Fingerprint())
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return fmt.Errorf("shard: reading snapshot header: %w", err)
-		}
-		if flags&snapFlagPanes != 0 {
-			if err := readPaneConfig(); err != nil {
-				return err
-			}
-			snapPanes = true
-		}
-	default:
-		return fmt.Errorf("shard: unsupported snapshot version %d", version)
 	}
 
 	type stagedPane struct {
@@ -971,9 +922,6 @@ func (s *Store) Restore(r io.Reader) error {
 		sum, err := s.backend.Unmarshal(buf)
 		if err != nil {
 			return buf, nil, fmt.Errorf("shard: decoding snapshot sketch: %w", err)
-		}
-		if raw := sketch.RawMoments(sum); raw != nil && raw.K != s.k {
-			return buf, nil, fmt.Errorf("shard: snapshot sketch order k=%d does not match store order k=%d", raw.K, s.k)
 		}
 		return buf, sum, nil
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/core"
+	"repro/internal/sketch"
 )
 
 func TestContextHelpers(t *testing.T) {
@@ -77,7 +78,7 @@ func TestMergePrefixDeterministic(t *testing.T) {
 }
 
 func TestAddAndSketch(t *testing.T) {
-	s := New(WithShards(4), WithOrder(6))
+	s := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 	if s.Order() != 6 {
 		t.Fatalf("Order() = %d, want 6", s.Order())
 	}
@@ -302,7 +303,7 @@ func TestDeleteAndReset(t *testing.T) {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	s := New(WithShards(8), WithOrder(7))
+	s := New(WithShards(8), WithBackend(sketch.MomentsBackend(7)))
 	rng := rand.New(rand.NewPCG(3, 4))
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("svc%d.host%d", i%5, i%8)
@@ -315,8 +316,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := New(WithShards(2), WithOrder(7)) // different stripe count is fine
-	r.Add("stale", 99)                    // Restore must replace, not merge
+	r := New(WithShards(2), WithBackend(sketch.MomentsBackend(7))) // different stripe count is fine
+	r.Add("stale", 99)                                             // Restore must replace, not merge
 	if err := r.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +348,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsBadInput(t *testing.T) {
-	s := New(WithOrder(10))
+	s := New(WithBackend(sketch.MomentsBackend(10)))
 	if err := s.Restore(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	other := New(WithOrder(5))
+	other := New(WithBackend(sketch.MomentsBackend(5)))
 	other.Add("a", 1)
 	var buf bytes.Buffer
 	if err := other.Snapshot(&buf); err != nil {
@@ -361,7 +362,7 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 		t.Error("order mismatch accepted")
 	}
 	// Truncated stream (mid-trailer).
-	good := New(WithOrder(10))
+	good := New(WithBackend(sketch.MomentsBackend(10)))
 	good.Add("a", 1)
 	buf.Reset()
 	if err := good.Snapshot(&buf); err != nil {

@@ -3,8 +3,11 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -20,7 +23,7 @@ import (
 // corruptionSeedStore builds a small store with deterministic contents.
 func corruptionSeedStore(t testing.TB) *Store {
 	t.Helper()
-	s := New(WithShards(4), WithOrder(6))
+	s := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 	b := s.NewBatch()
 	for i, key := range []string{"us.web", "us.db", "eu.web", "ap.cache"} {
 		for j := 0; j <= i; j++ {
@@ -46,7 +49,7 @@ func snapshotBytes(t testing.TB, s *Store) []byte {
 // message fragment and that the target store is untouched by the attempt.
 func requireRestoreRejects(t *testing.T, data []byte, wantErr string) {
 	t.Helper()
-	st := New(WithShards(4), WithOrder(6))
+	st := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 	b := st.NewBatch()
 	b.Add("sentinel.key", 42)
 	b.Flush()
@@ -67,7 +70,7 @@ func requireRestoreRejects(t *testing.T, data []byte, wantErr string) {
 // snapshots start with: everything an empty store of the same shape writes
 // before its trailer (the 10-byte end marker and a 1-byte zero count).
 func snapshotHeaderLen(t testing.TB) int {
-	return len(snapshotBytes(t, New(WithShards(4), WithOrder(6)))) - 11
+	return len(snapshotBytes(t, New(WithShards(4), WithBackend(sketch.MomentsBackend(6))))) - 11
 }
 
 func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
@@ -84,14 +87,17 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		requireRestoreRejects(t, seed[:3], "reading snapshot header")
 	})
 	t.Run("unsupported-version", func(t *testing.T) {
-		data := append([]byte(nil), seed...)
-		data[4] = 0x7f
-		requireRestoreRejects(t, data, "unsupported snapshot version")
+		// 1 and 2 are the moments-only versions of earlier releases.
+		for _, v := range []byte{1, 2, 0x7f} {
+			data := append([]byte(nil), seed...)
+			data[4] = v
+			requireRestoreRejects(t, data, "unsupported snapshot version")
+		}
 	})
 	t.Run("order-mismatch", func(t *testing.T) {
-		data := readGolden(t, "snapshot-v1.golden")
-		data[5] = 9 // the legacy v1 header's moments order byte
-		requireRestoreRejects(t, data, "does not match store order")
+		s := New(WithShards(4), WithBackend(sketch.MomentsBackend(9)))
+		s.Add("k9.key", 1)
+		requireRestoreRejects(t, snapshotBytes(t, s), "does not match store backend")
 	})
 	t.Run("torn-mid-records", func(t *testing.T) {
 		requireRestoreRejects(t, seed[:len(seed)/2], "snapshot")
@@ -117,7 +123,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		for off := hdr; off < len(seed); off += 7 {
 			data := append([]byte(nil), seed...)
 			data[off] ^= 0x40
-			st := New(WithShards(4), WithOrder(6))
+			st := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 			if err := st.Restore(bytes.NewReader(data)); err != nil {
 				continue // rejected: the common case
 			}
@@ -132,6 +138,19 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	})
 }
 
+// snapshotWith is a timeless order-6 snapshot holding one record, key
+// "lp.key" with the given payload.
+func snapshotWith(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	data := append([]byte(nil), snapshotBytes(t, New(WithShards(4), WithBackend(sketch.MomentsBackend(6))))[:snapshotHeaderLen(t)]...)
+	data = binary.AppendUvarint(data, uint64(len("lp.key")))
+	data = append(data, "lp.key"...)
+	data = binary.AppendUvarint(data, uint64(len(payload)))
+	data = append(data, payload...)
+	data = binary.AppendUvarint(data, snapEndMarker)
+	return binary.AppendUvarint(data, 1)
+}
+
 // TestRestoreRejectsLowPrecisionPayload: a moments record in the
 // low-precision "ML" layout, which no serving path writes, is refused at
 // Restore, while the same record in the full-precision layout restores.
@@ -140,20 +159,34 @@ func TestRestoreRejectsLowPrecisionPayload(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		sk.Add(float64(i))
 	}
-	snapshotWith := func(payload []byte) []byte {
-		data := append([]byte(nil), snapshotBytes(t, New(WithShards(4), WithOrder(6)))[:snapshotHeaderLen(t)]...)
-		data = binary.AppendUvarint(data, uint64(len("lp.key")))
-		data = append(data, "lp.key"...)
-		data = binary.AppendUvarint(data, uint64(len(payload)))
-		data = append(data, payload...)
-		data = binary.AppendUvarint(data, snapEndMarker)
-		return binary.AppendUvarint(data, 1)
-	}
-	st := New(WithShards(4), WithOrder(6))
-	if err := st.Restore(bytes.NewReader(snapshotWith(encoding.Marshal(sk)))); err != nil || st.Count("lp.key") != 10 {
+	st := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
+	if err := st.Restore(bytes.NewReader(snapshotWith(t, encoding.Marshal(sk)))); err != nil || st.Count("lp.key") != 10 {
 		t.Fatalf("full-precision record: err %v, count %v", err, st.Count("lp.key"))
 	}
-	requireRestoreRejects(t, snapshotWith(encoding.MarshalLowPrecision(sk, 20)), "decoding snapshot sketch")
+	requireRestoreRejects(t, snapshotWith(t, encoding.MarshalLowPrecision(sk, 20)), "decoding snapshot sketch")
+}
+
+// nonFiniteSnapshot is a well-formed snapshot whose one record is a
+// moments vector with Pow[1] = +Inf, which no in-domain adds produce.
+func nonFiniteSnapshot(t testing.TB) []byte {
+	sk := core.New(6)
+	for i := 1; i <= 10; i++ {
+		sk.Add(float64(i))
+	}
+	sk.Pow[1] = math.Inf(1)
+	return snapshotWith(t, encoding.Marshal(sk))
+}
+
+// TestRestoreRejectsNonFiniteMoments: Restore of a record holding an
+// out-of-domain moment vector fails as a whole with encoding.ErrCorrupt —
+// a typed error, not a dropped key — and leaves the store untouched.
+func TestRestoreRejectsNonFiniteMoments(t *testing.T) {
+	data := nonFiniteSnapshot(t)
+	requireRestoreRejects(t, data, "decoding snapshot sketch")
+	st := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
+	if err := st.Restore(bytes.NewReader(data)); !errors.Is(err, encoding.ErrCorrupt) {
+		t.Fatalf("err = %v, want encoding.ErrCorrupt", err)
+	}
 }
 
 // TestRestoreTruncatedAtEveryByte drives Restore over every prefix of a
@@ -162,7 +195,7 @@ func TestRestoreRejectsLowPrecisionPayload(t *testing.T) {
 func TestRestoreTruncatedAtEveryByte(t *testing.T) {
 	seed := snapshotBytes(t, corruptionSeedStore(t))
 	for n := 0; n < len(seed); n++ {
-		st := New(WithShards(4), WithOrder(6))
+		st := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 		if err := st.Restore(bytes.NewReader(seed[:n])); err == nil {
 			t.Fatalf("truncated snapshot (%d of %d bytes) restored without error", n, len(seed))
 		}
@@ -170,7 +203,7 @@ func TestRestoreTruncatedAtEveryByte(t *testing.T) {
 			t.Fatalf("truncated snapshot (%d bytes) left %d keys in the store", n, st.Len())
 		}
 	}
-	st := New(WithShards(4), WithOrder(6))
+	st := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 	if err := st.Restore(bytes.NewReader(seed)); err != nil {
 		t.Fatalf("the untruncated snapshot must restore: %v", err)
 	}
@@ -183,7 +216,7 @@ func TestRestoreTruncatedAtEveryByte(t *testing.T) {
 // Invariants: never panic, never mutate the store on failure, and on
 // success produce a store whose own snapshot round-trips losslessly.
 func FuzzRestoreSnapshot(f *testing.F) {
-	seedStore := New(WithShards(4), WithOrder(6))
+	seedStore := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 	b := seedStore.NewBatch()
 	b.Add("us.web", 1.5)
 	b.Add("us.web", -3)
@@ -205,12 +238,13 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	huge := append([]byte(nil), seed[:snapshotHeaderLen(f)]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
-	// The legacy formats no store writes any more.
-	f.Add(readGolden(f, "snapshot-v1.golden"))
-	f.Add(readGolden(f, "snapshot-v2.golden"))
+	windowed := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)), WithWindow(time.Second, 4))
+	windowed.Add("us.web", 2.5)
+	f.Add(snapshotBytes(f, windowed))
+	f.Add(nonFiniteSnapshot(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st := New(WithShards(4), WithOrder(6))
+		st := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 		pre := st.NewBatch()
 		pre.Add("sentinel.key", 7)
 		pre.Flush()
@@ -226,7 +260,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if err := st.Snapshot(&out); err != nil {
 			t.Fatalf("restored store cannot snapshot: %v", err)
 		}
-		st2 := New(WithShards(4), WithOrder(6))
+		st2 := New(WithShards(4), WithBackend(sketch.MomentsBackend(6)))
 		if err := st2.Restore(bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("re-snapshot of a restored store does not restore: %v", err)
 		}

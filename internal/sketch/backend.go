@@ -8,39 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-// Caps declares what a serving backend can do beyond the core
-// add/merge/quantile contract. The serving stack (internal/shard,
-// internal/query, internal/server) consults these flags instead of
-// hard-coding moments-sketch behavior:
-//
-//   - Sub: turnstile subtraction — pane expiry and sliding windows cost two
-//     O(k) vector operations instead of a window re-merge. Backends without
-//     it fall back to exact pane re-merges.
-//   - Cascade: moment structure supports the paper's threshold cascade and
-//     derived estimates (cdf, rank bounds, histogram, closed-form stats).
-//     Backends without it answer thresholds by direct quantile evaluation
-//     and reject the moment-only aggregations.
-//   - WarmStart: maximum-entropy solves can seed Newton from a neighbouring
-//     window's θ. Meaningless without Cascade.
-//   - Snapshot: the backend has a binary codec, so stores built on it can
-//     write and restore snapshots.
-//   - FastClone: the summary is a MomentsCarrier whose state is its flat
-//     O(k) moment vector — reading it (Count, Merge-as-source, Marshal)
-//     never mutates internal state. Stores on such backends publish an
-//     immutable copy of every touched entry's moment vector on each write
-//     commit, so queries read the published snapshots wait-free instead of
-//     taking stripe locks. Backends whose clone is proportional to retained
-//     data (reservoirs, centroid sets) or whose reads compact lazily
-//     buffered state keep locked reads. The flag gates only those per-entry
-//     copies: every store keeps its sorted key index, whatever the backend.
-type Caps struct {
-	Sub       bool `json:"sub"`
-	Cascade   bool `json:"cascade"`
-	WarmStart bool `json:"warm_start"`
-	Snapshot  bool `json:"snapshot"`
-	FastClone bool `json:"fast_clone"`
-}
-
 // Serving extends Summary with the lifecycle operations the live serving
 // stack needs: independent clones for lock-free reads, in-place reset for
 // pooled pane rings, and an emptiness probe.
@@ -55,7 +22,7 @@ type Serving interface {
 }
 
 // Subber is the optional turnstile extension: removing a previously merged
-// summary. Only backends with Caps.Sub implement it.
+// summary. Only the moments backend implements it.
 type Subber interface {
 	// Sub removes a previously merged summary (turnstile semantics).
 	Sub(other Serving) error
@@ -74,8 +41,7 @@ type Compactor interface {
 // MomentsCarrier is implemented by serving summaries backed by a raw
 // moments sketch. Moment-structure code paths (threshold cascades, max-ent
 // solves, turnstile range tightening) extract the core sketch through it;
-// every other backend simply does not implement the interface. Only
-// backends with Caps.Cascade carry the moment structure.
+// every other backend simply does not implement the interface.
 type MomentsCarrier interface {
 	Moments() *core.Sketch
 }
@@ -90,17 +56,15 @@ func RawMoments(s Summary) *core.Sketch {
 }
 
 // Backend is a serving-grade summary family: a constructor at a fixed
-// size/accuracy parameter plus the capability flags the serving layers
-// dispatch on. The zero value is invalid; construct with MomentsBackend,
-// Merge12Backend, TDigestBackend, SamplingBackend or ParseBackend.
+// size/accuracy parameter plus its codec. The zero value is invalid;
+// construct with MomentsBackend, Merge12Backend, TDigestBackend,
+// SamplingBackend or ParseBackend.
 type Backend struct {
 	// Name is the canonical lowercase family name ("moments", "merge12",
 	// "tdigest", "sampling").
 	Name string
 	// Param describes the instantiated size parameter, e.g. "k=10".
 	Param string
-	// Caps are the family's serving capabilities.
-	Caps Caps
 	// New creates an empty serving summary.
 	New func() Serving
 
@@ -109,8 +73,7 @@ type Backend struct {
 	// decoded payload, so a hostile record cannot smuggle in a parameter —
 	// and an allocation — the backend was not configured for.
 	param int
-	// tag is the envelope codec tag (see codec.go); 0 when Snapshot is
-	// false.
+	// tag is the envelope codec tag (see codec.go); 0 on the zero value.
 	tag byte
 }
 
@@ -122,11 +85,18 @@ func (b Backend) Fingerprint() string { return b.Name + "(" + b.Param + ")" }
 // IsZero reports whether the backend is the invalid zero value.
 func (b Backend) IsZero() bool { return b.New == nil }
 
-// Order returns the moments-sketch order of a moments backend, and 0 for
-// every other family — stores use it to keep their configured order in
-// sync with an explicitly supplied moments backend.
+// HasMoments reports whether the backend serves moments sketches. Every
+// capability the serving stack dispatches on follows from that one fact:
+// the summary is the paper's vector of additive sums, so it subtracts
+// (turnstile pane expiry, sliding windows), answers the threshold cascade
+// and the moment-only aggregations, warm-starts max-ent solves, and is
+// copied in O(k) (wait-free published reads).
+func (b Backend) HasMoments() bool { return b.tag == tagMoments }
+
+// Order returns the moments-sketch order k of a moments backend, and 0 for
+// every other family.
 func (b Backend) Order() int {
-	if b.Name != "moments" {
+	if !b.HasMoments() {
 		return 0
 	}
 	return b.param
@@ -149,7 +119,6 @@ func MomentsBackend(k int) Backend {
 	return Backend{
 		Name:  "moments",
 		Param: fmt.Sprintf("k=%d", k),
-		Caps:  Caps{Sub: true, Cascade: true, WarmStart: true, Snapshot: true, FastClone: true},
 		New:   func() Serving { return NewMSketch(k) },
 		param: k,
 		tag:   tagMoments,
@@ -170,7 +139,6 @@ func Merge12Backend(k int) Backend {
 	return Backend{
 		Name:  "merge12",
 		Param: fmt.Sprintf("k=%d", k),
-		Caps:  Caps{Snapshot: true},
 		New:   func() Serving { return NewMerge12(k) },
 		param: k,
 		tag:   tagMerge12,
@@ -185,7 +153,6 @@ func TDigestBackend(compression int) Backend {
 	return Backend{
 		Name:  "tdigest",
 		Param: fmt.Sprintf("c=%d", compression),
-		Caps:  Caps{Snapshot: true},
 		New:   func() Serving { return NewTDigest(float64(compression)) },
 		param: compression,
 		tag:   tagTDigest,
@@ -200,7 +167,6 @@ func SamplingBackend(size int) Backend {
 	return Backend{
 		Name:  "sampling",
 		Param: fmt.Sprintf("n=%d", size),
-		Caps:  Caps{Snapshot: true},
 		New:   func() Serving { return NewSampling(size) },
 		param: size,
 		tag:   tagSampling,

@@ -54,37 +54,6 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-func TestBackendCaps(t *testing.T) {
-	for _, b := range servingBackends() {
-		moments := b.Name == "moments"
-		if b.Caps.Sub != moments || b.Caps.Cascade != moments || b.Caps.WarmStart != moments {
-			t.Errorf("%s: caps %+v (moment structure flags must be moments-only)", b.Name, b.Caps)
-		}
-		// FastClone gates wait-free published reads: only the moments
-		// vector copy is O(k) with pure-value read semantics. A reservoir
-		// or centroid backend advertising it would pay a proportional-to-
-		// data clone on every single write commit, and a lazily compacting
-		// one would mutate shared published state on read.
-		if b.Caps.FastClone != moments {
-			t.Errorf("%s: Caps.FastClone=%v, want %v", b.Name, b.Caps.FastClone, moments)
-		}
-		if !b.Caps.Snapshot {
-			t.Errorf("%s: expected snapshot capability", b.Name)
-		}
-		// Sub and Cascade must match the Subber and MomentsCarrier
-		// implementations: serving code asserts either interface only
-		// behind its flag.
-		_, subs := b.New().(Subber)
-		if subs != b.Caps.Sub {
-			t.Errorf("%s: Caps.Sub=%v but Subber=%v", b.Name, b.Caps.Sub, subs)
-		}
-		_, carries := b.New().(MomentsCarrier)
-		if carries != b.Caps.Cascade {
-			t.Errorf("%s: Caps.Cascade=%v but MomentsCarrier=%v", b.Name, b.Caps.Cascade, carries)
-		}
-	}
-}
-
 // TestServingContract exercises Clone/Reset/IsEmpty on every backend:
 // clones must be independent, Reset must empty in place.
 func TestServingContract(t *testing.T) {

@@ -27,12 +27,8 @@ const maxCodecItems = 1 << 22
 
 // Marshal serializes a serving summary of this backend's family. The
 // moments backend emits the bare full-precision moments layout; the other
-// families emit their payload wrapped in the tagged envelope. Backends
-// without the Snapshot capability return an error.
+// families emit their payload wrapped in the tagged envelope.
 func (b Backend) Marshal(s Serving) ([]byte, error) {
-	if !b.Caps.Snapshot {
-		return nil, fmt.Errorf("sketch: backend %s does not support serialization", b.Fingerprint())
-	}
 	switch b.tag {
 	case tagMoments:
 		m, ok := s.(*MSketch)
@@ -63,14 +59,12 @@ func (b Backend) Marshal(s Serving) ([]byte, error) {
 }
 
 // Unmarshal decodes a summary previously produced by Marshal on the same
-// backend family. Moments accepts only the full-precision bare layout
+// backend family and parameter; a payload of another family or parameter
+// is ErrTypeMismatch. Moments accepts only the full-precision bare layout
 // Marshal writes — not the low-precision "ML" one, which no serving path
-// emits; other families require the envelope and reject payloads tagged
-// for a different family with ErrTypeMismatch.
+// emits — and only vectors Add and Merge can produce (encoding.Unmarshal);
+// other families require the envelope.
 func (b Backend) Unmarshal(data []byte) (Serving, error) {
-	if !b.Caps.Snapshot {
-		return nil, fmt.Errorf("sketch: backend %s does not support serialization", b.Fingerprint())
-	}
 	if b.tag == tagMoments {
 		if encoding.IsEnveloped(data) {
 			return nil, ErrTypeMismatch
@@ -78,6 +72,9 @@ func (b Backend) Unmarshal(data []byte) (Serving, error) {
 		raw, err := encoding.Unmarshal(data)
 		if err != nil {
 			return nil, err
+		}
+		if raw.K != b.param {
+			return nil, ErrTypeMismatch
 		}
 		return &MSketch{S: moments.FromRaw(raw)}, nil
 	}
