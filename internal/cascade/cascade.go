@@ -41,15 +41,16 @@ type Config struct {
 	UseSimple bool
 	UseMarkov bool
 	UseRTT    bool
-	// Solver configures the maximum-entropy fallback.
+	// Solver carries the maximum-entropy fallback's warm seed, its only
+	// input besides the sketch.
 	Solver maxent.Options
 	// Solve, when set, supplies the MaxEnt stage's density in place of a
 	// private maxent.SolveSketch(sk, Solver). It is the seam through which an
 	// owner of the sketch that memoizes its solve — a query-engine rollup, a
 	// moments.Sketch — shares that one solve with the cascade: shared reports
 	// that the solution already existed rather than being solved by this
-	// call. It must answer for the sketch passed to Threshold, with Solver's
-	// options; it is not a tuning knob.
+	// call. It must answer for the sketch passed to Threshold; it is not a
+	// tuning knob.
 	Solve func() (sol *maxent.Solution, shared bool, err error)
 }
 
@@ -201,16 +202,6 @@ func ThresholdSolve(sk *core.Sketch, t, phi float64, cfg Config, stats *Stats) (
 	q := sol.Quantile(phi)
 	resolve(stats, StageMaxEnt, start)
 	return q > t, sol, nil
-}
-
-// Quantile computes the maximum-entropy quantile estimate directly (no
-// cascade), for callers that need the value rather than a predicate.
-func Quantile(sk *core.Sketch, phi float64, opts maxent.Options) (float64, error) {
-	sol, err := maxent.SolveSketch(sk, opts)
-	if err != nil {
-		return 0, err
-	}
-	return sol.Quantile(phi), nil
 }
 
 func now(stats *Stats) time.Time {

@@ -126,10 +126,11 @@ func TestCascadeEmptySketch(t *testing.T) {
 func TestQuantileHelper(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	sk, sorted := makeSketch(rng, 20000, func() float64 { return rng.NormFloat64() })
-	q, err := Quantile(sk, 0.5, maxent.Options{})
+	sol, err := maxent.SolveSketch(sk, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := sol.Quantile(0.5)
 	trueMedian := sorted[len(sorted)/2]
 	if math.Abs(q-trueMedian) > 0.05 {
 		t.Errorf("median = %v, true %v", q, trueMedian)

@@ -274,12 +274,3 @@ func MomentsToChebyshev(m []float64) []float64 {
 	}
 	return out
 }
-
-// NextPow2 returns the smallest power of two >= n (minimum 1).
-func NextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}

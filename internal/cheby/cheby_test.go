@@ -236,15 +236,6 @@ func TestMomentsToChebyshev(t *testing.T) {
 	}
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 17: 32, 1024: 1024}
-	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 // Property: Clenshaw evaluation agrees with termwise evaluation for random
 // series.
 func TestEvalMatchesTermwiseQuick(t *testing.T) {

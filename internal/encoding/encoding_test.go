@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -198,6 +199,84 @@ func TestLowPrecisionSpecials(t *testing.T) {
 	if !math.IsInf(got.Min, 1) || !math.IsInf(got.Max, -1) {
 		t.Error("empty sketch min/max lost")
 	}
+}
+
+// TestUnmarshalLowPrecisionRejectsOutOfDomain: the low-precision decoder
+// refuses what Unmarshal refuses. Min, Max, Count and LogCount travel exact,
+// so the header cases need no rounding to survive; a non-finite power sum is
+// packed with its exponent intact.
+func TestUnmarshalLowPrecisionRejectsOutOfDomain(t *testing.T) {
+	base := core.New(4)
+	for _, x := range []float64{-2, 0.5, 3} {
+		base.Add(x)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		edit func(s *core.Sketch)
+	}{
+		{"nan-min", func(s *core.Sketch) { s.Min = nan }},
+		{"nan-count", func(s *core.Sketch) { s.Count = nan }},
+		{"inf-pow", func(s *core.Sketch) { s.Pow[1] = inf }},
+		{"nan-logpow", func(s *core.Sketch) { s.LogPow[2] = nan }},
+		{"inf-logcount", func(s *core.Sketch) { s.LogCount = inf }},
+		{"nonempty-inf-max", func(s *core.Sketch) { s.Max = inf }},
+	} {
+		s := base.Clone()
+		tc.edit(s)
+		for _, mbits := range []int{0, 20, 52} {
+			if _, err := UnmarshalLowPrecision(MarshalLowPrecision(s, mbits)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s at %d bits: err = %v, want ErrCorrupt", tc.name, mbits, err)
+			}
+		}
+	}
+	if _, err := UnmarshalLowPrecision(MarshalLowPrecision(base, 20)); err != nil {
+		t.Errorf("in-domain vector: %v", err)
+	}
+	// The largest in-domain vector holds power sums a few ulps below
+	// MaxFloat64; randomized rounding must not carry them to +Inf.
+	for _, k := range []int{1, 10, core.MaxK} {
+		top := core.New(k)
+		top.Add(core.MaxAbs(k))
+		top.Count, top.LogCount = core.MaxCount, core.MaxCount
+		for i := range top.Pow {
+			top.Pow[i] *= core.MaxCount
+			top.LogPow[i] *= core.MaxCount
+		}
+		for _, mbits := range []int{0, 8, 20, 52} {
+			if _, err := UnmarshalLowPrecision(MarshalLowPrecision(top, mbits)); err != nil {
+				t.Errorf("largest in-domain vector at k=%d, %d bits: %v", k, mbits, err)
+			}
+		}
+	}
+}
+
+// FuzzUnmarshalLowPrecision: no input panics the low-precision decoder, and
+// every sketch it accepts is in the domain the estimators are built for.
+func FuzzUnmarshalLowPrecision(f *testing.F) {
+	s := core.New(4)
+	for _, x := range []float64{-2, 0.5, 3} {
+		s.Add(x)
+	}
+	valid := MarshalLowPrecision(s, 20)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(MarshalLowPrecision(s, 0))
+	f.Add(MarshalLowPrecision(s, 52))
+	f.Add(MarshalLowPrecision(core.New(2), 8))
+	nanMin := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(nanMin[5:], math.Float64bits(math.NaN()))
+	f.Add(nanMin)
+	f.Add([]byte{0x4C, 0x4D}) // the magic alone
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := UnmarshalLowPrecision(data)
+		if err != nil {
+			return
+		}
+		if !inDomain(got) {
+			t.Fatalf("accepted out-of-domain sketch %+v", got)
+		}
+	})
 }
 
 func TestLowPrecisionCorrupt(t *testing.T) {

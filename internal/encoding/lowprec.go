@@ -52,6 +52,8 @@ func MarshalLowPrecision(s *core.Sketch, mantissaBits int) []byte {
 }
 
 // UnmarshalLowPrecision decodes a sketch produced by MarshalLowPrecision.
+// Like Unmarshal it refuses, with ErrCorrupt, a vector no sequence of
+// in-domain adds and merges produces (see inDomain).
 func UnmarshalLowPrecision(data []byte) (*core.Sketch, error) {
 	if len(data) < 5 || binary.LittleEndian.Uint16(data) != magicLow {
 		return nil, ErrCorrupt
@@ -84,6 +86,9 @@ func UnmarshalLowPrecision(data []byte) (*core.Sketch, error) {
 	for i := 0; i < k; i++ {
 		s.LogPow[i] = expand(r.readBits(12+mbits), mbits)
 	}
+	if !inDomain(s) {
+		return nil, ErrCorrupt
+	}
 	return s, nil
 }
 
@@ -99,8 +104,10 @@ func reduce(v float64, mbits int) uint64 {
 		tail := man & ((1 << drop) - 1)
 		man >>= drop
 		// Round up with probability tail / 2^drop using a deterministic
-		// hash of the original bits as the uniform source.
-		if tail != 0 {
+		// hash of the original bits as the uniform source — except where the
+		// carry would reach the Inf exponent: the largest finite values
+		// round down, so an in-domain sketch always decodes.
+		if tail != 0 && !(exp == 0x7FE && man == 1<<mbits-1) {
 			r := splitmix64(bits) & ((1 << drop) - 1)
 			if r < tail {
 				man++

@@ -213,7 +213,7 @@ func (nn *NaiveNewton) Prepare(in Input) error {
 	pot := &rombergPotential{c: in.Std.Cheby}
 	theta := make([]float64, pot.Dim())
 	theta[0] = math.Log(0.5)
-	res, err := optimize.Newton(pot, theta, optimize.NewtonOptions{GradTol: 1e-9, MaxIter: 100})
+	res, err := optimize.Newton(pot, theta, optimize.NewtonOptions{MaxIter: 100})
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/core"
-	"repro/internal/maxent"
 	"repro/internal/sketch"
 )
 
@@ -37,8 +36,6 @@ type Options struct {
 	RateMultiplier float64
 	// Cascade picks which cascade stages run (moments-sketch mode only).
 	Cascade cascade.Config
-	// Solver configures maximum-entropy estimation.
-	Solver maxent.Options
 }
 
 func (o *Options) defaults() {
@@ -132,11 +129,9 @@ func (e *Engine) Run(mode Mode, opts Options) (*Report, error) {
 			if !ok {
 				return nil, fmt.Errorf("macrobase: cascade mode requires moments sketches, got %s", merged[i].Name())
 			}
-			cfg := opts.Cascade
-			cfg.Solver = opts.Solver
 			// Solver failures still yield a bound-based fallback decision;
 			// an empty group simply never matches.
-			res, err := cascade.Threshold(ms.S.Raw(), t, subPhi, cfg, &rep.Stats)
+			res, err := cascade.Threshold(ms.S.Raw(), t, subPhi, opts.Cascade, &rep.Stats)
 			if err != nil && errors.Is(err, core.ErrEmpty) {
 				res = false
 			}

@@ -22,10 +22,6 @@ const goldenPath = "testdata/golden.json"
 
 var goldenPhis = []float64{0.01, 0.1, 0.5, 0.9, 0.99}
 
-// goldenMaxGrid is Options.MaxGrid's default: a recorded solve that used it
-// was never validated on a finer grid.
-const goldenMaxGrid = 1024
-
 // goldenCase is one corpus sketch's recorded basis decision and solve.
 type goldenCase struct {
 	Name       string    `json:"name"`
@@ -89,10 +85,10 @@ func goldenOf(c namedSketch) (goldenCase, error) {
 // TestGoldenBasisAndQuantiles pins, against the recorded pre-rewrite solver
 // and over the whole corpus: SelectBasis's (Primary, K1, K2), convergence and
 // the final grid order exactly; Newton iterations within two (a solve whose
-// residual sits at GradTol takes its last line-search steps on value
+// residual sits at gradTol takes its last line-search steps on value
 // differences below one ulp, so the count is rounding noise there); and the
 // solved quantiles within 1e-9 of the data scale. Solves that ran into
-// MaxGrid are exempt from the last two: they stop unvalidated on an
+// maxGrid are exempt from the last two: they stop unvalidated on an
 // ill-conditioned Newton path (hundreds of iterations on Milan and Retail)
 // that moves by percents when one grid node changes in its last bit.
 func TestGoldenBasisAndQuantiles(t *testing.T) {
@@ -146,7 +142,7 @@ func TestGoldenBasisAndQuantiles(t *testing.T) {
 			t.Errorf("%s: converged=%v grid=%d, want %v %d", c.name, got.Converged, got.GridUsed, w.Converged, w.GridUsed)
 			continue
 		}
-		if !w.Converged || w.GridUsed >= goldenMaxGrid {
+		if !w.Converged || w.GridUsed >= maxGrid {
 			continue
 		}
 		if d := got.Iterations - w.Iterations; d < -2 || d > 2 {

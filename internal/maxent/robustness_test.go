@@ -1,8 +1,10 @@
 package maxent
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand/v2"
+	"os"
 	"sort"
 	"testing"
 
@@ -10,11 +12,11 @@ import (
 )
 
 // Robustness tests for the solver paths that only trigger on awkward data:
-// grid adaptivity, retries, option plumbing, and log-primary specifics.
+// grid adaptivity, retries, and log-primary specifics.
 
 func TestGridAdaptivityEscalates(t *testing.T) {
 	// A density with a sharp near-boundary mode needs a finer grid than the
-	// start size; the adaptive loop must escalate rather than return a
+	// start order; the adaptive loop must escalate rather than return a
 	// poorly integrated solution.
 	rng := rand.New(rand.NewPCG(101, 1))
 	sk := core.New(10)
@@ -25,12 +27,12 @@ func TestGridAdaptivityEscalates(t *testing.T) {
 			sk.Add(rng.Float64() * 10)
 		}
 	}
-	sol, err := SolveSketch(sk, Options{GridSize: 32})
+	sol, err := SolveSketch(sk, Options{})
 	if err != nil {
 		t.Skipf("solver declined sharp-mode data: %v", err)
 	}
-	if sol.GridUsed < 64 {
-		t.Errorf("grid stayed at %d; expected escalation beyond 32", sol.GridUsed)
+	if sol.GridUsed <= gridSize {
+		t.Errorf("grid stayed at %d; expected escalation beyond %d", sol.GridUsed, gridSize)
 	}
 	// The median must land in the dense cluster.
 	if q := sol.Quantile(0.5); q > 0.2 {
@@ -38,18 +40,37 @@ func TestGridAdaptivityEscalates(t *testing.T) {
 	}
 }
 
-func TestMaxGridCapsEscalation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(102, 2))
-	sk := core.New(8)
-	for i := 0; i < 20000; i++ {
-		sk.Add(rng.NormFloat64())
-	}
-	sol, err := SolveSketch(sk, Options{GridSize: 64, MaxGrid: 64})
+// TestGridNeverExceedsMaxGrid holds every recorded solve — the golden corpus
+// and the pinned rollups, which their own tests hold live solves to exactly
+// — to the grid cap: escalation stops at maxGrid however hard the solve.
+func TestGridNeverExceedsMaxGrid(t *testing.T) {
+	buf, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.GridUsed != 64 {
-		t.Errorf("GridUsed = %d with MaxGrid 64", sol.GridUsed)
+	var golden []goldenCase
+	if err := json.Unmarshal(buf, &golden); err != nil {
+		t.Fatal(err)
+	}
+	capped := 0
+	for _, c := range golden {
+		if c.GridUsed > maxGrid {
+			t.Errorf("golden %s: grid %d above %d", c.Name, c.GridUsed, maxGrid)
+		}
+		if c.GridUsed == maxGrid {
+			capped++
+		}
+	}
+	for i, p := range pinnedSolves {
+		if p.grid > maxGrid {
+			t.Errorf("pinned solve %d: grid %d above %d", i, p.grid, maxGrid)
+		}
+		if p.grid == maxGrid {
+			capped++
+		}
+	}
+	if capped == 0 {
+		t.Error("no recorded solve reaches the cap, so none shows it holds")
 	}
 }
 
@@ -122,7 +143,7 @@ func TestSolveSketchTwoDistinctValues(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sk.Add(float64(2 + i%2))
 	}
-	sol, err := SolveSketch(sk, Options{MaxIter: 50})
+	sol, err := SolveSketch(sk, Options{})
 	if err != nil {
 		return
 	}
@@ -131,23 +152,6 @@ func TestSolveSketchTwoDistinctValues(t *testing.T) {
 		if q < 2-1e-9 || q > 3+1e-9 {
 			t.Errorf("quantile(%v) = %v outside [2,3]", phi, q)
 		}
-	}
-}
-
-func TestOptionDefaultsApplied(t *testing.T) {
-	var o Options
-	o.defaults()
-	if o.GridSize != 128 || o.MaxGrid != 1024 {
-		t.Errorf("grid defaults: %d/%d", o.GridSize, o.MaxGrid)
-	}
-	if o.GradTol != 1e-9 || o.MaxCond != 1e4 {
-		t.Errorf("tolerance defaults: %v/%v", o.GradTol, o.MaxCond)
-	}
-	// Non-power-of-two grids round up; MaxGrid never below GridSize.
-	o2 := Options{GridSize: 100, MaxGrid: 50}
-	o2.defaults()
-	if o2.GridSize != 128 || o2.MaxGrid < o2.GridSize {
-		t.Errorf("grid rounding: %d/%d", o2.GridSize, o2.MaxGrid)
 	}
 }
 

@@ -21,22 +21,24 @@ const selectionGrid = 64
 //  3. greedily add one moment at a time, preferring the family whose next
 //     Chebyshev moment is closest to its uniform-distribution expectation,
 //     subject to the Gram/Hessian condition number staying below κmax.
-func SelectBasis(sk *core.Sketch, opts Options) (Basis, error) {
+//
+// Selection has no input besides the sketch: a warm seed matters only to the
+// solve, so the Options argument is ignored.
+func SelectBasis(sk *core.Sketch, _ Options) (Basis, error) {
 	ws := wsPool.Get()
 	defer wsPool.Put(ws)
-	return ws.SelectBasis(sk, opts)
+	return ws.SelectBasis(sk)
 }
 
-func selectBasisWS(ws *Workspace, sk *core.Sketch, opts Options) (Basis, error) {
-	return screenBasis(ws, sk, opts, linalg.Cond2SymWork)
+func selectBasisWS(ws *Workspace, sk *core.Sketch) (Basis, error) {
+	return screenBasis(ws, sk, linalg.Cond2SymWork)
 }
 
 // screenBasis is selectBasisWS with its condition-number screen as a
 // parameter, so tests can hold the eigenvalues-only screen to the Jacobi one
 // it replaced: cond2 returns the 2-norm condition number of the symmetric
 // matrix a, using work (same shape) as scratch.
-func screenBasis(ws *Workspace, sk *core.Sketch, opts Options, cond2 func(a, work *linalg.Dense) float64) (Basis, error) {
-	opts.defaults()
+func screenBasis(ws *Workspace, sk *core.Sketch, cond2 func(a, work *linalg.Dense) float64) (Basis, error) {
 	kStd, kLog := sk.StableOrders()
 	if kStd < 1 {
 		kStd = 1
@@ -90,7 +92,7 @@ func screenBasis(ws *Workspace, sk *core.Sketch, opts Options, cond2 func(a, wor
 		}
 		trial.Set(m, m, g.gramEntry(row, row))
 		*work = linalg.Dense{Rows: m + 1, Cols: m + 1, Data: ws.floats((m + 1) * (m + 1))}
-		if cond2(trial, work) > opts.MaxCond {
+		if cond2(trial, work) > maxCond {
 			return false
 		}
 		rows, gram = append(rows, row), *trial

@@ -75,8 +75,8 @@ func TestScreenMatchesJacobi(t *testing.T) {
 	}
 	ws := NewWorkspace()
 	for _, c := range cases {
-		got, err := screenBasis(ws, c.sk, Options{}, linalg.Cond2SymWork)
-		want, werr := screenBasis(ws, c.sk, Options{}, jacobiCond2)
+		got, err := screenBasis(ws, c.sk, linalg.Cond2SymWork)
+		want, werr := screenBasis(ws, c.sk, jacobiCond2)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("%s: QL screen err %v, Jacobi screen err %v", c.name, err, werr)
 		}

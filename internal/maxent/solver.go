@@ -13,24 +13,26 @@ import (
 	"repro/internal/rootfind"
 )
 
-// Options configures the solver. The zero value picks the paper's defaults.
+// The solve policy, fixed for every caller (paper §4.3). Newton starts on a
+// Clenshaw–Curtis grid of order gridSize and runs until the moments match to
+// within gradTol (the paper's δ, optimize.Newton's own stopping tolerance),
+// at most maxIter iterations per grid level; each converged θ is validated
+// on the grid of twice the order, to within 100·gradTol, and the grid
+// doubles until that validation holds or the grid reaches maxGrid. Basis
+// selection caps the Gram condition number at maxCond (the paper's κmax). A
+// failed solve drops the highest term of the larger moment family and
+// retries, at most maxRetries times.
+const (
+	gridSize   = 128
+	maxGrid    = 1024
+	gradTol    = 1e-9
+	maxCond    = 1e4
+	maxIter    = 200
+	maxRetries = 2
+)
+
+// Options carries a solve's one input besides its sketch or basis.
 type Options struct {
-	// GridSize is the initial Clenshaw–Curtis grid order N (power of two).
-	// Default 128.
-	GridSize int
-	// MaxGrid caps adaptive grid refinement. Default 1024.
-	MaxGrid int
-	// GradTol is the moment-matching tolerance δ: Newton runs until the
-	// moments match to within this (paper uses 1e-9). Default 1e-9.
-	GradTol float64
-	// MaxCond is the condition-number cap κmax for basis selection
-	// (paper uses 1e4). Default 1e4.
-	MaxCond float64
-	// MaxIter bounds Newton iterations per grid level. Default 200.
-	MaxIter int
-	// MaxRetries bounds how many times the solver drops the least-uniform
-	// moment and retries after a convergence failure. Default 2.
-	MaxRetries int
 	// Theta0 warm-starts Newton from a previous solution's coefficient
 	// vector — typically the θ solved for an adjacent sliding-window
 	// position or an earlier epoch of the same rollup. It is validated
@@ -39,34 +41,6 @@ type Options struct {
 	// cold start, and if the warm-seeded solve diverges the solver retries
 	// cold before shrinking the basis. The slice is never mutated.
 	Theta0 []float64
-	// NoWarmStart ignores Theta0 entirely — for baselines and A/B
-	// measurement of the warm-start win.
-	NoWarmStart bool
-}
-
-func (o *Options) defaults() {
-	if o.GridSize <= 0 {
-		o.GridSize = 128
-	}
-	o.GridSize = cheby.NextPow2(o.GridSize)
-	if o.MaxGrid < o.GridSize {
-		o.MaxGrid = 1024
-		if o.MaxGrid < o.GridSize {
-			o.MaxGrid = o.GridSize
-		}
-	}
-	if o.GradTol <= 0 {
-		o.GradTol = 1e-9
-	}
-	if o.MaxCond <= 0 {
-		o.MaxCond = 1e4
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 2
-	}
 }
 
 // ErrNotConverged is returned when Newton cannot match the moments — the
@@ -276,7 +250,6 @@ func Solve(b Basis, opts Options) (*Solution, error) {
 }
 
 func solveWS(ws *Workspace, b Basis, opts Options) (*Solution, error) {
-	opts.defaults()
 	if err := b.validate(); err != nil {
 		return nil, err
 	}
@@ -291,8 +264,8 @@ func solveWS(ws *Workspace, b Basis, opts Options) (*Solution, error) {
 	// shrunk-basis retry) are carried into the accepted solution's
 	// counters, so reported totals reflect the work actually done.
 	wastedIter, wastedEvals := 0, 0
-	if warm := warmTheta(&opts, b.Dim()); warm != nil {
-		s, iters, evals, err := solveOnce(ws, b, opts, sol, warm)
+	if warm := warmTheta(opts.Theta0, b.Dim()); warm != nil {
+		s, iters, evals, err := solveOnce(ws, b, sol, warm)
 		if err == nil {
 			s.Warm = true
 			return s, nil
@@ -302,8 +275,8 @@ func solveWS(ws *Workspace, b Basis, opts Options) (*Solution, error) {
 
 	basis := b
 	var lastErr error
-	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
-		s, iters, evals, err := solveOnce(ws, basis, opts, sol, nil)
+	for attempt := 0; attempt <= maxRetries; attempt++ {
+		s, iters, evals, err := solveOnce(ws, basis, sol, nil)
 		if err == nil {
 			s.Iterations += wastedIter
 			s.FuncEvals += wastedEvals
@@ -329,24 +302,24 @@ func solveWS(ws *Workspace, b Basis, opts Options) (*Solution, error) {
 	return nil, lastErr
 }
 
-// warmTheta validates opts.Theta0 against the basis dimension, returning
-// nil (cold start) on mismatch, non-finite components, or NoWarmStart.
-func warmTheta(opts *Options, dim int) []float64 {
-	if opts.NoWarmStart || len(opts.Theta0) != dim {
+// warmTheta validates a warm seed against the basis dimension, returning
+// nil (cold start) on mismatch or non-finite components.
+func warmTheta(theta0 []float64, dim int) []float64 {
+	if len(theta0) != dim {
 		return nil
 	}
-	for _, v := range opts.Theta0 {
+	for _, v := range theta0 {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil
 		}
 	}
-	return opts.Theta0
+	return theta0
 }
 
 // solveOnce runs one solve attempt, returning the Newton iterations and
 // objective evaluations it consumed whether or not it succeeded — failed
 // attempts' counts fold into the accepted solution's totals.
-func solveOnce(ws *Workspace, b Basis, opts Options, proto *Solution, warm []float64) (*Solution, int, int, error) {
+func solveOnce(ws *Workspace, b Basis, proto *Solution, warm []float64) (*Solution, int, int, error) {
 	d := ws.floats(b.Dim())
 	b.targetsInto(d)
 	theta := ws.floats(b.Dim())
@@ -357,22 +330,18 @@ func solveOnce(ws *Workspace, b Basis, opts Options, proto *Solution, warm []flo
 	}
 
 	totalIter, totalEvals := 0, 0
-	n := opts.GridSize
+	n := gridSize
 	for {
 		// The finer validation grid is built first — it needs only the
 		// gradient's orders — so the order-n grid reads its cross-domain
 		// nodes as the even-stride view instead of mapping them again.
 		var fine *grid
-		if n < opts.MaxGrid {
+		if n < maxGrid {
 			fine = buildGridWS(ws, &b, 2*n, 1)
 		}
 		g := buildGridWS(ws, &b, n, 2)
 		pot := newPotential(g, &b, d, ws)
-		res, err := optimize.Newton(pot, theta, optimize.NewtonOptions{
-			GradTol: opts.GradTol,
-			MaxIter: opts.MaxIter,
-			Work:    &ws.newton,
-		})
+		res, err := optimize.Newton(pot, theta, optimize.NewtonOptions{MaxIter: maxIter, Work: &ws.newton})
 		totalIter += res.Iterations
 		totalEvals += res.FuncEvals
 		if err != nil || !res.Converged {
@@ -391,7 +360,7 @@ func solveOnce(ws *Workspace, b Basis, opts Options, proto *Solution, warm []flo
 		finePot := newPotential(fine, &b, d, ws)
 		grad := ws.floats(b.Dim())
 		finePot.Gradient(theta, grad)
-		if linalg.NormInf(grad) <= 100*opts.GradTol {
+		if linalg.NormInf(grad) <= 100*gradTol {
 			return finishSolution(ws, b, fine, finePot, theta, totalIter, totalEvals, proto), totalIter, totalEvals, nil
 		}
 		n *= 2

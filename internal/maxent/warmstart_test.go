@@ -105,12 +105,12 @@ func TestWarmStartAdjacentWindows(t *testing.T) {
 			t.Fatalf("trial %d: solving first window: %v", trial, err)
 		}
 		next := window(1) // slides by one pane: shares width-1 panes
-		cold, err := SolveSketch(next, Options{NoWarmStart: true, Theta0: prev.Theta})
+		cold, err := SolveSketch(next, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
 		}
 		if cold.Warm {
-			t.Fatal("NoWarmStart solve reported Warm")
+			t.Fatal("unseeded solve reported Warm")
 		}
 		warmSol, err := SolveSketch(next, Options{Theta0: prev.Theta})
 		if err != nil {

@@ -146,7 +146,7 @@ func (w *Workspace) SolveSketch(sk *core.Sketch, opts Options) (*Solution, error
 	if sk.Min == sk.Max {
 		return PointMass(sk.Min), nil
 	}
-	b, err := selectBasisWS(w, sk, opts)
+	b, err := selectBasisWS(w, sk)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func (w *Workspace) SolveSketch(sk *core.Sketch, opts Options) (*Solution, error
 
 // SelectBasis chooses the solver basis for a sketch using this workspace's
 // buffers; see the package-level SelectBasis for the heuristics.
-func (w *Workspace) SelectBasis(sk *core.Sketch, opts Options) (Basis, error) {
+func (w *Workspace) SelectBasis(sk *core.Sketch) (Basis, error) {
 	w.reset()
-	return selectBasisWS(w, sk, opts)
+	return selectBasisWS(w, sk)
 }

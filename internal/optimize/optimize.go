@@ -44,14 +44,20 @@ type Result struct {
 // typically because the gradient is wrong or the function is non-smooth.
 var ErrLineSearch = errors.New("optimize: line search failed to decrease objective")
 
+// Newton's fixed settings. gradTol is the ∞-norm gradient tolerance — the
+// paper's moment-matching δ, which every caller uses; ridge is the initial
+// Tikhonov ridge for near-singular Hessians; maxBack bounds the backtracking
+// halvings per step; stepTol stops on a step whose ∞-norm falls below it.
+const (
+	gradTol = 1e-9
+	ridge   = 1e-12
+	maxBack = 60
+	stepTol = 1e-14
+)
+
 // NewtonOptions configures Newton.
 type NewtonOptions struct {
-	GradTol  float64 // ∞-norm gradient tolerance (default 1e-9)
-	MaxIter  int     // default 200
-	Ridge    float64 // initial Tikhonov ridge for near-singular Hessians (default 1e-12)
-	MaxBack  int     // max backtracking halvings per step (default 60)
-	StepTol  float64 // stop when ∞-norm of the step is below this (default 1e-14)
-	Callback func(iter int, x []float64, val, gnorm float64)
+	MaxIter int // default 200
 	// Work supplies reusable iteration buffers. When set, Newton performs
 	// no per-iteration allocations and Result.X aliases Work memory that is
 	// only valid until the workspace's next use — copy it if it must
@@ -90,29 +96,13 @@ func (w *NewtonWorkspace) ensure(n int) {
 	w.hess.Data = w.hess.Data[:n*n]
 }
 
-func (o *NewtonOptions) defaults() {
-	if o.GradTol <= 0 {
-		o.GradTol = 1e-9
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.Ridge <= 0 {
-		o.Ridge = 1e-12
-	}
-	if o.MaxBack <= 0 {
-		o.MaxBack = 60
-	}
-	if o.StepTol <= 0 {
-		o.StepTol = 1e-14
-	}
-}
-
 // Newton minimizes a convex HessianObjective with a damped Newton method:
 // solve ∇²f·d = −∇f (with ridge regularization on factorization failure),
 // then backtrack along d until the Armijo condition holds.
 func Newton(obj HessianObjective, x0 []float64, opts NewtonOptions) (Result, error) {
-	opts.defaults()
+	if opts.MaxIter <= 0 {
+		opts.MaxIter = 200
+	}
 	n := obj.Dim()
 	w := opts.Work
 	if w == nil {
@@ -133,10 +123,7 @@ func Newton(obj HessianObjective, x0 []float64, opts NewtonOptions) (Result, err
 		res.Iterations = iter
 		res.Value = val
 		res.GradNorm = gnorm
-		if opts.Callback != nil {
-			opts.Callback(iter, x, val, gnorm)
-		}
-		if gnorm <= opts.GradTol {
+		if gnorm <= gradTol {
 			res.Converged = true
 			return res, nil
 		}
@@ -145,7 +132,7 @@ func Newton(obj HessianObjective, x0 []float64, opts NewtonOptions) (Result, err
 		for i := range grad {
 			negGrad[i] = -grad[i]
 		}
-		dir, err := w.spd.Solve(hess, negGrad, opts.Ridge, 10)
+		dir, err := w.spd.Solve(hess, negGrad, ridge, 10)
 		if err != nil {
 			// Hessian hopeless: fall back to steepest descent direction.
 			dir = negGrad
@@ -156,7 +143,7 @@ func Newton(obj HessianObjective, x0 []float64, opts NewtonOptions) (Result, err
 				dir[i] = -grad[i]
 			}
 		}
-		step, newVal, evals, lsErr := backtrackInto(obj, x, dir, val, grad, opts.MaxBack, w.probe)
+		step, newVal, evals, lsErr := backtrackInto(obj, x, dir, val, grad, maxBack, w.probe)
 		res.FuncEvals += evals
 		if lsErr != nil {
 			res.Value = val
@@ -171,11 +158,11 @@ func Newton(obj HessianObjective, x0 []float64, opts NewtonOptions) (Result, err
 			}
 		}
 		val = newVal
-		if maxStep < opts.StepTol {
+		if maxStep < stepTol {
 			obj.Gradient(x, grad)
 			res.GradNorm = linalg.NormInf(grad)
 			res.Value = val
-			res.Converged = res.GradNorm <= opts.GradTol*1e3
+			res.Converged = res.GradNorm <= gradTol*1e3
 			res.Iterations = iter + 1
 			return res, nil
 		}

@@ -143,7 +143,7 @@ func TestNewtonQuadraticOneStep(t *testing.T) {
 }
 
 func TestNewtonRosenbrock(t *testing.T) {
-	res, err := Newton(rosenbrock{}, []float64{-1.2, 1}, NewtonOptions{MaxIter: 500, GradTol: 1e-10})
+	res, err := Newton(rosenbrock{}, []float64{-1.2, 1}, NewtonOptions{MaxIter: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNewtonExpSum(t *testing.T) {
 		w := 0.1 + rng.Float64()
 		linalg.AXPY(w, r, b)
 	}
-	res, err := Newton(&expSum{rows: rows, b: b}, make([]float64, n), NewtonOptions{GradTol: 1e-10})
+	res, err := Newton(&expSum{rows: rows, b: b}, make([]float64, n), NewtonOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestNewtonBeatsGDOnIllConditioned(t *testing.T) {
 func TestLineSearchFailureSurfaces(t *testing.T) {
 	// An objective whose "gradient" lies: line search must fail cleanly.
 	bad := &liar{}
-	_, err := Newton(bad, []float64{1}, NewtonOptions{MaxIter: 5, MaxBack: 5})
+	_, err := Newton(bad, []float64{1}, NewtonOptions{MaxIter: 5})
 	if err == nil {
 		t.Error("expected line-search error from inconsistent gradient")
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/maxent"
 	"repro/internal/shard"
@@ -77,10 +76,11 @@ func oracleQuantile(t *testing.T, panes []*core.Sketch, a, b int, phi float64) f
 			t.Fatal(err)
 		}
 	}
-	q, err := cascade.Quantile(sk, phi, maxent.Options{})
+	sol, err := maxent.SolveSketch(sk, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := sol.Quantile(phi)
 	return q
 }
 
@@ -260,10 +260,11 @@ func TestWindowSlidingMatchesOracle(t *testing.T) {
 					tc.width, tc.step, gi, st.Mean, oracle.Mean(), d)
 			}
 			// The solved estimate on top of it.
-			wantQ, err := cascade.Quantile(oracle, 0.99, maxent.Options{})
+			sol, err := maxent.SolveSketch(oracle, maxent.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantQ := sol.Quantile(0.99)
 			got := g.Aggregations[1].Quantiles[1].Value
 			if d := relErr(got, wantQ); d > quantileTol {
 				t.Errorf("width=%d step=%d pos=%d: p99 = %v, oracle %v (rel diff %g)",
@@ -304,10 +305,11 @@ func TestWindowSlidingThresholdMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		q, err := cascade.Quantile(sk, 0.95, maxent.Options{})
+		sol, err := maxent.SolveSketch(sk, maxent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		q := sol.Quantile(0.95)
 		if q > thresh {
 			wantHot = append(wantHot, gi)
 		}

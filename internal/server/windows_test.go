@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/maxent"
 	"repro/internal/query"
@@ -143,10 +142,11 @@ func checkWindowedGroups(t *testing.T, label string, groups []query.GroupResult,
 		if d := winRelErr(st.Variance, oracle.Variance()); d > winRollupTol {
 			t.Errorf("%s pos %d: variance = %v, oracle %v (rel diff %g)", label, gi, st.Variance, oracle.Variance(), d)
 		}
-		wantQ, err := cascade.Quantile(oracle, 0.99, maxent.Options{})
+		sol, err := maxent.SolveSketch(oracle, maxent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantQ := sol.Quantile(0.99)
 		gotQ := g.Aggregations[1].Quantiles[0].Value
 		if d := winRelErr(gotQ, wantQ); d > winQuantileTol {
 			t.Errorf("%s pos %d: p99 = %v, oracle %v (rel diff %g)", label, gi, gotQ, wantQ, d)

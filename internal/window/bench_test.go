@@ -45,30 +45,20 @@ func BenchmarkScanMomentsTurnstile32(b *testing.B) {
 	}
 }
 
-// The warm-vs-cold benchmark pair: the same 32-pane sliding scan with the
+// The warm-start benchmark: the same 32-pane sliding scan with the
 // threshold placed near the true 0.99-quantile (~460 for Exp(100) data), so
 // the guaranteed-bound cascade stages cannot settle the windows and nearly
-// every position pays a maximum-entropy solve. Warm runs seed each
-// position's Newton iteration from the previous window's θ; cold runs
-// (solver.NoWarmStart) start every solve from the uniform density. The
-// newton-iters/op metric is what the pair compares.
+// every position pays a maximum-entropy solve, each seeded from the previous
+// window's θ. newton-iters/op is what it reports; maxent's BenchmarkSolveWarm
+// and BenchmarkSolveCold hold warm against cold on single solves.
 const benchSolveThresh = 450
 
 func BenchmarkScanMomentsWarm32(b *testing.B) {
-	benchScanSolver(b, maxent.Options{})
-}
-
-func BenchmarkScanMomentsCold32(b *testing.B) {
-	benchScanSolver(b, maxent.Options{NoWarmStart: true})
-}
-
-func benchScanSolver(b *testing.B, solver maxent.Options) {
-	b.Helper()
 	panes := benchScanPanes(b)
 	iters, solves := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ScanMoments(panes, benchWidth, benchSolveThresh, benchPhi, cascade.Full(), solver)
+		res, err := ScanMoments(panes, benchWidth, benchSolveThresh, benchPhi, cascade.Full(), maxent.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

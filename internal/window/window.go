@@ -33,7 +33,8 @@ type Result struct {
 // position's Newton solve with the previous window's θ (adjacent windows
 // differ by two panes, so the previous optimum is an excellent start);
 // Result.Stats records the solve and iteration counts so the warm-start win
-// is measurable. Set solver.NoWarmStart for a cold-start baseline.
+// is measurable. solver seeds the first position's solve; pass the zero
+// value to start it cold.
 func ScanMoments(panes []*core.Sketch, width int, t, phi float64, cfg cascade.Config, solver maxent.Options) (*Result, error) {
 	return ScanMomentsContext(context.Background(), panes, width, t, phi, cfg, solver)
 }

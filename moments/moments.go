@@ -68,51 +68,16 @@ var ErrNotConverged = maxent.ErrNotConverged
 // Option configures a Sketch at construction.
 type Option func(*config)
 
-type config struct {
-	k    int
-	opts *maxent.Options // nil: solver defaults
-}
-
-// solver returns the options the With… setters fill, allocating them on
-// first use so an unconfigured sketch shares the nil defaults.
-func (c *config) solver() *maxent.Options {
-	if c.opts == nil {
-		c.opts = new(maxent.Options)
-	}
-	return c.opts
-}
+type config struct{ k int }
 
 // WithK sets the sketch order: k standard and k log moments are tracked.
 // Higher orders are more accurate but larger, slower to estimate from, and
 // numerically useless beyond ~16.
 func WithK(k int) Option { return func(c *config) { c.k = k } }
 
-// WithMaxCondition sets the Hessian condition-number cap κmax used when
-// selecting how many moments to trust at estimation time (default 1e4).
-// Lower values favour estimation speed and robustness over accuracy.
-func WithMaxCondition(kappa float64) Option {
-	return func(c *config) { c.solver().MaxCond = kappa }
-}
-
-// WithTolerance sets the moment-matching tolerance δ of the solver
-// (default 1e-9).
-func WithTolerance(delta float64) Option {
-	return func(c *config) { c.solver().GradTol = delta }
-}
-
-// WithGridSize sets the initial integration grid size (default 128,
-// rounded to a power of two). Larger grids cost estimation time and help
-// only for very spiky densities.
-func WithGridSize(n int) Option {
-	return func(c *config) { c.solver().GridSize = n }
-}
-
 // Sketch is a mergeable moments-sketch quantile summary.
 type Sketch struct {
 	raw *core.Sketch
-	// opts are the solver options fixed at construction: nil means the
-	// defaults, and a non-nil value is never mutated, so clones share it.
-	opts *maxent.Options
 
 	// sol caches the solved maximum-entropy density; any mutation clears it.
 	sol *maxent.Solution
@@ -124,21 +89,15 @@ func New(options ...Option) *Sketch {
 	for _, o := range options {
 		o(&cfg)
 	}
-	return &Sketch{raw: core.New(cfg.k), opts: cfg.opts}
+	return &Sketch{raw: core.New(cfg.k)}
 }
 
 // FromRaw wraps an existing statistics sketch (one held by a shard store,
 // decoded from a snapshot, …) in a Sketch without copying it. The raw
 // sketch is adopted: callers that keep mutating it directly must not reuse
-// this wrapper, since cached solutions would go stale. WithK options are
-// ignored; the wrapper takes its order from raw.
-func FromRaw(raw *core.Sketch, options ...Option) *Sketch {
-	cfg := config{k: raw.K}
-	for _, o := range options {
-		o(&cfg)
-	}
-	return &Sketch{raw: raw, opts: cfg.opts}
-}
+// this wrapper, since cached solutions would go stale. The wrapper takes its
+// order from raw.
+func FromRaw(raw *core.Sketch) *Sketch { return &Sketch{raw: raw} }
 
 // K returns the sketch order.
 func (s *Sketch) K() int { return s.raw.K }
@@ -193,7 +152,7 @@ func (s *Sketch) TightenRange(lo, hi float64) {
 
 // Clone returns an independent deep copy.
 func (s *Sketch) Clone() *Sketch {
-	return &Sketch{raw: s.raw.Clone(), opts: s.opts, sol: s.sol}
+	return &Sketch{raw: s.raw.Clone(), sol: s.sol}
 }
 
 // Reset empties the sketch in place.
@@ -229,20 +188,12 @@ func (s *Sketch) LogMoment(i int) float64 { return s.raw.LogMoment(i) }
 // SizeBytes returns the serialized size of the sketch.
 func (s *Sketch) SizeBytes() int { return len(encoding.Marshal(s.raw)) }
 
-// solverOptions returns the solver options the sketch was built with.
-func (s *Sketch) solverOptions() maxent.Options {
-	if s.opts == nil {
-		return maxent.Options{}
-	}
-	return *s.opts
-}
-
 // solve returns the cached maximum-entropy solution, computing it if needed.
 func (s *Sketch) solve() (*maxent.Solution, error) {
 	if s.sol != nil {
 		return s.sol, nil
 	}
-	sol, err := maxent.SolveSketch(s.raw, s.solverOptions())
+	sol, err := maxent.SolveSketch(s.raw, maxent.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +271,6 @@ func (s *Sketch) QuantileErrorBound(phi float64) (float64, error) {
 // Quantile, so the two solve once between them in either order.
 func (s *Sketch) Threshold(t, phi float64) (bool, error) {
 	cfg := cascade.Full()
-	cfg.Solver = s.solverOptions()
 	cfg.Solve = func() (*maxent.Solution, bool, error) {
 		shared := s.sol != nil
 		sol, err := s.solve()

@@ -33,25 +33,13 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestOptions(t *testing.T) {
-	s := New(WithK(6), WithMaxCondition(500), WithTolerance(1e-8), WithGridSize(64))
+	s := New(WithK(6))
 	if s.K() != 6 {
 		t.Errorf("WithK ignored: %d", s.K())
 	}
 	s.AddMany([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if _, err := s.Median(); err != nil {
 		t.Fatalf("Median: %v", err)
-	}
-	// Solver options reach the solver and are shared, never copied, by
-	// clones; an unconfigured sketch carries none.
-	c := s.Clone()
-	if o := c.solverOptions(); o.MaxCond != 500 || o.GradTol != 1e-8 || o.GridSize != 64 {
-		t.Errorf("clone solves with %+v", o)
-	}
-	if c.opts != s.opts {
-		t.Error("clone copied the solver options instead of sharing them")
-	}
-	if New().opts != nil {
-		t.Error("an unconfigured sketch allocates solver options")
 	}
 }
 
@@ -345,6 +333,29 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	if err := lp.UnmarshalBinary([]byte{1, 2}); err == nil {
 		t.Error("garbage must error")
+	}
+}
+
+// TestUnmarshalBinaryRefusesNonFiniteLowPrecision: Add accepts any float,
+// so a sketch holding MaxFloat64 twice has an infinite power sum. Its
+// low-precision encoding decodes to nothing: UnmarshalBinary refuses it as
+// corrupt, as it refuses the full-precision one, and leaves the receiver
+// as it was.
+func TestUnmarshalBinaryRefusesNonFiniteLowPrecision(t *testing.T) {
+	s := New()
+	s.Add(math.MaxFloat64)
+	s.Add(math.MaxFloat64)
+	low, err := s.MarshalLowPrecision(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := New()
+	back.Add(1)
+	if err := back.UnmarshalBinary(low); err == nil {
+		t.Fatalf("decoded a non-finite vector: Moment(1) = %v", back.Moment(1))
+	}
+	if back.Count() != 1 {
+		t.Errorf("failed decode changed the receiver: count %v", back.Count())
 	}
 }
 
