@@ -15,6 +15,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/sketch"
+	"repro/internal/wal"
 )
 
 // momentsdBin is the momentsd binary under test, built once in TestMain.
@@ -574,9 +576,55 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		{"-hedge-quantile", "0.9"}, // a constant of internal/cluster now
 		{"-wal-on-error", "drop"},  // an ack always means fsynced
 		{"-wal-sync-interval", "1ms"},
+		{"-solve-cache", "0"}, // hits are the solves they replace; nothing to tune
 	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			wantRefusal(t, args, "flag provided but not defined")
 		})
+	}
+}
+
+// TestWALReplayRefusesOutOfDomainValue: a logged value /ingest would have
+// refused — finite, but beyond core.MaxAbs of the order — is corruption,
+// and replaying it would overflow the key's power sums. The daemon must
+// refuse to start, naming the record, rather than serve a poisoned key.
+func TestWALReplayRefusesOutOfDomainValue(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks real processes; skipped under -short")
+	}
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	backend, err := sketch.ParseBackend("moments:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v = 1e30
+	if v <= core.MaxAbs(10) {
+		t.Fatalf("probe value %g is inside the k = 10 ingest domain", v)
+	}
+	l, err := wal.Open(wal.Options{Dir: walDir, Fingerprint: backend.Fingerprint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, err := l.Append([]shard.Observation{{Key: "poison", Value: v, At: time.Unix(1000, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A daemon that accepts the record goes on to serve: bound its run.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, momentsdBin, "-addr", "127.0.0.1:0", "-backend", "moments:10",
+		"-snapshot", filepath.Join(dir, "snap"), "-wal-dir", walDir).CombinedOutput()
+	if err == nil || ctx.Err() != nil {
+		t.Fatalf("momentsd replayed a 1e30 observation at k = 10 (err %v):\n%s", err, out)
+	}
+	for _, want := range []string{"applying record at offset", `key "poison" value 1e+30 outside the ingest domain`} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("refusal does not name the record (%q):\n%s", want, out)
+		}
 	}
 }

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	momentsd [-addr :7607] [-backend moments[:K]] [-shards N] [-sep .]
-//	         [-workers N] [-solve-cache N] [-pane-width DUR] [-panes N]
+//	         [-workers N] [-pane-width DUR] [-panes N]
 //	         [-snapshot FILE] [-snapshot-interval DUR]
 //	         [-wal-dir DIR] [-wal-segment-size N] [-pprof-addr ADDR]
 //	momentsd -coordinator -nodes host1:7607,host2:7607[,...]
@@ -39,12 +39,8 @@
 // the typed backend_unsupported error. Snapshots are tagged with the
 // backend and refuse to restore across backends.
 //
-// -solve-cache bounds the engine's cross-request solve cache (resolved
-// selections with their solved max-ent densities, invalidated by mutation
-// version; capacity in cached rollups, default 1024, 0 disables) —
-// hit/miss/eviction counters appear on /v1/stats. -pprof-addr serves
-// net/http/pprof on a separate listener for live profiling (off by default;
-// see ARCHITECTURE.md "Profiling a live daemon").
+// -pprof-addr serves net/http/pprof on a separate listener for live
+// profiling (off by default; see ARCHITECTURE.md "Profiling a live daemon").
 //
 // With -pane-width, the store gains a time dimension: every key keeps a
 // ring of -panes fixed-width time panes alongside its all-time sketch,
@@ -99,6 +95,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registered on DefaultServeMux, served only via -pprof-addr
@@ -112,7 +109,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/query"
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/sketch"
@@ -126,7 +123,6 @@ func main() {
 		shards       = flag.Int("shards", 0, "lock stripes (0 = 8×GOMAXPROCS, rounded to a power of two)")
 		sep          = flag.String("sep", ".", "key segment separator for group-by selections")
 		workers      = flag.Int("workers", 0, "rollups one query request resolves or evaluates at once (0 = GOMAXPROCS)")
-		solveCache   = flag.Int("solve-cache", query.DefaultSolveCacheSize, "cross-request solve cache capacity in cached rollups (group-by selections charge one per group; 0 disables)")
 		paneWidth    = flag.Duration("pane-width", 0, "time pane width; > 0 enables windowed queries (/v1/query window selections, /v1/windows)")
 		panes        = flag.Int("panes", 240, "time panes retained per key when -pane-width is set")
 		snapshotPath = flag.String("snapshot", "", "snapshot file: restored at startup, saved on shutdown")
@@ -230,9 +226,18 @@ func main() {
 			log.Printf("momentsd: raised GOMAXPROCS to 2 so ingest overlaps write-ahead log fsyncs")
 		}
 		fp := store.Backend().Fingerprint()
+		maxAbs := math.MaxFloat64
+		if k := backend.Order(); k > 0 {
+			maxAbs = core.MaxAbs(k)
+		}
 		replayBatch := store.NewBatch()
 		rs, err := wal.Replay(*walDir, fp, cuts, func(obs []shard.Observation) error {
 			for _, o := range obs {
+				// /ingest refuses such a value, so the log is corrupt. Replay
+				// then fails before this batch flushes: nothing of the record applies.
+				if math.Abs(o.Value) > maxAbs {
+					return fmt.Errorf("%w: key %q value %g outside the ingest domain |value| <= %g", wal.ErrCorrupt, o.Key, o.Value, maxAbs)
+				}
 				replayBatch.AddAt(o.Key, o.Value, o.At)
 			}
 			replayBatch.Flush()
@@ -262,7 +267,6 @@ func main() {
 	serverOpts := []server.ServerOption{
 		server.WithKeySeparator(*sep),
 		server.WithQueryWorkers(*workers),
-		server.WithSolveCache(*solveCache),
 	}
 
 	// snapMu serializes snapshot saves so an in-flight periodic save cannot

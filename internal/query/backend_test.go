@@ -301,16 +301,18 @@ func TestEvalAggDirectRejectsMomentOps(t *testing.T) {
 	}
 }
 
-// TestBackendCachedGroupConcurrentReads: groups cached by the solve cache
-// serve concurrent Execute calls, so backend quantile evaluation on a
-// shared group must be a pure read — the t-digest's lazily buffered
-// centroids are compacted at group creation precisely so this holds. Run
-// under -race in CI; identical answers across goroutines pin determinism.
+// TestBackendCachedGroupConcurrentReads: concurrent Execute calls over one
+// t-digest key answer identically. Backend quantile evaluation must be a
+// pure read of the group's summary — the digest's lazily buffered
+// centroids are compacted at group creation so this holds. The solve
+// cache holds max-ent solves only, so non-moments groups never leave their
+// request. Run under -race in CI; identical answers across goroutines pin
+// determinism.
 func TestBackendCachedGroupConcurrentReads(t *testing.T) {
 	store := shard.New(shard.WithShards(2), shard.WithBackend(sketch.TDigestBackend(100)))
 	// Not a multiple of the digest's 4·compression scratch buffer, so the
-	// cached clone holds buffered centroids that a lazy Quantile would
-	// flush — exactly the mutation the group-creation Compact must prevent.
+	// read clone holds buffered centroids that a lazy Quantile would
+	// flush — exactly the mutation the group-creation Compact prevents.
 	for i := 0; i < 4111; i++ {
 		store.Add("k", float64(i%97))
 	}
@@ -318,10 +320,8 @@ func TestBackendCachedGroupConcurrentReads(t *testing.T) {
 		Select:       Selection{Key: "k"},
 		Aggregations: []Aggregation{{Op: OpQuantiles, Phis: []float64{0.1, 0.5, 0.9, 0.99}}},
 	}}}
-	// No warm-up: the race window is the group's FIRST evaluation, when the
-	// resolver caches it and a concurrent cache hit evaluates it in
-	// parallel. Repeat with a fresh engine per round so -race gets many
-	// shots at that window.
+	// Repeat with a fresh engine per round so -race gets many shots at
+	// concurrent first evaluations.
 	for round := 0; round < 20; round++ {
 		e := NewEngine(store, Config{SolveCache: 16})
 		results := make([][]QuantilePoint, 8)

@@ -93,10 +93,10 @@ func BenchmarkBatch128GroupBySequential(b *testing.B) {
 
 // BenchmarkBatch128GroupByCachedWarm measures the same 128-subquery batch
 // on an engine with the cross-request solve cache, after one warm-up
-// Execute: every selection is a cache hit, so the run prices the pure
-// cached-serving path (no merges, no solves) that a dashboard refreshing an
-// unchanged store pays. Compare against BenchmarkBatch128GroupByParallel
-// (the cold, cache-less run) for the cached-vs-uncached ratio.
+// Execute: every solve is a cache hit, so the run prices the cached-serving
+// path (merges, no solves) that a dashboard refreshing an unchanged store
+// pays. Compare against BenchmarkBatch128GroupByParallel (the cold,
+// cache-less run) for the cached-vs-uncached ratio.
 func BenchmarkBatch128GroupByCachedWarm(b *testing.B) {
 	store := benchStore(b)
 	e := NewEngine(store, Config{SolveCache: DefaultSolveCacheSize})

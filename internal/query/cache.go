@@ -2,41 +2,43 @@ package query
 
 import (
 	"container/list"
+	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/core"
+	"repro/internal/encoding"
+	"repro/internal/maxent"
 )
 
 // DefaultSolveCacheSize is the solve-cache capacity servers use unless
-// configured otherwise, measured in cached rollups (result groups): a
-// plain key or prefix selection weighs 1, a group-by or sliding-window
-// selection weighs one per group, so high-cardinality selections cannot
-// blow past the configured memory bound by hiding behind one entry. A
-// solved rollup is a ~200-byte sketch plus a few-KiB density, so the
-// default bounds the cache to a few MiB.
+// configured otherwise, in cached solves (one rollup each). A cached solve
+// is a ~200-byte key plus a few-KiB density, so the default bounds the
+// cache to a few MiB.
 const DefaultSolveCacheSize = 1024
 
 // CacheStats is a point-in-time snapshot of the solve cache's counters,
 // surfaced through Engine.CacheStats and the server's stats endpoints.
-// Capacity and Groups are in rollup units (see DefaultSolveCacheSize);
-// Entries counts cached selections.
+// Capacity and Entries count cached solves; Hits and Misses count solve
+// lookups, one per rollup whose density an aggregation needed.
 type CacheStats struct {
 	Enabled   bool   `json:"enabled"`
 	Capacity  int    `json:"capacity"`
 	Entries   int    `json:"entries"`
-	Groups    int    `json:"groups"`
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 }
 
-// solveCache is a sharded, bounded LRU from version-stamped selection keys
-// to resolved group sets (merged rollup sketches plus their lazily solved
-// maximum-entropy densities). Keys embed the store's mutation version (see
-// Engine.cacheKey), so invalidation is structural: any mutation of covered
-// data changes the key and the stale entry simply ages out of the LRU.
-// Cached groups are immutable apart from the sync.Once-guarded solve —
-// newGroup compacts lazily buffered backends (sketch.Compactor) before a
-// group can reach the cache — so one entry can serve concurrent requests.
+// solveCache is a sharded, bounded LRU from a solve's exact inputs to its
+// outcome. maxent.SolveSketch reads nothing but the moment vector and the
+// warm seed, so the key is the vector's marshaled bytes followed by the
+// seed's bits (solveKey), and a hit returns what a fresh solve of the same
+// inputs would, bit for bit. No entry can go stale: new data makes a new
+// vector, hence a new key, and entries nobody asks for age out. Go's map
+// compares whole string keys, so there is no collision path either. Cached
+// solutions are immutable and shared by concurrent requests.
 type solveCache struct {
 	shards    []cacheShard
 	mask      uint64
@@ -47,21 +49,20 @@ type solveCache struct {
 }
 
 type cacheShard struct {
-	mu     sync.Mutex
-	cap    int // weight budget (rollups)
-	weight int // current total weight
-	m      map[string]*list.Element
-	ll     *list.List // front = most recently used
+	mu  sync.Mutex
+	cap int // entry budget
+	m   map[string]*list.Element
+	ll  *list.List // front = most recently used
 }
 
 type cacheRecord struct {
-	key    string
-	groups []*group
-	weight int
+	key string
+	sol *maxent.Solution
+	err error
 }
 
 // newSolveCache builds a cache whose shard budgets sum to exactly
-// `capacity` rollups, split over power-of-two shards.
+// `capacity` entries, split over power-of-two shards.
 func newSolveCache(capacity int) *solveCache {
 	if capacity <= 0 {
 		return nil
@@ -90,6 +91,33 @@ func newSolveCache(capacity int) *solveCache {
 	return c
 }
 
+// solve returns maxent.SolveSketch(sk, opts), from the cache when the same
+// inputs were solved before; hit reports that. A nil cache always solves.
+func (c *solveCache) solve(sk *core.Sketch, opts maxent.Options) (sol *maxent.Solution, hit bool, err error) {
+	if c == nil {
+		sol, err = maxent.SolveSketch(sk, opts)
+		return sol, false, err
+	}
+	key := solveKey(sk, opts.Theta0)
+	if rec, ok := c.get(key); ok {
+		return rec.sol, true, rec.err
+	}
+	sol, err = maxent.SolveSketch(sk, opts)
+	c.put(&cacheRecord{key: key, sol: sol, err: err})
+	return sol, false, err
+}
+
+// solveKey is the solver's whole input: the moment vector as
+// encoding.Marshal lays it out (every core.Sketch field, fixed length for
+// the order in its header) followed by the warm seed's bits.
+func solveKey(sk *core.Sketch, theta0 []float64) string {
+	b := encoding.Marshal(sk)
+	for _, v := range theta0 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
+}
+
 // fnv64aString mirrors shard's key hash for shard selection.
 func fnv64aString(key string) uint64 {
 	h := uint64(14695981039346656037)
@@ -104,58 +132,41 @@ func (c *solveCache) shardFor(key string) *cacheShard {
 	return &c.shards[fnv64aString(key)&c.mask]
 }
 
-// get returns the group set cached under key, promoting it to most
-// recently used.
-func (c *solveCache) get(key string) ([]*group, bool) {
+// get returns the record cached under key, promoting it to most recently
+// used.
+func (c *solveCache) get(key string) (*cacheRecord, bool) {
 	sh := c.shardFor(key)
+	var rec *cacheRecord
 	sh.mu.Lock()
-	el, ok := sh.m[key]
-	var groups []*group
-	if ok {
+	if el, ok := sh.m[key]; ok {
 		sh.ll.MoveToFront(el)
-		// Read under the lock: a concurrent put refreshes rec.groups in place.
-		groups = el.Value.(*cacheRecord).groups
+		rec = el.Value.(*cacheRecord)
 	}
 	sh.mu.Unlock()
-	if !ok {
+	if rec == nil {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
-	return groups, true
+	return rec, true
 }
 
-// put inserts (or refreshes) the group set under key, evicting least
-// recently used entries until the shard's rollup budget holds. A group set
-// heavier than the whole shard budget is not cached at all — caching it
-// would flush the shard for an entry too big to ever be joined by another.
-func (c *solveCache) put(key string, groups []*group) {
-	w := len(groups)
-	if w < 1 {
-		w = 1
-	}
-	sh := c.shardFor(key)
+// put inserts rec unless its key is already cached — two requests that
+// missed on the same inputs solved them to the same bits — and evicts the
+// least recently used entries beyond the shard's budget.
+func (c *solveCache) put(rec *cacheRecord) {
+	sh := c.shardFor(rec.key)
 	sh.mu.Lock()
-	if w > sh.cap {
+	if _, ok := sh.m[rec.key]; ok {
 		sh.mu.Unlock()
 		return
 	}
-	if el, ok := sh.m[key]; ok {
-		rec := el.Value.(*cacheRecord)
-		sh.weight += w - rec.weight
-		rec.groups, rec.weight = groups, w
-		sh.ll.MoveToFront(el)
-	} else {
-		sh.m[key] = sh.ll.PushFront(&cacheRecord{key: key, groups: groups, weight: w})
-		sh.weight += w
-	}
+	sh.m[rec.key] = sh.ll.PushFront(rec)
 	evicted := uint64(0)
-	for sh.weight > sh.cap {
+	for sh.ll.Len() > sh.cap {
 		back := sh.ll.Back()
-		rec := back.Value.(*cacheRecord)
 		sh.ll.Remove(back)
-		delete(sh.m, rec.key)
-		sh.weight -= rec.weight
+		delete(sh.m, back.Value.(*cacheRecord).key)
 		evicted++
 	}
 	sh.mu.Unlock()
@@ -169,19 +180,17 @@ func (c *solveCache) stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	entries, groups := 0, 0
+	entries := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		entries += sh.ll.Len()
-		groups += sh.weight
 		sh.mu.Unlock()
 	}
 	return CacheStats{
 		Enabled:   true,
 		Capacity:  c.capacity,
 		Entries:   entries,
-		Groups:    groups,
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),

@@ -19,8 +19,7 @@
 // evaluate directly on the backend's own estimator (threshold stage
 // "Direct"), while the moment-structure operators (cdf, rank_bounds,
 // histogram, stats) fail fast with the typed backend_unsupported error.
-// Every result group is tagged with the backend name, and solve-cache keys
-// carry the backend fingerprint.
+// Every result group is tagged with the backend name.
 //
 // On stores with time panes, a Selection may additionally carry a Window
 // (§7.2.2): a trailing-pane window, an explicit [start, end) wall-clock
@@ -48,10 +47,13 @@
 //     share a single solve, in whichever order they come; a sliding-window
 //     position additionally warm-starts its solve from the previous
 //     position's θ when that position has been solved.
-//   - With Config.SolveCache, resolved selections — merged sketches plus
-//     their solved densities — are kept in a sharded bounded LRU across
-//     Execute calls, keyed on the store's mutation version so any ingest
-//     into covered keys invalidates the entry (see Engine.CacheStats).
+//   - With Config.SolveCache, solved densities are kept in a sharded
+//     bounded LRU across Execute calls, keyed on the solver's exact inputs:
+//     the rollup's moment vector and its warm seed. Selections still
+//     resolve (merge) on every request; a rollup whose vector an earlier
+//     request solved — under any spelling: key, prefix or group — skips
+//     its solve, and a hit is bit-identical to the solve it replaces (see
+//     Engine.CacheStats).
 //   - The request context is honored: it is checked before every unit, and
 //     when the deadline passes, the subqueries of every unit not yet
 //     started fail with deadline_exceeded instead of running to completion.

@@ -25,12 +25,11 @@ type Config struct {
 	// Workers bounds how many rollups one request resolves or evaluates at
 	// once (default GOMAXPROCS).
 	Workers int
-	// SolveCache bounds the cross-request solve cache to this many cached
-	// rollups — a key or prefix selection weighs 1, a group-by or
-	// sliding-window selection one per result group (0 disables the
-	// cache). Cached entries are keyed on the store's mutation version, so
-	// they are correct across concurrent ingest; see Engine.CacheStats for
-	// the hit/miss/eviction counters.
+	// SolveCache bounds the cross-request solve cache to this many solved
+	// rollups (0 disables it). Entries are keyed on the solver's exact
+	// inputs — the moment vector and its warm seed — so a hit is the
+	// solve a miss would have run, whatever was ingested meanwhile; see
+	// Engine.CacheStats for the hit/miss/eviction counters.
 	SolveCache int
 }
 
@@ -170,9 +169,9 @@ func Plan(req *Request, backend sketch.Backend) (tasks []*Task, results []Result
 // sliding-window selections are chained through prev so a position's solve
 // warm-starts from the previous window's θ when that window has been solved.
 // On other backends sk is nil and aggregations evaluate directly against the
-// serving summary in sum. The solve is guarded by a sync.Once because
-// resolved group sets can outlive their task: the solve cache shares them
-// across concurrent Engine.Execute calls.
+// serving summary in sum. A group lives for one request; the solve is
+// guarded by a sync.Once so the memo is safe whichever unit of the
+// request's scheduler reaches it.
 type group struct {
 	label  string
 	window *WindowRange // wall-clock span, window selections only
@@ -188,10 +187,9 @@ type group struct {
 }
 
 // newGroup wraps a serving summary, extracting the raw moments view when
-// the backend carries one. The summary is compacted first: groups outlive
-// their task through the solve cache and serve concurrent Execute calls,
-// so any lazily buffered state must be flushed now — after this, Quantile
-// is a pure read on every backend.
+// the backend carries one. The summary is compacted first, so any lazily
+// buffered state is flushed before evaluation starts — after this,
+// Quantile is a pure read on every backend.
 func newGroup(sum sketch.Serving, keys int) *group {
 	if c, ok := sum.(sketch.Compactor); ok {
 		c.Compact()
@@ -208,30 +206,32 @@ func (g *group) count() float64 {
 }
 
 // solve returns the group's memoized maximum-entropy solution, solving on
-// first use; shared reports that it already existed. Quantiles, cdf,
-// histogram and the cascade's MaxEnt stage all come through here, so a
-// rollup is solved at most once however its aggregations are ordered. A
-// window position seeds Newton from the previous position's θ only if that
-// position is already solved: positions are evaluated oldest-first, so a
-// quantile series still chains every solve, while a threshold that falls
-// through to MaxEnt never forces solves its neighbours' bounds had avoided.
-func (g *group) solve() (sol *maxent.Solution, shared bool, err error) {
+// first use through the engine's solve cache c (nil: no cache); shared
+// reports that the solution already existed — memoized on the group, or
+// cached from an earlier solve of the same inputs — so the cascade counts
+// only real solves. Quantiles, cdf, histogram and the cascade's MaxEnt
+// stage all come through here, so a rollup is solved at most once however
+// its aggregations are ordered. A window position seeds Newton from the
+// previous position's θ only if that position is already solved: positions
+// are evaluated oldest-first, so a quantile series still chains every
+// solve, while a threshold that falls through to MaxEnt never forces
+// solves its neighbours' bounds had avoided.
+func (g *group) solve(c *solveCache) (sol *maxent.Solution, shared bool, err error) {
 	shared = true
 	g.once.Do(func() {
-		shared = false
 		var opts maxent.Options
 		if p := g.prev; p != nil && p.solved.Load() && p.solErr == nil && len(p.sol.Theta) > 0 {
 			opts.Theta0 = p.sol.Theta
 		}
-		g.sol, g.solErr = maxent.SolveSketch(g.sk, opts)
+		g.sol, shared, g.solErr = c.solve(g.sk, opts)
 		g.solved.Store(true)
 	})
 	return g.sol, shared, g.solErr
 }
 
 // solution is solve for callers that only need the density.
-func (g *group) solution() (*maxent.Solution, error) {
-	sol, _, err := g.solve()
+func (g *group) solution(c *solveCache) (*maxent.Solution, error) {
+	sol, _, err := g.solve(c)
 	return sol, err
 }
 
@@ -247,7 +247,7 @@ func (e *Engine) Execute(ctx context.Context, req *Request) (*Response, *Error) 
 		return nil, err
 	}
 	e.run(ctx, req, tasks, results, func(i int) ([]*group, *Error) {
-		return e.resolveCached(ctx, &tasks[i].Sel)
+		return e.resolveSelection(ctx, &tasks[i].Sel)
 	})
 	return &Response{Results: results}, nil
 }
@@ -277,67 +277,6 @@ func selectionKey(sel *Selection) string {
 		return "w" + spec + "\x00" + base
 	}
 	return base
-}
-
-// cacheKey builds the version-stamped cache key for a selection, or ""
-// when the selection is uncacheable (cache disabled, or a key selection
-// whose key is absent). The key concatenates the canonical selection key,
-// the covered data's mutation version and the current pane (windowed
-// selections read the ring relative to the clock) — so any ingest into
-// covered data or pane turnover produces a different key and the stale
-// entry ages out. The cache belongs to one engine over one store, hence
-// one backend and one solver configuration, so neither is in the key.
-//
-// The version components MUST be read before the selection is resolved: a
-// mutation racing the resolve then leaves the result stamped with the older
-// version, which the next lookup — seeing the newer version — misses, so a
-// torn read can be served once but never cached as current.
-//
-// On wait-free stores (PR 10) KeyVersion is answered from the key's
-// published snapshot stamp, and the read that resolves the selection comes
-// from the same publication stream: a version observed here is never newer
-// than the summary the resolve then reads, which preserves the stamping
-// argument above without any locking on either side.
-func (e *Engine) cacheKey(sel *Selection) string {
-	if e.cache == nil {
-		return ""
-	}
-	var ver uint64
-	if sel.Key != "" {
-		v, ok := e.store.KeyVersion(sel.Key)
-		if !ok {
-			return "" // absent key: the not-found path is cheap, don't cache it
-		}
-		ver = v
-	} else {
-		ver = e.store.Version()
-	}
-	var pane int64
-	if sel.Window != nil {
-		pane, _ = e.store.CurrentPane()
-	}
-	// The suffix's leading NUL cannot collide with crafted key bytes: the
-	// remainder (hex digits and a comma) is NUL-free, while any suffix
-	// embedded in a key is followed by this NUL.
-	return selectionKey(sel) + "\x00" +
-		strconv.FormatUint(ver, 16) + "," + strconv.FormatInt(pane, 16)
-}
-
-// resolveCached fronts resolveSelection with the cross-request solve cache.
-// Only successful resolutions are cached; errors (not found, canceled) stay
-// uncached.
-func (e *Engine) resolveCached(ctx context.Context, sel *Selection) ([]*group, *Error) {
-	ck := e.cacheKey(sel)
-	if ck != "" {
-		if groups, ok := e.cache.get(ck); ok {
-			return groups, nil
-		}
-	}
-	groups, err := e.resolveSelection(ctx, sel)
-	if err == nil && ck != "" {
-		e.cache.put(ck, groups)
-	}
-	return groups, err
 }
 
 // validateBackendOps rejects — before any data work — aggregations the
@@ -425,7 +364,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 	switch a.Op {
 	case OpQuantiles:
 		phis := a.phis()
-		sol, err := g.solution()
+		sol, err := g.solution(e.cache)
 		points := make([]QuantilePoint, len(phis))
 		if err == nil {
 			for i, v := range sol.Quantiles(phis) {
@@ -442,7 +381,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 		res.Degraded = err != nil
 
 	case OpCDF:
-		sol, err := g.solution()
+		sol, err := g.solution(e.cache)
 		if err != nil {
 			res.Error = Errorf(CodeNotConverged, "%v", err)
 			return res
@@ -455,7 +394,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 
 	case OpThreshold:
 		cfg := cascade.Full()
-		cfg.Solve = g.solve
+		cfg.Solve = func() (*maxent.Solution, bool, error) { return g.solve(e.cache) }
 		var st cascade.Stats
 		above, err := cascade.Threshold(g.sk, *a.T, a.thresholdPhi(), cfg, &st)
 		e.foldCascadeStats(&st)
@@ -482,7 +421,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 		res.RankBounds = points
 
 	case OpHistogram:
-		sol, err := g.solution()
+		sol, err := g.solution(e.cache)
 		if err != nil {
 			res.Error = Errorf(CodeNotConverged, "%v", err)
 			return res
@@ -513,7 +452,7 @@ func (e *Engine) evalAgg(g *group, a *Aggregation) AggResult {
 // queries compare the backend's own quantile estimate against t (no
 // cascade, stage "Direct"); aggregations needing a solved density or
 // guaranteed moment bounds are rejected with the typed backend code (the
-// planner already filters them; this guards cached or internal callers).
+// planner already filters them; this guards internal callers).
 func (e *Engine) evalAggDirect(g *group, a *Aggregation) AggResult {
 	res := AggResult{Op: a.Op}
 	switch a.Op {

@@ -12,9 +12,9 @@ import (
 // Scatter-gather support: the node side resolves selections into marshaled
 // partial aggregates (Engine.ResolvePartials), and the coordinator side
 // re-evaluates aggregations over merged partials without a local store
-// (Evaluator). Both reuse the engine's planning, caching and evaluation
-// machinery, so a distributed answer is computed by exactly the code that
-// answers single-node queries.
+// (Evaluator). Both reuse the engine's planning and evaluation machinery,
+// so a distributed answer is computed by exactly the code that answers
+// single-node queries.
 
 // PartialsRequest is the JSON body of POST /v1/partials: the deduplicated
 // selections a scatter-gather coordinator fans out to one shard node.
@@ -52,7 +52,7 @@ func (e *Engine) resolvePartial(ctx context.Context, sel *Selection) ([]encoding
 	if err := ctx.Err(); err != nil {
 		return nil, ctxError(err)
 	}
-	groups, err := e.resolveCached(ctx, sel)
+	groups, err := e.resolveSelection(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -75,8 +75,8 @@ func (e *Engine) resolvePartial(ctx context.Context, sel *Selection) ([]encoding
 
 // marshalGroup serializes one resolved rollup in the serving backend's
 // codec. Moments-backed groups marshal the raw sketch view directly — a pure
-// read, safe on cache-shared groups; other backends clone first because
-// their codecs may compact in place.
+// read; other backends clone first because their codecs may compact in
+// place.
 func (e *Engine) marshalGroup(g *group) ([]byte, *Error) {
 	if g.sk != nil {
 		return encoding.Marshal(g.sk), nil
@@ -90,9 +90,10 @@ func (e *Engine) marshalGroup(g *group) ([]byte, *Error) {
 
 // Evaluator answers aggregations over externally merged rollups — the
 // coordinator side of scatter-gather serving. It is an Engine without a
-// store: the same scheduler, solver, threshold cascade, degradation policy
-// and memoized max-ent solves, applied to summaries merged from shard
-// partials instead of resolved locally. Safe for concurrent use.
+// store or a solve cache: the same scheduler, solver, threshold cascade,
+// degradation policy and memoized max-ent solves, applied to summaries
+// merged from shard partials instead of resolved locally. Safe for
+// concurrent use.
 type Evaluator struct {
 	e Engine
 }

@@ -552,11 +552,11 @@ func TestContextDeadline(t *testing.T) {
 // TestConcurrentExecuteStress runs many concurrent batched Executes (under
 // -race) and checks every result against a single-threaded, uncached oracle
 // engine: the parallel executor must return bit-identical results, also
-// when its solve cache hands one request's groups to another.
+// when its solve cache hands one request's solutions to another.
 func TestConcurrentExecuteStress(t *testing.T) {
 	store, _ := seedStore(t, 6, 5, 400)
-	// The parallel engine's solve cache shares resolved groups, and their
-	// memoized solves, across the concurrent requests.
+	// The parallel engine's solve cache shares solutions across the
+	// concurrent requests.
 	parallel := NewEngine(store, Config{Workers: 8, SolveCache: 64})
 	oracle := NewEngine(store, Config{Workers: 1})
 

@@ -86,8 +86,8 @@ func TestThresholdSharesRollupSolve(t *testing.T) {
 				order, solves, iters, shared, wantSolves, 1-wantSolves)
 		}
 
-		// Same request again: the rollup comes back from the solve cache with
-		// its density, and the threshold must use it rather than re-solve.
+		// Same request again: the rollup's density comes back from the solve
+		// cache, and the threshold must use it rather than re-solve.
 		hits := e.CacheStats().Hits
 		solves, shared, _ = solveDelta(e.CascadeStats, func() { res = execOne(t, e, req) })
 		if e.CacheStats().Hits != hits+1 {
@@ -216,25 +216,28 @@ func TestSharedSolveFailureStillDegrades(t *testing.T) {
 	}
 }
 
-// TestSharedWindowGroupsConcurrent hammers one cached sliding-window group
-// set from many goroutines — thresholds that reach MaxEnt at some positions
-// only, plus a quantile series — so memoized solves, the solved flags their
-// neighbours peek at, and the atomic cascade counters are all raced (run
-// under -race). Every request must see the same answers.
+// TestSharedWindowGroupsConcurrent: 8 concurrent identical requests share
+// the cached Solutions of one sliding-window scan — thresholds that reach
+// MaxEnt at some positions only, plus a quantile series — so cached
+// densities, the solved flags each request's positions peek at, the cache
+// itself and the atomic cascade counters are all raced (run under -race).
+// Every request must answer what the request that filled the cache
+// answered, without solving anything.
 func TestSharedWindowGroupsConcurrent(t *testing.T) {
-	e, store, _ := windowedFixture(t, time.Second, 24, 24, 100)
-	e = NewEngine(store, Config{SolveCache: 64})
+	_, store, _ := windowedFixture(t, time.Second, 24, 24, 100)
+	e := NewEngine(store, Config{SolveCache: 64})
 	thresh, phi := 560.0, 0.9
 	req := windowSubquery(Selection{Key: "us.web", Window: &WindowSpec{Last: 4, Step: 1}},
 		Aggregation{Op: OpThreshold, T: &thresh, Phi: &phi},
 		Aggregation{Op: OpQuantiles, Phis: []float64{0.5, 0.99}})
-	// Fill the cache without solving anything, so every request below shares
-	// one group set and races on its memoized solves.
-	mustExecute(t, e, windowSubquery(req.Queries[0].Select, Aggregation{Op: OpStats}))
-	groups, qerr := e.resolveCached(context.Background(), &req.Queries[0].Select)
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
+	// The quantile series solves every position, so the cache holds the
+	// whole warm-started chain before the concurrent requests start.
+	first := mustExecute(t, e, req)
+	want := respJSON(t, first)
+	positions := len(first.Results[0].Groups)
+	filled := e.CacheStats()
+	queries := e.CascadeStats().Queries
+
 	const workers = 8
 	out := make([]string, workers)
 	var wg sync.WaitGroup
@@ -251,12 +254,16 @@ func TestSharedWindowGroupsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if out[w] != out[0] {
-			t.Fatalf("request %d answered differently from request 0:\n%s\n%s", w, out[w], out[0])
+	for w := range out {
+		if out[w] != want {
+			t.Fatalf("request %d answered differently from the request that filled the cache:\n%s\n%s", w, out[w], want)
 		}
 	}
-	if st := e.CascadeStats(); st.Queries != workers*len(groups) {
-		t.Errorf("cascade counted %d threshold queries, want %d", st.Queries, workers*len(groups))
+	st := e.CacheStats()
+	if st.Misses != filled.Misses || st.Hits-filled.Hits != uint64(workers*positions) {
+		t.Errorf("cache after %d requests over %d positions: %+v (filled at %+v), want only hits", workers, positions, st, filled)
+	}
+	if got := e.CascadeStats().Queries - queries; got != workers*positions {
+		t.Errorf("cascade counted %d threshold queries, want %d", got, workers*positions)
 	}
 }

@@ -39,9 +39,10 @@ func solveCacheCounters(t *testing.T, url string) (hits, misses float64, enabled
 
 // TestSolveCacheHTTPInvalidation drives the solve cache through the full
 // HTTP path: repeated identical /v1/query requests must be byte-identical
-// and count a hit, and ingesting into a key covered by the cached selection
-// must invalidate the entry (version-vector mismatch → miss) with the next
-// response reflecting the new data. Counters are asserted via /v1/stats.
+// and count a hit, also after an ingest into keys the selection does not
+// cover; ingesting into a covered key changes the rollup's moment vector,
+// so the next request misses and reflects the new data. Counters are
+// asserted via /v1/stats.
 func TestSolveCacheHTTPInvalidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 
@@ -75,8 +76,23 @@ func TestSolveCacheHTTPInvalidation(t *testing.T) {
 		t.Fatalf("after repeat query: hits=%v misses=%v", hits, misses)
 	}
 
-	// Ingest into a covered key: the version vector moves, the cached
-	// entry must not be served, and the fresh result sees the outlier.
+	// Ingest into another prefix: the rollup's vector is unchanged, so
+	// its solve is still a hit.
+	resp, err = http.Post(ts.URL+"/ingest", "application/x-ndjson",
+		strings.NewReader(`{"key":"web.h1","value":1000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStatus(t, resp, http.StatusOK)
+	if got := readBody(t, postJSON(t, ts.URL+"/v1/query", query)); got != first {
+		t.Errorf("response changed after ingest into an uncovered key:\n%s\n%s", first, got)
+	}
+	if hits, misses, _ = solveCacheCounters(t, ts.URL); hits != 2 || misses != 1 {
+		t.Fatalf("after uncovered-key ingest: hits=%v misses=%v", hits, misses)
+	}
+
+	// Ingest into a covered key: the rollup's vector changes, the cached
+	// solve must not be served, and the fresh result sees the outlier.
 	resp, err = http.Post(ts.URL+"/ingest", "application/x-ndjson",
 		strings.NewReader(`{"key":"api.h1","value":1000000}`))
 	if err != nil {
@@ -85,7 +101,7 @@ func TestSolveCacheHTTPInvalidation(t *testing.T) {
 	wantStatus(t, resp, http.StatusOK)
 
 	third := readBody(t, postJSON(t, ts.URL+"/v1/query", query))
-	if hits, misses, _ = solveCacheCounters(t, ts.URL); hits != 1 || misses != 2 {
+	if hits, misses, _ = solveCacheCounters(t, ts.URL); hits != 2 || misses != 2 {
 		t.Fatalf("after covered-key ingest: hits=%v misses=%v (stale hit?)", hits, misses)
 	}
 	if third == first {
@@ -96,9 +112,9 @@ func TestSolveCacheHTTPInvalidation(t *testing.T) {
 		t.Errorf("fresh response does not reflect the new data: %s", third)
 	}
 
-	// The refreshed entry serves hits again.
+	// The new vector's solve serves hits again.
 	readBody(t, postJSON(t, ts.URL+"/v1/query", query))
-	if hits, misses, _ = solveCacheCounters(t, ts.URL); hits != 2 || misses != 2 {
+	if hits, misses, _ = solveCacheCounters(t, ts.URL); hits != 3 || misses != 2 {
 		t.Fatalf("post-invalidation refill: hits=%v misses=%v", hits, misses)
 	}
 }
@@ -122,8 +138,8 @@ func TestSolveCacheDisabled(t *testing.T) {
 
 // TestCascadeStatsCountSharedSolves drives solve sharing through HTTP: a
 // quantiles+threshold subquery whose threshold only max-ent can decide costs
-// the cascade no solve of its own — cold it reuses the density the quantiles
-// beside it solved, and again from the solve cache — and /v1/stats says so.
+// the cascade no solve of its own — it reuses the density the quantiles
+// beside it obtained — and /v1/stats says so.
 func TestCascadeStatsCountSharedSolves(t *testing.T) {
 	ts, _ := newTestServer(t)
 	seedRegions(t, ts)
@@ -132,8 +148,9 @@ func TestCascadeStatsCountSharedSolves(t *testing.T) {
 	groups := m["results"].([]any)[0].(map[string]any)["groups"].([]any)
 	q90 := groups[0].(map[string]any)["aggregations"].([]any)[0].(map[string]any)["quantiles"].([]any)[0].(map[string]any)["value"].(float64)
 
-	// A different selection (the prefix rollup) so the first request's cache
-	// entry is not what gets reused.
+	// The prefix "us.w" covers us.web alone, so its rollup is the key's
+	// vector: both rounds' quantiles fetch the first request's solve from
+	// the solve cache, and the threshold shares it.
 	body := fmt.Sprintf(`{"queries":[{"select":{"prefix":"us.w"},"aggregations":[`+
 		`{"op":"quantiles","phis":[0.9]},{"op":"threshold","t":%v,"phi":0.9}]}]}`, q90*1.01)
 	for round := 1; round <= 2; round++ {

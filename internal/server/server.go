@@ -99,9 +99,9 @@ func WithQueryWorkers(n int) ServerOption {
 	return func(s *Server) { s.workers = n }
 }
 
-// WithSolveCache bounds the engine's cross-request solve cache to n
-// resolved selections (default query.DefaultSolveCacheSize; n <= 0
-// disables it). Hit/miss/eviction counters are surfaced on /v1/stats.
+// WithSolveCache bounds the engine's cross-request solve cache to n solved
+// rollups (default query.DefaultSolveCacheSize; n <= 0 disables it).
+// Hit/miss/eviction counters are surfaced on /v1/stats.
 func WithSolveCache(n int) ServerOption {
 	return func(s *Server) {
 		if n < 0 {

@@ -25,7 +25,7 @@
 // the raw moments view and reports false on non-moments backends.
 //
 // There is one write path: Add/AddAt, or a Batch whose observations become
-// visible, ordered and versioned at Flush (Commit when a journal is
+// visible and ordered at Flush (Commit when a journal is
 // attached). There is one key order and one walk: every store keeps a
 // sorted key index per stripe, merged with each commit's new keys rather
 // than re-sorted, and every multi-key read — rollups, grouped rollups,
@@ -33,12 +33,6 @@
 // through one walker, so every read is a pure function of the data and a
 // group_by group over exactly a prefix's keys is that prefix's rollup, bit
 // for bit.
-//
-// Every key also carries a mutation version stamped from its stripe's
-// monotonic counter (KeyVersion); Version sums the stripe counters into a
-// lock-free store-wide fingerprint. Query-layer solve caches stamp entries
-// with these versions: a match guarantees the covered data is unchanged,
-// and delete/re-create or Restore can never resurrect an old version.
 //
 // With WithWindow the store gains a time dimension (§7.2.2): each key
 // keeps, alongside its all-time sketch, a ring of fixed-width time panes

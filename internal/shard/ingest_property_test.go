@@ -21,9 +21,8 @@ var propSeed = flag.Int64("shard.seed", 0, "seed for the shard property tests (0
 // at its Flush, not before, and survives a Delete or Reset issued while it
 // was pending. Every per-key count a reader observes must equal the count
 // after some prefix of the mutator's already-issued operations — no lost
-// observations, no duplicates, no states that never existed — and the
-// store's mutation versions must never regress. The seed is logged so any
-// failure replays with -shard.seed.
+// observations, no duplicates, no states that never existed. The seed is
+// logged so any failure replays with -shard.seed.
 func TestBufferedIngestLinearizability(t *testing.T) {
 	seed := *propSeed
 	if seed == 0 {
@@ -53,18 +52,12 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 
 	// Readers: each query brackets its read with the applied counter and
 	// asserts the observed count matches the model at some prefix inside
-	// the bracket. Version reads assert global monotonicity, and per-key
-	// version reads — served from published snapshot stamps — must never
-	// regress either: a reader racing a flush may observe a snapshot
-	// lagging the newest commit, but never one older than a snapshot it
-	// already observed.
+	// the bracket.
 	readerErr := make(chan error, 4)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var lastVersion uint64
-			var lastKeyVer [3]uint64
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -86,20 +79,6 @@ func TestBufferedIngestLinearizability(t *testing.T) {
 					readerErr <- fmt.Errorf("reader %d: Count(%s) = %v matches no model state in ops [%d,%d]",
 						r, keys[ki], got, lo, hi)
 					return
-				}
-				if v := s.Version(); v < lastVersion {
-					readerErr <- fmt.Errorf("reader %d: Version regressed %d -> %d", r, lastVersion, v)
-					return
-				} else {
-					lastVersion = v
-				}
-				if kv, present := s.KeyVersion(keys[ki]); present {
-					if kv < lastKeyVer[ki] {
-						readerErr <- fmt.Errorf("reader %d: KeyVersion(%s) regressed %d -> %d",
-							r, keys[ki], lastKeyVer[ki], kv)
-						return
-					}
-					lastKeyVer[ki] = kv
 				}
 			}
 		}(r)

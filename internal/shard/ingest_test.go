@@ -178,9 +178,10 @@ func TestBufferedIngestOracleWindowed(t *testing.T) {
 	requireSameMoments(t, s, oracle, keys)
 }
 
-// TestFlushOnlyReversionsTouchedKeys: a batch flush must re-version exactly
-// the keys it carries observations for. Re-stamping other keys would
-// spuriously invalidate solve-cache entries keyed on their versions.
+// TestFlushOnlyReversionsTouchedKeys: a batch flush republishes exactly
+// the keys it carries observations for, once each however many
+// observations it carries for them. Republishing any other key would copy
+// its moment vector for nothing.
 func TestFlushOnlyReversionsTouchedKeys(t *testing.T) {
 	s := New(WithShards(2))
 	b := s.NewBatch()
@@ -188,22 +189,23 @@ func TestFlushOnlyReversionsTouchedKeys(t *testing.T) {
 	b.Add("ver.a", 1)
 	b.Add("ver.b", 1)
 	b.Flush()
-	va0, ok := s.KeyVersion("ver.a")
-	if !ok {
-		t.Fatal("ver.a missing after flush")
+	pb, ok := s.lookupPublished("ver.b")
+	if !ok || pb == nil {
+		t.Fatal("ver.b unpublished after flush")
 	}
-	vb0, ok := s.KeyVersion("ver.b")
-	if !ok {
-		t.Fatal("ver.b missing after flush")
-	}
+	before := s.ReadStats().Publishes
 
 	b.Add("ver.a", 2)
+	b.Add("ver.a", 3)
 	b.Flush()
-	if va1, _ := s.KeyVersion("ver.a"); va1 <= va0 {
-		t.Errorf("KeyVersion(ver.a) %d -> %d: touched key not re-versioned", va0, va1)
+	if got := s.ReadStats().Publishes - before; got != 1 {
+		t.Errorf("flush touching one key published %d entry snapshots, want 1", got)
 	}
-	if vb1, _ := s.KeyVersion("ver.b"); vb1 != vb0 {
-		t.Errorf("KeyVersion(ver.b) %d -> %d: untouched key re-versioned by flush", vb0, vb1)
+	if p, _ := s.lookupPublished("ver.b"); p != pb {
+		t.Error("flush republished the untouched key ver.b")
+	}
+	if got := s.Count("ver.a"); got != 3 {
+		t.Errorf("Count(ver.a) = %v after the second flush, want 3", got)
 	}
 }
 

@@ -13,22 +13,22 @@ import (
 )
 
 // Wait-free snapshot reads (the Quancurrent idea, arXiv 2208.09265): on
-// moments stores, whose summary is a flat O(k) vector, every write commit publishes an immutable, version-
-// stamped copy of the touched entry's moment vector through an atomic
-// pointer: one flat record (published) holding min, max, count, log-count
-// and the 2k power sums, in two allocations. Every store, whatever its
-// backend, also republishes a sorted per-stripe key index the same way
-// whenever its key set changes. Timeless read paths (Summary, Count,
-// KeyVersion, Match, MergePrefixContext, MergeGroups and everything
-// layered on them) then traverse only atomic loads: they never take a
-// stripe lock, so a rollup scan cannot stall ingest and a flush cannot
-// stall queries. Keys reads only the index, so it is lock-free on every
-// store.
+// moments stores, whose summary is a flat O(k) vector, every write commit
+// publishes an immutable, version-stamped copy of the touched entry's
+// moment vector through an atomic pointer: one flat record (published)
+// holding min, max, count, log-count and the 2k power sums, in two
+// allocations. Every store, whatever its backend, also republishes a
+// sorted per-stripe key index the same way whenever its key set changes.
+// Timeless read paths (Summary, Count, Match, MergePrefixContext,
+// MergeGroups and everything layered on them) then traverse only atomic
+// loads: they never take a stripe lock, so a rollup scan cannot stall
+// ingest and a flush cannot stall queries. Keys reads only the index, so
+// it is lock-free on every store.
 //
 // The protocol, and why it is correct:
 //
 //   - Publication happens inside the writer's critical section, after the
-//     entry's version is stamped and before the stripe lock is released —
+//     entry's version is incremented and before the stripe lock is released —
 //     entry snapshot first, then (if the key set changed) the index. A
 //     reader that observes the new index therefore observes published
 //     entries, and a reader holding the old index observes the pre-commit

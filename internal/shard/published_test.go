@@ -32,11 +32,8 @@ func lockedMoments() Option { return func(c *storeConfig) { c.locked = true } }
 
 // assertReadEquivalence asserts every timeless read API of a (wait-free)
 // and b (locked twin) answers byte-identically: same keys, same counts,
-// same versions, same marshal bytes for summaries, matches and rollups.
-// compareVersions is dropped after a Restore: re-stamping walks each
-// stripe's map in iteration order, so twin stores assign different (but
-// individually still monotonic) versions to the same keys.
-func assertReadEquivalence(t *testing.T, label string, a, b *Store, compareVersions bool) {
+// same marshal bytes for summaries, matches and rollups.
+func assertReadEquivalence(t *testing.T, label string, a, b *Store) {
 	t.Helper()
 	if got, want := a.Len(), b.Len(); got != want {
 		t.Fatalf("%s: Len = %d, locked twin = %d", label, got, want)
@@ -64,11 +61,6 @@ func assertReadEquivalence(t *testing.T, label string, a, b *Store, compareVersi
 		}
 		if ca, cb := a.Count(k), b.Count(k); ca != cb {
 			t.Fatalf("%s: Count(%q) = %v, locked twin = %v", label, k, ca, cb)
-		}
-		va, oka := a.KeyVersion(k)
-		vb, okb := b.KeyVersion(k)
-		if oka != okb || (compareVersions && va != vb) {
-			t.Fatalf("%s: KeyVersion(%q) = (%d,%v), locked twin (%d,%v)", label, k, va, oka, vb, okb)
 		}
 	}
 	for _, prefix := range []string{"", "svc.", "svc.a", "other.", "absent."} {
@@ -154,7 +146,7 @@ func TestWaitFreeEquivalence(t *testing.T) {
 		}
 		ba.Flush()
 		bb.Flush()
-		assertReadEquivalence(t, fmt.Sprintf("round %d", round), a, b, true)
+		assertReadEquivalence(t, fmt.Sprintf("round %d", round), a, b)
 	}
 	// The suite compares against a store that is really locked: the
 	// locked reference never published through all of the above.
@@ -176,7 +168,7 @@ func TestWaitFreeEquivalence(t *testing.T) {
 	if err := b2.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	assertReadEquivalence(t, "after restore", a2, b2, false)
+	assertReadEquivalence(t, "after restore", a2, b2)
 	if got, want := a2.Len(), a.Len(); got != want {
 		t.Fatalf("restored Len = %d, source = %d", got, want)
 	}
@@ -188,17 +180,17 @@ func TestWaitFreeEquivalence(t *testing.T) {
 	if err := b.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	assertReadEquivalence(t, "after in-place restore", a, b, false)
+	assertReadEquivalence(t, "after in-place restore", a, b)
 
 	// Keep mutating past the restore: publication must have resumed on the
-	// restored entries' re-stamped versions.
+	// restored entries.
 	ba2, bb2 := a2.NewBatch(), b2.NewBatch()
 	for op := 0; op < 200; op++ {
 		applyTwin(rng, a2, b2, ba2, bb2, keys)
 	}
 	ba2.Flush()
 	bb2.Flush()
-	assertReadEquivalence(t, "after restore + mutation", a2, b2, false)
+	assertReadEquivalence(t, "after restore + mutation", a2, b2)
 }
 
 // TestWaitFreeEquivalenceWindowed runs the twin-store equivalence over a
@@ -227,7 +219,7 @@ func TestWaitFreeEquivalenceWindowed(t *testing.T) {
 		ba.Flush()
 		bb.Flush()
 		tick.Add(int64(rng.Intn(8)))
-		assertReadEquivalence(t, fmt.Sprintf("windowed round %d", round), a, b, true)
+		assertReadEquivalence(t, fmt.Sprintf("windowed round %d", round), a, b)
 		for _, k := range a.Keys("") {
 			ra, errA := a.Retained(k)
 			rb, errB := b.Retained(k)
@@ -253,7 +245,7 @@ func TestWaitFreeEquivalenceWindowed(t *testing.T) {
 	if err := b2.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	assertReadEquivalence(t, "windowed after restore", a2, b2, false)
+	assertReadEquivalence(t, "windowed after restore", a2, b2)
 }
 
 // TestGaugesMatchAudit cross-checks the lock-free Len/TotalCount gauges
@@ -513,7 +505,7 @@ func TestReadStatsCounters(t *testing.T) {
 // TestReadWhileFlushByteIdentical is the -race stress suite: readers race
 // batch flushes on a wait-free store and every observed summary must be
 // byte-identical to a state of the sequential oracle — a prefix of the
-// add stream — with per-reader monotonic counts and key versions. Values
+// add stream — with per-reader monotonic counts. Values
 // are all 1.0, so every moment accumulation is exact and any partition
 // order the flushes commit in produces the oracle's exact bytes;
 // non-associative rounding is covered by the quiescent equivalence suites.
@@ -544,7 +536,6 @@ func TestReadWhileFlushByteIdentical(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			var lastCount float64
-			var lastVer uint64
 			for {
 				select {
 				case <-stop:
@@ -574,13 +565,6 @@ func TestReadWhileFlushByteIdentical(t *testing.T) {
 				if !bytes.Equal(got, oracle[i]) {
 					readerErr <- fmt.Errorf("reader %d: summary at count %d not byte-identical to the oracle prefix", r, i)
 					return
-				}
-				if v, ok := s.KeyVersion(key); ok {
-					if v < lastVer {
-						readerErr <- fmt.Errorf("reader %d: KeyVersion regressed %d -> %d", r, lastVer, v)
-						return
-					}
-					lastVer = v
 				}
 			}
 		}(r)

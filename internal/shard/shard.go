@@ -37,14 +37,10 @@ type Observation struct {
 // concrete type is fixed by the store's serving backend (moments by
 // default).
 //
-// version is the key's mutation version: every Add into the entry stamps it
-// with a fresh draw from the stripe's monotonic counter. Query-layer solve
-// caches key their entries on it — a version match guarantees the key's
-// data (all-time sketch and panes alike) is unchanged since the cached
-// solve. Versions are process-monotonic, never reused: Restore re-stamps
-// every restored entry from the live counters (see Restore), so a cache
-// entry recorded before a restore — or before a delete/re-create of the
-// same key — can never falsely match.
+// version counts the entry's own mutations: every Add into it increments
+// it. It exists for the publish protocol alone — the published snapshot
+// carries the version it copied, so an entry is unpublished exactly while
+// the two differ.
 //
 // pub is the entry's published read snapshot (see published.go): an
 // immutable, version-stamped copy of the all-time moment vector,
@@ -65,11 +61,6 @@ type entry struct {
 // adjacent stripes on separate cache lines so uncontended locks on
 // neighbouring shards do not false-share.
 //
-// version is the stripe's monotonic mutation counter: bumped under the
-// stripe lock on every mutation (Add, batch flush, Delete, Reset, Restore)
-// but readable lock-free, so version-vector reads for cache keys never
-// contend with ingest.
-//
 // index is the stripe's published key index (see published.go): a sorted,
 // immutable (keys, entries) snapshot republished copy-on-write, while the
 // stripe lock is held, whenever the key set changes, on every store. added,
@@ -80,13 +71,12 @@ type entry struct {
 type stripe struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	count   float64       // observations ingested into this stripe
-	version atomic.Uint64 // monotonic mutation counter
+	count   float64 // observations ingested into this stripe
 	index   atomic.Pointer[stripeIndex]
 	added   []indexAdd // keys created since the last index publish
 	removed []string   // keys deleted since the last index publish
 	rebase  bool       // Reset/Restore: merge into an empty index, not the published one
-	_       [39]byte   // mutex(8) + map(8) + count(8) + version(8) + index(8) + added(24) + removed(24) + bool(1) + 39 = two 64-byte lines
+	_       [47]byte   // mutex(8) + map(8) + count(8) + index(8) + added(24) + removed(24) + bool(1) + 47 = two 64-byte lines
 }
 
 // Store is a sharded map from string keys to quantile summaries of one
@@ -281,7 +271,7 @@ func (s *Store) entryLocked(st *stripe, key string) *entry {
 // (clock skew, or a hostile ingest body) lands in the current pane instead
 // of advancing the ring and expiring live panes. The stripe lock must be
 // held.
-func (s *Store) addLocked(st *stripe, e *entry, x float64, at time.Time, nowPane int64) {
+func (s *Store) addLocked(e *entry, x float64, at time.Time, nowPane int64) {
 	e.all.Add(x)
 	if e.ring != nil {
 		p := s.paneIndex(at)
@@ -290,7 +280,7 @@ func (s *Store) addLocked(st *stripe, e *entry, x float64, at time.Time, nowPane
 		}
 		e.ring.observe(p, x)
 	}
-	e.version = st.version.Add(1)
+	e.version++
 }
 
 // Add accumulates one observation stamped with the store clock's now.
@@ -314,7 +304,7 @@ func (s *Store) AddAt(key string, x float64, at time.Time) {
 	st := s.stripeFor(key)
 	st.mu.Lock()
 	e := s.entryLocked(st, key)
-	s.addLocked(st, e, x, at, nowPane)
+	s.addLocked(e, x, at, nowPane)
 	st.count++
 	s.obsGauge.Add(1)
 	s.publishEntryLocked(e)
@@ -394,7 +384,7 @@ func (b *Batch) Flush() int {
 					b.pub = append(b.pub, e)
 				}
 			}
-			b.store.addLocked(st, e, o.Value, at, nowPane)
+			b.store.addLocked(e, o.Value, at, nowPane)
 		}
 		st.count += float64(len(b.buckets[i]))
 		b.store.obsGauge.Add(float64(len(b.buckets[i])))
@@ -643,7 +633,6 @@ func (s *Store) Delete(key string) bool {
 	if ok {
 		st.count -= e.all.Count()
 		delete(st.entries, key)
-		st.version.Add(1)
 		s.keyGauge.Add(-1)
 		s.obsGauge.Add(-e.all.Count())
 		st.removed = append(st.removed, key)
@@ -661,52 +650,10 @@ func (s *Store) Reset() {
 		s.obsGauge.Add(-st.count)
 		st.entries = make(map[string]*entry)
 		st.count = 0
-		st.version.Add(1)
 		st.rebase = true
 		s.publishIndexLocked(st)
 		st.mu.Unlock()
 	}
-}
-
-// Version returns the sum of every stripe's mutation counter — a cheap,
-// lock-free fingerprint of the whole store's contents. Counters only ever
-// increase, so two equal Version reads bracket a span with no mutations:
-// any Add, Delete, Reset or Restore anywhere strictly increases the sum.
-// Query-layer caches stamp prefix-rollup results with it.
-func (s *Store) Version() uint64 {
-	var sum uint64
-	for i := range s.stripes {
-		sum += s.stripes[i].version.Load()
-	}
-	return sum
-}
-
-// KeyVersion returns the mutation version of a single key (ok is false when
-// the key is absent). The version is stamped from the owning stripe's
-// monotonic counter on every mutation of the key, so an equal KeyVersion
-// guarantees the key's sketch — and its time panes — are unchanged; a
-// deleted and re-created key always reports a strictly newer version.
-func (s *Store) KeyVersion(key string) (uint64, bool) {
-	if s.waitFree() {
-		p, found := s.lookupPublished(key)
-		if !found {
-			s.pubReads.Add(1)
-			return 0, false
-		}
-		if p != nil {
-			s.pubReads.Add(1)
-			return p.version, true
-		}
-	}
-	s.lockReads.Add(1)
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[key]
-	if !ok {
-		return 0, false
-	}
-	return e.version, true
 }
 
 // Snapshot format: a "MDSS" magic, the format version, a header, then one
@@ -1024,17 +971,7 @@ func (s *Store) Restore(r io.Reader) error {
 		}
 		st := &s.stripes[i]
 		st.mu.Lock()
-		// Carry mutation versions through the restore: the stripe counter
-		// bumps unconditionally — replacing a stripe's contents is a
-		// mutation even when the snapshot restores it to empty — and every
-		// restored entry is re-stamped from the live monotonic counter
-		// (which is never reset), so version history stays strictly
-		// increasing across snapshot round-trips and any pre-restore cache
-		// entry — whatever the snapshot holds — can never falsely match
-		// again.
-		st.version.Add(1)
 		for key, e := range entries {
-			e.version = st.version.Add(1)
 			s.publishEntryLocked(e)
 			st.added = append(st.added, indexAdd{key: key, e: e})
 		}

@@ -78,8 +78,9 @@ type Backend struct {
 }
 
 // Fingerprint identifies the backend and its parameter, e.g.
-// "moments(k=10)". Snapshots and solve-cache keys embed it so summaries
-// from differently configured backends can never be confused.
+// "moments(k=10)". Snapshots, write-ahead log segments and partials
+// frames embed it so summaries from differently configured backends can
+// never be confused.
 func (b Backend) Fingerprint() string { return b.Name + "(" + b.Param + ")" }
 
 // IsZero reports whether the backend is the invalid zero value.

@@ -69,7 +69,8 @@
 // stops a segment at the first short, checksum-failing or undecodable
 // record (a NaN or infinite value, which ingest never admits, counts as
 // undecodable), logs the offset, and keeps serving; only a backend
-// fingerprint mismatch is a hard error. Headers, records and watermark
+// fingerprint mismatch or a record the caller's apply refuses is a hard
+// error. Headers, records and watermark
 // footers all decode through internal/encoding's Reader.
 //
 // # Failure policy
