@@ -576,7 +576,11 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		{"-hedge-quantile", "0.9"}, // a constant of internal/cluster now
 		{"-wal-on-error", "drop"},  // an ack always means fsynced
 		{"-wal-sync-interval", "1ms"},
-		{"-solve-cache", "0"}, // hits are the solves they replace; nothing to tune
+		{"-solve-cache", "0"},   // hits are the solves they replace; nothing to tune
+		{"-workers", "4"},       // a request runs at most GOMAXPROCS rollups at once
+		{"-sep", "/"},           // group_by splits keys on "."
+		{"-hedge-after", "5ms"}, // a hedge fires at the 0.9-quantile of node latencies
+		{"-node-timeout", "1s"}, // a node attempt gets 2s
 	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			wantRefusal(t, args, "flag provided but not defined")

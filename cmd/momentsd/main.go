@@ -6,13 +6,12 @@
 //
 // Usage:
 //
-//	momentsd [-addr :7607] [-backend moments[:K]] [-shards N] [-sep .]
-//	         [-workers N] [-pane-width DUR] [-panes N]
+//	momentsd [-addr :7607] [-backend moments[:K]] [-shards N]
+//	         [-pane-width DUR] [-panes N]
 //	         [-snapshot FILE] [-snapshot-interval DUR]
 //	         [-wal-dir DIR] [-wal-segment-size N] [-pprof-addr ADDR]
 //	momentsd -coordinator -nodes host1:7607,host2:7607[,...]
-//	         [-addr :7607] [-backend moments[:K]] [-node-timeout DUR]
-//	         [-hedge-after DUR] [-pprof-addr ADDR]
+//	         [-addr :7607] [-backend moments[:K]] [-pprof-addr ADDR]
 //
 // -coordinator switches momentsd into scatter-gather mode: the same HTTP
 // edge (internal/server) over a cluster coordinator instead of a local
@@ -21,13 +20,13 @@
 // concurrently over the internal POST /v1/partials endpoint, and merging
 // the nodes' partial aggregates — O(k) backend-codec vectors — before
 // solving at the coordinator. Fan-out is deadline-aware (each node gets
-// the smaller of -node-timeout and ~90% of the request's remaining
-// deadline; answers missing nodes carry the typed partial_result envelope
-// naming them) and hedges slow shards with one duplicate-suppressed retry
-// after -hedge-after (0 = adaptively after the 90th percentile of recent
-// node latencies). -backend must match the shard nodes' configuration;
-// scatter-gather counters appear under "coordinator" on /v1/stats. See
-// ARCHITECTURE.md "Scatter-gather serving".
+// the smaller of 2s and ~90% of the request's remaining deadline; answers
+// missing nodes carry the typed partial_result envelope naming them) and
+// hedges slow shards with one duplicate-suppressed retry after the 90th
+// percentile of recent node latencies. -backend must match the shard
+// nodes' configuration; scatter-gather counters appear under
+// "coordinator" on /v1/stats. See ARCHITECTURE.md "Scatter-gather
+// serving".
 //
 // -backend selects the serving summary backend: the default "moments"
 // sketch (order 10), or one of the paper's §6.1 baselines — "merge12",
@@ -76,9 +75,10 @@
 //
 // The query surface is the batched typed endpoint POST /v1/query (see
 // internal/query): one request carries any number of subqueries —
-// exact keys, prefix rollups, group-bys — each with its own aggregation
-// list, executed by a parallel planner/executor (-workers bounds how many
-// rollups one request resolves or evaluates at once):
+// exact keys, prefix rollups, group-bys on "."-separated key segments —
+// each with its own aggregation list, executed by a parallel
+// planner/executor that resolves or evaluates at most GOMAXPROCS rollups
+// of one request at once:
 //
 //	curl -XPOST localhost:7607/ingest -d '{"observations":[{"key":"us.web","value":12.5}]}'
 //	curl -XPOST localhost:7607/v1/query -d '{"queries":[
@@ -121,8 +121,6 @@ func main() {
 		addr         = flag.String("addr", ":7607", "listen address")
 		backendSpec  = flag.String("backend", "moments", "serving summary backend: moments, merge12, tdigest or sampling, optionally with a size parameter as name:param (e.g. moments:12 for sketch order 12, tdigest:200)")
 		shards       = flag.Int("shards", 0, "lock stripes (0 = 8×GOMAXPROCS, rounded to a power of two)")
-		sep          = flag.String("sep", ".", "key segment separator for group-by selections")
-		workers      = flag.Int("workers", 0, "rollups one query request resolves or evaluates at once (0 = GOMAXPROCS)")
 		paneWidth    = flag.Duration("pane-width", 0, "time pane width; > 0 enables windowed queries (/v1/query window selections, /v1/windows)")
 		panes        = flag.Int("panes", 240, "time panes retained per key when -pane-width is set")
 		snapshotPath = flag.String("snapshot", "", "snapshot file: restored at startup, saved on shutdown")
@@ -133,8 +131,6 @@ func main() {
 
 		coordinator = flag.Bool("coordinator", false, "scatter-gather mode: route to the -nodes shard list instead of serving a local store")
 		nodesSpec   = flag.String("nodes", "", "comma-separated shard node base URLs (coordinator mode; bare host:port gets the http scheme)")
-		nodeTimeout = flag.Duration("node-timeout", 2*time.Second, "per-node budget for one fan-out attempt (coordinator mode)")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "fixed delay before hedging a slow shard with a duplicate request (0 = adaptive: the 90th percentile of recent node latencies; coordinator mode)")
 	)
 	flag.Parse()
 
@@ -153,10 +149,8 @@ func main() {
 			log.Fatalf("momentsd: -snapshot, -pane-width and -wal-dir configure a local store; a coordinator has none")
 		}
 		coord, err := cluster.New(cluster.Config{
-			Nodes:       strings.Split(*nodesSpec, ","),
-			Backend:     backend,
-			NodeTimeout: *nodeTimeout,
-			HedgeAfter:  *hedgeAfter,
+			Nodes:   strings.Split(*nodesSpec, ","),
+			Backend: backend,
 		})
 		if err != nil {
 			log.Fatalf("momentsd: %v", err)
@@ -264,10 +258,7 @@ func main() {
 		store.SetJournal(walLog)
 	}
 
-	serverOpts := []server.ServerOption{
-		server.WithKeySeparator(*sep),
-		server.WithQueryWorkers(*workers),
-	}
+	var serverOpts []server.ServerOption
 
 	// snapMu serializes snapshot saves so an in-flight periodic save cannot
 	// finish after — and thereby clobber — the final shutdown snapshot.

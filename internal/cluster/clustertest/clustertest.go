@@ -198,8 +198,9 @@ type Config struct {
 	// StoreOpts are applied to every node store and to the oracle store —
 	// backend, order, windows, and the fixed clock windowed suites need.
 	StoreOpts []shard.Option
-	// Cluster overrides coordinator knobs (NodeTimeout, HedgeAfter,
-	// Transport). Nodes and Backend are filled in by the harness.
+	// Cluster overrides the coordinator's test seams (NodeTimeout,
+	// HedgeAfter, Transport); momentsd sets none of them. Nodes and Backend
+	// are filled in by the harness.
 	Cluster cluster.Config
 }
 

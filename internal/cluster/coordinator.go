@@ -24,11 +24,15 @@ type Config struct {
 	// fingerprint travels in the partials frame and mismatches fail loudly.
 	Backend sketch.Backend
 	// NodeTimeout caps one node attempt (default 2s). The effective per-node
-	// budget is the smaller of this and ~90% of the request deadline.
+	// budget is the smaller of this and ~90% of the request deadline. It is
+	// a test seam: the fault tests shorten it to see a stalled node drop
+	// out; momentsd always runs the default.
 	NodeTimeout time.Duration
 	// HedgeAfter fixes the hedge delay: a duplicate attempt is launched when
 	// the first has not answered after this long. Zero selects the adaptive
-	// delay: the hedgeQuantile of recently observed node latencies.
+	// delay: the hedgeQuantile of recently observed node latencies. It is a
+	// test seam: the fault tests fix it to count hedges exactly; momentsd
+	// always runs the adaptive delay.
 	HedgeAfter time.Duration
 	// Transport issues the HTTP requests (default a plain http.Client;
 	// per-request contexts carry all timeouts).

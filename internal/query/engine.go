@@ -19,11 +19,10 @@ import (
 
 // Config configures an Engine.
 type Config struct {
-	// Separator splits keys into segments for group_by selections
-	// (default ".").
-	Separator string
 	// Workers bounds how many rollups one request resolves or evaluates at
-	// once (default GOMAXPROCS).
+	// once (default GOMAXPROCS). It is a test seam: the scheduler tests pin
+	// answers at several worker counts against single-threaded ones, so no
+	// answer may depend on GOMAXPROCS; servers leave it at the default.
 	Workers int
 	// SolveCache bounds the cross-request solve cache to this many solved
 	// rollups (0 disables it). Entries are keyed on the solver's exact
@@ -38,7 +37,6 @@ type Config struct {
 type Engine struct {
 	store   *shard.Store
 	backend sketch.Backend
-	sep     string
 	workers int
 	cache   *solveCache // nil when disabled
 
@@ -54,16 +52,12 @@ type cascadeCounters struct {
 
 // NewEngine wires an Engine around store.
 func NewEngine(store *shard.Store, cfg Config) *Engine {
-	if cfg.Separator == "" {
-		cfg.Separator = "."
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
 		store:   store,
 		backend: store.Backend(),
-		sep:     cfg.Separator,
 		workers: cfg.Workers,
 	}
 	if cfg.SolveCache > 0 {

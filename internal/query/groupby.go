@@ -6,8 +6,11 @@ import (
 	"strings"
 )
 
+// keySep splits keys into the segments group_by selections label by.
+const keySep = "."
+
 // resolvePrefix rolls up the keys under prefix: into one group, or with
-// groupBy into one group per distinct value of that separator-delimited key
+// groupBy into one group per distinct value of that keySep-delimited key
 // segment (0-based), keys with fewer segments grouping under "". The fold
 // is the store's (shard.Store.MergeGroups): each group's keys merge from an
 // empty summary in the store's fold order, so a group covering exactly a
@@ -24,9 +27,9 @@ func (e *Engine) resolvePrefix(ctx context.Context, prefix string, groupBy *int)
 		if groupBy == nil {
 			return ""
 		}
-		seg, ok := segment(key, e.sep, *groupBy)
+		seg, ok := segment(key, keySep, *groupBy)
 		if !ok && !reached {
-			depth = max(depth, strings.Count(key, e.sep)+1)
+			depth = max(depth, strings.Count(key, keySep)+1)
 		}
 		reached = reached || ok
 		return seg

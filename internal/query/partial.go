@@ -103,7 +103,7 @@ type Evaluator struct {
 // shard nodes' configuration — the fingerprint travels in the partials
 // frame so mismatches are caught on decode.
 func NewEvaluator(backend sketch.Backend) *Evaluator {
-	return &Evaluator{e: Engine{backend: backend, sep: ".", workers: runtime.GOMAXPROCS(0)}}
+	return &Evaluator{e: Engine{backend: backend, workers: runtime.GOMAXPROCS(0)}}
 }
 
 // Backend returns the serving backend the evaluator answers from.

@@ -132,7 +132,7 @@ type Selection struct {
 	// Prefix selects every key with this prefix, merged into one rollup.
 	Prefix *string `json:"prefix,omitempty"`
 	// GroupBy partitions a prefix selection into one rollup per distinct
-	// value of the given separator-delimited key segment (0-based). Only
+	// value of the given "."-delimited key segment (0-based). Only
 	// valid together with Prefix, and not combinable with Window.
 	GroupBy *int `json:"group_by,omitempty"`
 	// Window restricts the selection to time panes (§7.2.2): instead of the

@@ -72,8 +72,6 @@ type Server struct {
 	// Shard-node state; nil and zero on a coordinator.
 	store      *shard.Store
 	engine     *query.Engine
-	sep        string
-	workers    int
 	solveCache int
 
 	// Write-ahead log (see WithWAL): walLog is nil when durability is
@@ -86,18 +84,6 @@ type Server struct {
 
 // ServerOption configures a shard-node Server at construction.
 type ServerOption func(*Server)
-
-// WithKeySeparator sets the segment separator used by group-by selections
-// (default ".").
-func WithKeySeparator(sep string) ServerOption {
-	return func(s *Server) { s.sep = sep }
-}
-
-// WithQueryWorkers bounds how many rollups one query request resolves or
-// evaluates at once (default GOMAXPROCS).
-func WithQueryWorkers(n int) ServerOption {
-	return func(s *Server) { s.workers = n }
-}
 
 // WithSolveCache bounds the engine's cross-request solve cache to n solved
 // rollups (default query.DefaultSolveCacheSize; n <= 0 disables it).
@@ -145,16 +131,11 @@ func New(store *shard.Store, opts ...ServerOption) *Server {
 	s := newServer()
 	s.store = store
 	s.maxAbs = ingestDomain(store.Backend())
-	s.sep = "."
 	s.solveCache = query.DefaultSolveCacheSize
 	for _, o := range opts {
 		o(s)
 	}
-	s.engine = query.NewEngine(store, query.Config{
-		Separator:  s.sep,
-		Workers:    s.workers,
-		SolveCache: s.solveCache,
-	})
+	s.engine = query.NewEngine(store, query.Config{SolveCache: s.solveCache})
 	s.exec = s.engine
 	s.sinks.New = func() any { return &storeSink{batch: store.NewBatch()} }
 
