@@ -89,8 +89,8 @@ func goldenOf(c namedSketch) (goldenCase, error) {
 // differences below one ulp, so the count is rounding noise there); and the
 // solved quantiles within 1e-9 of the data scale. Solves that ran into
 // maxGrid are exempt from the last two: they stop unvalidated on an
-// ill-conditioned Newton path (hundreds of iterations on Milan and Retail)
-// that moves by percents when one grid node changes in its last bit.
+// ill-conditioned Newton path (162 iterations on retail/2000) that moves
+// by percents when one grid node changes in its last bit.
 func TestGoldenBasisAndQuantiles(t *testing.T) {
 	corpus := goldenCorpus()
 	if *updateGolden {

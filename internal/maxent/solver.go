@@ -15,8 +15,9 @@ import (
 
 // The solve policy, fixed for every caller (paper §4.3). Newton starts on a
 // Clenshaw–Curtis grid of order gridSize and runs until the moments match to
-// within gradTol (the paper's δ, optimize.Newton's own stopping tolerance),
-// at most maxIter iterations per grid level; each converged θ is validated
+// within gradTol (the paper's δ, optimize.Newton's own stopping tolerance;
+// 10·gradTol once rounding hides every further decrease), at most maxIter
+// iterations per grid level; each converged θ is validated
 // on the grid of twice the order, to within 100·gradTol, and the grid
 // doubles until that validation holds or the grid reaches maxGrid. Basis
 // selection caps the Gram condition number at maxCond (the paper's κmax). A

@@ -45,14 +45,14 @@ type Result struct {
 var ErrLineSearch = errors.New("optimize: line search failed to decrease objective")
 
 // Newton's fixed settings. gradTol is the ∞-norm gradient tolerance — the
-// paper's moment-matching δ, which every caller uses; ridge is the initial
-// Tikhonov ridge for near-singular Hessians; maxBack bounds the backtracking
-// halvings per step; stepTol stops on a step whose ∞-norm falls below it.
+// paper's moment-matching δ, which every caller uses — and stallTol the one
+// a stalled minimization is held to; ridge is the initial Tikhonov ridge
+// for near-singular Hessians; maxBack bounds the backtracking halvings.
 const (
-	gradTol = 1e-9
-	ridge   = 1e-12
-	maxBack = 60
-	stepTol = 1e-14
+	gradTol  = 1e-9
+	stallTol = 10 * gradTol
+	ridge    = 1e-12
+	maxBack  = 60
 )
 
 // NewtonOptions configures Newton.
@@ -98,7 +98,10 @@ func (w *NewtonWorkspace) ensure(n int) {
 
 // Newton minimizes a convex HessianObjective with a damped Newton method:
 // solve ∇²f·d = −∇f (with ridge regularization on factorization failure),
-// then backtrack along d until the Armijo condition holds.
+// then backtrack along d until the Armijo condition holds. It stops when
+// ‖∇f‖∞ ≤ gradTol, or after a stall: once an accepted step leaves f where
+// it was, rounding hides f's change, so Newton takes the undamped step and
+// stops there, converged iff ‖∇f‖∞ ≤ stallTol.
 func Newton(obj HessianObjective, x0 []float64, opts NewtonOptions) (Result, error) {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 200
@@ -117,14 +120,15 @@ func Newton(obj HessianObjective, x0 []float64, opts NewtonOptions) (Result, err
 
 	val := obj.Value(x)
 	res.FuncEvals++
+	stalled := false
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		obj.Gradient(x, grad)
 		gnorm := linalg.NormInf(grad)
 		res.Iterations = iter
 		res.Value = val
 		res.GradNorm = gnorm
-		if gnorm <= gradTol {
-			res.Converged = true
+		if gnorm <= gradTol || stalled {
+			res.Converged = gnorm <= stallTol
 			return res, nil
 		}
 		obj.Hessian(x, hess)
@@ -149,23 +153,19 @@ func Newton(obj HessianObjective, x0 []float64, opts NewtonOptions) (Result, err
 			res.Value = val
 			return res, lsErr
 		}
-		maxStep := 0.0
+		if !(newVal < val) {
+			// f cannot resolve this step's decrease, so the line search
+			// cannot judge it; near the minimum the undamped step is right.
+			step, stalled = 1, true
+		}
 		for i := range x {
-			d := step * dir[i]
-			x[i] += d
-			if a := math.Abs(d); a > maxStep {
-				maxStep = a
-			}
+			x[i] += step * dir[i]
+		}
+		if stalled {
+			newVal = obj.Value(x) // f at the undamped step, for res.Value
+			res.FuncEvals++
 		}
 		val = newVal
-		if maxStep < stepTol {
-			obj.Gradient(x, grad)
-			res.GradNorm = linalg.NormInf(grad)
-			res.Value = val
-			res.Converged = res.GradNorm <= gradTol*1e3
-			res.Iterations = iter + 1
-			return res, nil
-		}
 	}
 	obj.Gradient(x, grad)
 	res.GradNorm = linalg.NormInf(grad)

@@ -258,3 +258,79 @@ func (liar) Gradient(x, g []float64)   { g[0] = 1e9 } // wrong on purpose
 func (liar) Hessian(x []float64, h *linalg.Dense) {
 	h.Set(0, 0, 1)
 }
+
+// TestNewtonStopsWhenRoundingHidesProgress: once f's rounding hides the
+// decrease a step would show, Newton stops within a few iterations instead
+// of stepping until MaxIter, and the gradient decides the answer. A
+// gradient floor no step lowers — a max-ent potential whose moments match
+// to rounding — converges iff it is within stallTol. A gradient the
+// undamped Newton step does lower still reaches the minimum, however far
+// the noise in f shrank the line search's step.
+func TestNewtonStopsWhenRoundingHidesProgress(t *testing.T) {
+	c := []float64{1, -2}
+	for _, tc := range []struct {
+		name      string
+		obj       HessianObjective
+		x0        []float64
+		converged bool
+		maxGrad   float64
+	}{
+		{"floor within stallTol", plateau{2 * gradTol}, []float64{0, 0}, true, 2 * gradTol},
+		{"floor past stallTol", plateau{2 * stallTol}, []float64{0, 0}, false, 2 * stallTol},
+		{"noisy bowl", noisyBowl{c: c, x0: []float64{1 + 3e-8, -2}}, []float64{1 + 3e-8, -2}, true, gradTol},
+	} {
+		res, err := Newton(tc.obj, tc.x0, NewtonOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Iterations > 3 || res.Converged != tc.converged || res.GradNorm > tc.maxGrad {
+			t.Errorf("%s: %d iterations, converged=%v, ‖∇‖∞ %g; want <= 3 iterations, converged=%v, ‖∇‖∞ <= %g",
+				tc.name, res.Iterations, res.Converged, res.GradNorm, tc.converged, tc.maxGrad)
+		}
+	}
+}
+
+// plateau's value is 1 everywhere, as a gradient of floor makes it to
+// float resolution over steps of size ~floor; its gradient is floor in
+// every coordinate.
+type plateau struct{ floor float64 }
+
+func (plateau) Dim() int                  { return 2 }
+func (plateau) Value(x []float64) float64 { return 1 }
+func (p plateau) Gradient(x, g []float64) {
+	for i := range g {
+		g[i] = p.floor
+	}
+}
+func (plateau) Hessian(x []float64, h *linalg.Dense) { identity(h) }
+
+// noisyBowl is 1 + ½‖x−c‖² evaluated with an error of ‖x−x0‖∞, more than
+// the decrease any step from x0 shows when x0 is that close to c, while
+// its gradient x−c is exact.
+type noisyBowl struct{ c, x0 []float64 }
+
+func (b noisyBowl) Dim() int { return len(b.c) }
+func (b noisyBowl) Value(x []float64) float64 {
+	v, e := 1.0, 0.0
+	for i := range x {
+		d := x[i] - b.c[i]
+		v += d * d / 2
+		e = math.Max(e, math.Abs(x[i]-b.x0[i]))
+	}
+	return v + e
+}
+func (b noisyBowl) Gradient(x, g []float64) {
+	for i := range x {
+		g[i] = x[i] - b.c[i]
+	}
+}
+func (noisyBowl) Hessian(x []float64, h *linalg.Dense) { identity(h) }
+
+func identity(h *linalg.Dense) {
+	for i := 0; i < h.Rows; i++ {
+		for j := 0; j < h.Cols; j++ {
+			h.Set(i, j, 0)
+		}
+		h.Set(i, i, 1)
+	}
+}
